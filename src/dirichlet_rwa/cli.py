@@ -24,7 +24,7 @@ from .config import ConfigError, ScenarioConfig, load_config
 from .runner import run_config, run_scenario, write_report
 from .rwa import RwaSpec, sample_rwa_direct_batch
 from .distributions import RngStream
-from .stieltjes import _sqrt_branch, equation1_check, equation3_residual
+from .stieltjes import equation1_check, equation3_terms
 
 
 def _parse_matrix(text: str) -> list:
@@ -95,13 +95,12 @@ def _cmd_verify_moments(args) -> int:
 
 def _cmd_stieltjes(args) -> int:
     grid = [float(z) for z in args.grid.split(",")]
-    r3 = equation3_residual(args.n, grid)
+    lhs, rhs, r3 = equation3_terms(args.n, grid)
     r1 = equation1_check(args.n, grid)
     lines = ["n,z,lhs,rhs,residual"]
-    for z, resid in zip(grid, r3):
-        rhs = (_sqrt_branch(complex(z), 1.0) ** (-args.n)).real
+    for z, left, right, resid in zip(grid, lhs, rhs, r3):
         lines.append(
-            f"{args.n},{_fmt(z)},{_fmt(rhs + resid)},{_fmt(rhs)},{_fmt(float(resid))}"
+            f"{args.n},{_fmt(z)},{_fmt(left.real)},{_fmt(right.real)},{_fmt(float(resid))}"
         )
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -1,15 +1,20 @@
 """Exact moment machinery for the weighted-average construction.
 
-The mixed moment E[prod_j z_j^{s_j}] of z = sum_i w_i x_i expands, by the
-multinomial theorem applied per coordinate, into a sum over composition
-tables: for each coordinate j a composition (h_1j, ..., h_nj) of s_j.  Each
-term factors into multinomial coefficients, a weight moment at the row sums
-h_i* and per-summand Dirichlet moments.  The expansion must agree with the
-closed-form moment of the target Dirichlet; that equality is the computable
-core this module exists to check.
+The mixed moment E[prod_j z_j^{s_j}] of z = sum_i w_i x_i is a coefficient
+of a product of generating functions.  With w ~ Dirichlet(a), x_i ~
+Dirichlet(alpha_i), b_i = sum_j alpha_ij and A = sum_i a_i,
+
+    E[prod_j z_j^{s_j}] = prod_j s_j! * Gamma(A)/Gamma(A+S) * [t^s] prod_i F_i(t),
+    F_i(t) = sum_h (a_i)_{|h|}/(b_i)_{|h|} * prod_j (alpha_ij)_{h_j}/h_j! * t^h,
+
+S = sum_j s_j, which is the multinomial expansion of the moment over
+composition tables summed one factor at a time.  The result must agree with
+the closed-form moment of the target Dirichlet; that equality is the
+computable core this module exists to check.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,7 +27,6 @@ from .rwa import RwaSpec, WeightedAverageScenario, scenario_of
 
 __all__ = [
     "MomentIndex",
-    "CompositionTable",
     "DirMultParams",
     "DEFAULT_ORDER_CAP",
     "compositions",
@@ -77,86 +81,84 @@ class MomentIndex:
 
 def compositions(total: int, parts: int):
     """All tuples of `parts` non-negative integers summing to `total`,
-    lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    lexicographic order.
 
-
-@dataclass(frozen=True)
-class CompositionTable:
-    """Per-coordinate compositions of s_j into n parts; the index set of the
-    moment expansion."""
-
-    n: int
-    s: tuple
-    columns: tuple  # columns[j] = tuple of compositions of s[j] into n parts
-
-    def __init__(self, n: int, s):
-        s = tuple(int(v) for v in s)
-        cols = tuple(tuple(compositions(sj, n)) for sj in s)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "columns", cols)
-
-    @property
-    def size(self) -> int:
-        return math.prod(len(c) for c in self.columns)
-
-    @property
-    def expected_size(self) -> int:
-        return math.prod(math.comb(sj + self.n - 1, self.n - 1) for sj in self.s)
-
-    def tuples(self):
-        """Iterate over full tables, one composition per coordinate, columns
-        nested outer-to-inner in coordinate order."""
-        return itertools.product(*self.columns)
-
-
-def _dirichlet_log_moment(alpha, s) -> float:
-    # math.lgamma beats vectorized gammaln at these tiny lengths
-    a = sum(alpha)
-    out = math.lgamma(a) - math.lgamma(a + sum(s))
-    for ai, si in zip(alpha, s):
-        out += math.lgamma(ai + si) - math.lgamma(ai)
-    return out
+    Stars and bars: the parts are the gaps between parts - 1 bars placed
+    among total + parts - 1 slots, and combinations() yields the bar
+    positions in lexicographic order, which is that of the tuples.
+    """
+    slots = total + parts - 1
+    for bars in itertools.combinations(range(slots), parts - 1):
+        yield tuple([b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,))])
 
 
 def _log_multinomial(total: int, parts) -> float:
     return math.lgamma(total + 1) - sum(math.lgamma(h + 1) for h in parts)
 
 
-def weighted_average_moment(sc: WeightedAverageScenario, s: MomentIndex) -> float:
-    """E[prod_j z_j^{s_j}] by full enumeration of composition tables.
+@functools.lru_cache(maxsize=256)
+def _box(s: tuple):
+    """Index data of the box prod_j [0, s_j], flattened in C order.
 
-    Terms are accumulated in enumeration order with math.fsum (compensated),
-    so results are deterministic and rounding-controlled up to ~1e5 terms.
+    Returns (cells, degree, left, right): cells[j] is coordinate j of every
+    flat cell, degree its total |h|, and (left, right) run over the pairs of
+    cells whose sum stays in the box.  Flat indices add without carry inside
+    the box, so a pair's sum is cell left + right.
+    """
+    cells = np.indices(tuple(sj + 1 for sj in s)).reshape(len(s), -1)
+    fits = np.ones((cells.shape[1],) * 2, dtype=bool)
+    for sj, cj in zip(s, cells):
+        fits &= cj[:, None] + cj[None, :] <= sj
+    left, right = np.nonzero(fits)
+    out = (cells, cells.sum(axis=0), left, right)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _rising_ratios(top: np.ndarray, bottom, m: int) -> np.ndarray:
+    """(top)_h / (bottom)_h for h = 0..m along a new last axis."""
+    r = np.arange(m)
+    out = np.ones(top.shape + (m + 1,))
+    out[..., 1:] = (top[..., None] + r) / (np.asarray(bottom)[..., None] + r)
+    return np.cumprod(out, axis=-1, out=out)
+
+
+def weighted_average_moment(sc: WeightedAverageScenario, s: MomentIndex) -> float:
+    """E[prod_j z_j^{s_j}] as the coefficient [t^s] of prod_i F_i(t) (see the
+    module docstring), with each F_i truncated to the box prod_j [0, s_j].
+
+    Every term is positive, so nothing cancels.  Only the weight
+    concentrations and the rows of x enter; the column sums never do, which
+    keeps this oracle independent of rwa_moment_closed_form and valid for
+    scenarios whose weight concentrations are not the row sums.
     """
     if s.k != sc.k:
         raise ValueError(f"moment index length {s.k} != scenario dimension {sc.k}")
-    w_alpha = np.asarray(sc.w_alpha)
-    x_alphas = np.asarray(sc.x_alphas)
-    table = CompositionTable(sc.n, s.s)
-    terms = []
-    for cols in table.tuples():
-        h = np.asarray(cols, dtype=float).T  # (n, k): h[i, j]
-        h_star = h.sum(axis=1)
-        log_term = sum(
-            _log_multinomial(sj, col) for sj, col in zip(s.s, cols)
-        )
-        log_term += _dirichlet_log_moment(w_alpha, h_star)
-        for i in range(sc.n):
-            log_term += _dirichlet_log_moment(x_alphas[i], h[i])
-        terms.append(math.exp(log_term))
-    return math.fsum(terms)
+    a = np.asarray(sc.w_alpha)
+    x = np.asarray(sc.x_alphas)
+    cells, degree, left, right = _box(s.s)
+    total = s.total
+    # F[i] over the box: (a_i)_{|h|}/(b_i)_{|h|} * prod_j (alpha_ij)_{h_j}/h_j!
+    per_row = _rising_ratios(a, x.sum(axis=1), total)
+    per_cell = _rising_ratios(x, 1.0, max(s.s))
+    coords = np.arange(sc.k)[:, None]
+    F = per_row[:, degree] * np.prod(per_cell[:, coords, cells], axis=1)
+    poly = F[0]
+    for f in F[1:-1]:
+        poly = np.bincount(left + right, weights=poly[left] * f[right], minlength=poly.size)
+    # The last factor only contributes its coefficient at s - h, which sits
+    # at the mirrored flat index.
+    coeff = float(poly @ F[-1][::-1]) if sc.n > 1 else float(poly[-1])
+    # prod_j s_j! / (A)_S, one factor pair at a time
+    numer = [q for sj in s.s for q in range(1, sj + 1)]
+    a_total = float(a.sum())
+    return coeff * math.prod(q / (a_total + r) for r, q in enumerate(numer))
 
 
 def rwa_moment_expansion(spec: RwaSpec, s: MomentIndex) -> float:
     """Mixed moment of z for a row-sum/column-sum instance, via the
-    composition-table expansion."""
+    generating-function product of weighted_average_moment."""
     return weighted_average_moment(scenario_of(spec), s)
 
 
@@ -223,13 +225,22 @@ def dirmult_log_pmf_batch(p: DirMultParams, counts: np.ndarray) -> np.ndarray:
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _dirmult_support(trials: int, cells: int) -> np.ndarray:
+    """All count vectors of the support, one per row, read-only.  It depends
+    only on the trial and cell counts, so a grid of alphas shares it."""
+    support = np.asarray(list(compositions(trials, cells)), dtype=float)
+    support.flags.writeable = False
+    return support
+
+
 def dirmult_normalization_check(p: DirMultParams) -> float:
     """Sum of the pmf over the whole support; contract: 1 within 1e-10."""
     if p.trials > DIRMULT_TRIALS_CAP:
         raise OrderCapExceeded(
             f"trials={p.trials} exceeds the enumeration cap of {DIRMULT_TRIALS_CAP}"
         )
-    support = np.asarray(list(compositions(p.trials, p.alpha.k)), dtype=float)
+    support = _dirmult_support(p.trials, p.alpha.k)
     return float(math.fsum(np.exp(dirmult_log_pmf_batch(p, support))))
 
 

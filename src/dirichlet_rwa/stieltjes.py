@@ -11,6 +11,7 @@ with cut [-c, c] and z*S(z) -> 1 at infinity.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -27,6 +28,7 @@ __all__ = [
     "power_semicircle_fn",
     "arcsine_fn",
     "cauchy_derivative",
+    "equation3_terms",
     "equation3_residual",
     "equation1_check",
     "transform_moments",
@@ -50,7 +52,12 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class StieltjesFn:
-    """A Stieltjes transform: complex evaluator plus its support interval."""
+    """A Stieltjes transform: complex evaluator plus its support interval.
+
+    The evaluator accepts a complex scalar or an ndarray of complex points and
+    does no support check; calling the StieltjesFn evaluates one point and
+    rejects points on the support.
+    """
 
     evaluator: Callable
     support: tuple = (-1.0, 1.0)
@@ -92,34 +99,62 @@ def arcsine_transform(z) -> complex:
     return complex(1.0 / _sqrt_branch(z, 1.0))
 
 
-def _gauss_legendre_01(f, atol: float = 1e-12, rtol: float = 1e-13, max_order: int = 2048):
-    """Integrate a smooth complex-valued function on [0,1] by Gauss-Legendre
-    with node doubling until two successive orders agree."""
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre_nodes(order: int):
+    """Gauss-Legendre nodes mapped to [0,1] and their weights, computed once
+    per order on first use and shared read-only.  The node-doubling loop asks
+    for 16, 32, ..., 2048, so the table holds at most eight entries; a table
+    entry is stored only once complete, so concurrent callers never see one
+    half-built."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    x = 0.5 * (nodes + 1.0)
+    x.flags.writeable = False
+    weights.flags.writeable = False
+    return x, weights
+
+
+def _gauss_legendre_01(f, z, atol: float = 1e-12, rtol: float = 1e-13, max_order: int = 2048):
+    """Integrate f(., z) on [0,1] for every point of the 1-d complex array z
+    by Gauss-Legendre with node doubling until two successive orders agree.
+
+    f(x, zc) takes the nodes x, shape (q,), and a column zc, shape (m, 1), of
+    the points still being integrated, and returns their (m, q) integrand
+    values.  Each point keeps the value of the first order at which it
+    converges; later orders evaluate only the points that have not.
+    """
+    z = np.asarray(z, dtype=complex)
+    out = np.empty(z.shape, dtype=complex)
+    todo = np.arange(z.size)
     prev = None
     order = 16
     err = math.inf
     while order <= max_order:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        x = 0.5 * (nodes + 1.0)
-        val = 0.5 * np.sum(weights * f(x))
+        x, weights = _gauss_legendre_nodes(order)
+        val = 0.5 * np.sum(weights * f(x, z[todo, None]), axis=1)
         if prev is not None:
-            err = abs(val - prev)
-            if err <= max(atol, rtol * abs(val)):
-                return val
+            diff = np.abs(val - prev)
+            done = diff <= np.maximum(atol, rtol * np.abs(val))
+            out[todo[done]] = val[done]
+            if done.all():
+                return out
+            err = float(np.max(diff[~done]))
+            todo, val = todo[~done], val[~done]
         prev = val
         order *= 2
     raise QuadratureError("quadrature did not converge on [0,1]", err)
 
 
-def _power_semicircle_integral(n: int, z: complex) -> complex:
+def _power_semicircle_integral(n: int, z):
     """int_0^1 (1-t)^{(n-3)/2} (z^2-t)^{-1/2} dt via the substitution
-    u = sqrt(1-t), which removes the endpoint singularity at t=1 for n=2."""
+    u = sqrt(1-t), which removes the endpoint singularity at t=1 for n=2.
+    Evaluated for a complex scalar or every point of an array of any shape."""
 
-    def integrand(u):
+    def integrand(u, zc):
         r = np.sqrt(1.0 - u * u)
-        return 2.0 * u ** (n - 2) / (np.sqrt(z - r) * np.sqrt(z + r))
+        return 2.0 * u ** (n - 2) / (np.sqrt(zc - r) * np.sqrt(zc + r))
 
-    return _gauss_legendre_01(integrand)
+    z = np.asarray(z, dtype=complex)
+    return _gauss_legendre_01(integrand, z.reshape(-1)).reshape(z.shape)[()]
 
 
 def power_semicircle_transform(p: PowerSemicircleParams, z) -> complex:
@@ -143,14 +178,24 @@ def power_semicircle_fn(n: int) -> StieltjesFn:
     return StieltjesFn(lambda z: (n - 1) / 2.0 * _power_semicircle_integral(n, z))
 
 
+def _array_evaluator(f):
+    # The callers check the whole contour against the support [-1, 1] first,
+    # so a StieltjesFn's evaluator takes all nodes at once, without the
+    # per-point check of its __call__.
+    return f.evaluator if isinstance(f, StieltjesFn) else f
+
+
 def cauchy_derivative(f, z: float, order: int, radius: float,
                       rtol: float = 1e-9, max_nodes: int = 8192) -> complex:
     """order-th derivative of f at z via trapezoidal quadrature of the Cauchy
     integral on a circle of the given radius.
 
-    The trapezoid rule is spectrally accurate for periodic integrands; node
-    counts double until two successive estimates agree within rtol relative.
-    The closed disk must avoid the support [-1, 1].
+    f is a StieltjesFn or a callable taking an ndarray of complex contour
+    nodes and returning their values; all nodes of one trapezoid order are
+    evaluated in one call.  The trapezoid rule is spectrally accurate for
+    periodic integrands; node counts double until two successive estimates
+    agree within rtol relative.  The closed disk must avoid the support
+    [-1, 1].
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -160,7 +205,7 @@ def cauchy_derivative(f, z: float, order: int, radius: float,
         raise SupportError(
             f"disk of radius {radius} about z={z} intersects the support [-1, 1]"
         )
-    ev = f if callable(f) else f.evaluator
+    ev = _array_evaluator(f)
     n_nodes = 32
     prev = None
     err = math.inf
@@ -168,7 +213,7 @@ def cauchy_derivative(f, z: float, order: int, radius: float,
     while n_nodes <= max_nodes:
         theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
         w = z + radius * np.exp(1j * theta)
-        vals = np.asarray([ev(complex(wi)) for wi in w])
+        vals = ev(w)
         est = fact / (n_nodes * radius**order) * np.sum(vals * np.exp(-1j * order * theta))
         if prev is not None:
             err = abs(est - prev)
@@ -191,48 +236,59 @@ def _check_grid(z_grid):
     return zs
 
 
-def equation3_residual(n: int, z_grid) -> np.ndarray:
-    """|LHS - RHS| of the identity
-    (-1)^{n-1}/(n-1)! * d^{n-1}/dz^{n-1} S_Z(z) = (z^2-1)^{-n/2}
-    where S_Z is the power-semicircle transform of parameter n."""
-    p = PowerSemicircleParams(n)
+def _identity_terms(f, pref: float, n: int, z_grid):
+    """Computed left side pref * f^{(n-1)}(z), right side (z^2-1)^{-n/2} and
+    residual |lhs - rhs| at each grid point."""
     zs = _check_grid(z_grid)
-    out = np.empty(len(zs))
-    sign = (-1.0) ** (n - 1) / math.factorial(n - 1)
-    fn = power_semicircle_fn(n)
+    lhs = np.empty(len(zs), dtype=complex)
+    rhs = np.empty(len(zs), dtype=complex)
+    resid = np.empty(len(zs))
     for i, z in enumerate(zs):
-        deriv = cauchy_derivative(fn, z, n - 1, _contour_radius(z))
-        lhs = sign * deriv
-        rhs = _sqrt_branch(complex(z), 1.0) ** (-n)
-        out[i] = abs(lhs - rhs)
-    return out
+        left = pref * cauchy_derivative(f, z, n - 1, _contour_radius(z))
+        right = _sqrt_branch(complex(z), 1.0) ** (-n)
+        lhs[i], rhs[i], resid[i] = left, right, abs(left - right)
+    return lhs, rhs, resid
+
+
+def equation3_terms(n: int, z_grid):
+    """(lhs, rhs, residual) arrays of the identity
+    (-1)^{n-1}/(n-1)! * d^{n-1}/dz^{n-1} S_Z(z) = (z^2-1)^{-n/2}
+    where S_Z is the power-semicircle transform of parameter n; lhs is the
+    computed left side."""
+    sign = (-1.0) ** (n - 1) / math.factorial(n - 1)
+    return _identity_terms(power_semicircle_fn(n), sign, n, z_grid)
+
+
+def equation3_residual(n: int, z_grid) -> np.ndarray:
+    """|LHS - RHS| of the identity of equation3_terms."""
+    return equation3_terms(n, z_grid)[2]
 
 
 def equation1_check(n: int, z_grid) -> np.ndarray:
     """Residual of the integral form of the same identity: the (n-1)-th
     derivative is applied to the raw integral, with the (n-1)/2 prefactor kept
     outside the derivative."""
-    zs = _check_grid(z_grid)
-    out = np.empty(len(zs))
     pref = (-1.0) ** (n - 1) / math.factorial(n - 1) * (n - 1) / 2.0
 
     def raw(z):
-        return _power_semicircle_integral(n, complex(z))
+        return _power_semicircle_integral(n, z)
 
-    for i, z in enumerate(zs):
-        deriv = cauchy_derivative(raw, z, n - 1, _contour_radius(z))
-        rhs = _sqrt_branch(complex(z), 1.0) ** (-n)
-        out[i] = abs(pref * deriv - rhs)
-    return out
+    return _identity_terms(raw, pref, n, z_grid)[2]
 
 
 def transform_moments(f, max_order: int, radius: float = 3.0, n_nodes: int = 512) -> np.ndarray:
     """Moments m_j = int x^j dF(x) recovered from a Stieltjes transform by the
-    contour integral m_j = (1/2 pi i) oint z^j S(z) dz on |z| = radius."""
-    ev = f if callable(f) else f.evaluator
+    contour integral m_j = (1/2 pi i) oint z^j S(z) dz on |z| = radius.
+
+    f takes the same array contract as in cauchy_derivative; the circle must
+    enclose the support [-1, 1].
+    """
+    if radius <= 1.0:
+        raise SupportError(f"circle of radius {radius} does not enclose the support [-1, 1]")
+    ev = _array_evaluator(f)
     theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
     w = radius * np.exp(1j * theta)
-    vals = np.asarray([ev(complex(wi)) for wi in w])
+    vals = ev(w)
     out = np.empty(max_order + 1)
     for j in range(max_order + 1):
         mj = radius ** (j + 1) / n_nodes * np.sum(np.exp(1j * (j + 1) * theta) * vals)

@@ -173,6 +173,17 @@ def test_stieltjes_subcommand_csv(tmp_path):
         assert float(line.split(",")[-1]) < 1e-8
 
 
+def test_stieltjes_csv_lhs_is_the_computed_left_side(tmp_path):
+    # n=3, z=2: the computed left side is below the right side, so a column
+    # written as rhs + residual would sit above it.
+    out = tmp_path / "resid.csv"
+    assert main(["stieltjes", "--n", "3", "--grid", "2", "--out", str(out)]) == 0
+    _, z, lhs, rhs, resid = out.read_text().splitlines()[1].split(",")
+    assert float(z) == 2.0
+    assert float(lhs) < float(rhs)
+    assert abs(float(lhs) - float(rhs)) <= float(resid)
+
+
 def test_verify_moments_subcommand(tmp_path):
     code = main(["verify-moments", "--max-order", "3", "--seed", "17", "--out", str(tmp_path)])
     assert code == 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from dirichlet_rwa.distributions import DirichletParams, dirichlet_mixed_moment
 from dirichlet_rwa.moments import (
-    CompositionTable,
     DirMultParams,
     MomentIndex,
     OrderCapExceeded,
@@ -19,7 +19,7 @@ from dirichlet_rwa.moments import (
     weight_moment,
     weighted_average_moment,
 )
-from dirichlet_rwa.rwa import RwaSpec, scenario_of
+from dirichlet_rwa.rwa import RwaSpec, scenario_of, variant_scenario
 
 VAN_ASSCHE = RwaSpec([[0.5, 0.5], [0.5, 0.5]])
 
@@ -34,21 +34,88 @@ def test_moment_index_cap():
         MomentIndex((-1, 0))
 
 
-@given(st.integers(0, 6), st.integers(1, 4))
-@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 5))
+@settings(max_examples=80, deadline=None)
 def test_composition_count(total, parts):
     comps = list(compositions(total, parts))
     assert len(comps) == math.comb(total + parts - 1, parts - 1)
-    assert all(sum(c) == total for c in comps)
-    assert comps == sorted(comps)  # lexicographic
+    assert all(len(c) == parts and min(c) >= 0 and sum(c) == total for c in comps)
+    assert comps == sorted(comps)  # lexicographic, hence also no duplicates
+    assert len(set(comps)) == len(comps)
 
 
-@given(st.integers(2, 4), st.lists(st.integers(0, 3), min_size=1, max_size=3))
-@settings(max_examples=50, deadline=None)
-def test_composition_table_cardinality(n, s):
-    table = CompositionTable(n, s)
-    assert table.size == table.expected_size
-    assert len(list(table.tuples())) == table.size
+def _reference_compositions(total, parts):
+    # the recursive definition: first part, then every composition of the rest
+    if parts == 1:
+        return [(total,)]
+    return [
+        (first,) + rest
+        for first in range(total + 1)
+        for rest in _reference_compositions(total - first, parts - 1)
+    ]
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 4, 5])
+def test_compositions_match_recursive_definition(parts):
+    for total in range(7):
+        assert list(compositions(total, parts)) == _reference_compositions(total, parts)
+
+
+def _dirichlet_log_moment(alpha, s):
+    a = sum(alpha)
+    out = math.lgamma(a) - math.lgamma(a + sum(s))
+    for ai, si in zip(alpha, s):
+        out += math.lgamma(ai + si) - math.lgamma(ai)
+    return out
+
+
+def _log_multinomial(total, parts):
+    return math.lgamma(total + 1) - sum(math.lgamma(h + 1) for h in parts)
+
+
+def _enumerated_moment(sc, s):
+    """Reference: E[prod_j z_j^{s_j}] summed term by term over composition
+    tables, one composition of s_j into n parts per coordinate j."""
+    columns = [_reference_compositions(sj, sc.n) for sj in s]
+    terms = []
+    for cols in itertools.product(*columns):
+        h = np.asarray(cols, dtype=float).T  # (n, k): h[i, j]
+        log_term = sum(_log_multinomial(sj, col) for sj, col in zip(s, cols))
+        log_term += _dirichlet_log_moment(sc.w_alpha, h.sum(axis=1))
+        for i in range(sc.n):
+            log_term += _dirichlet_log_moment(sc.x_alphas[i], h[i])
+        terms.append(math.exp(log_term))
+    return math.fsum(terms)
+
+
+@given(st.integers(2, 3), st.integers(2, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_generating_function_matches_enumeration(n, k, data):
+    mat = data.draw(
+        st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n)
+    )
+    s = tuple(
+        data.draw(
+            st.lists(st.integers(0, 5), min_size=k, max_size=k).filter(
+                lambda v: sum(v) <= 5
+            )
+        )
+    )
+    sc = scenario_of(RwaSpec(mat))
+    want = _enumerated_moment(sc, s)
+    assert weighted_average_moment(sc, MomentIndex(s)) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("reading", ["symmetric", "asymmetric"])
+@pytest.mark.parametrize("alpha", [(1.0, 2.0), (0.5, 1.5, 3.0), (2.0, 2.0, 0.25)])
+def test_generating_function_matches_enumeration_on_variant(alpha, reading):
+    # weight concentrations differ from the row sums of x here
+    sc = variant_scenario(alpha, reading)
+    for total in range(6):
+        for s in compositions(total, sc.k):
+            want = _enumerated_moment(sc, s)
+            got = weighted_average_moment(sc, MomentIndex(s))
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_expansion_examples():

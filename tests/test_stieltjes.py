@@ -1,4 +1,7 @@
+import functools
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from dirichlet_rwa.stieltjes import (
     SupportError,
     arcsine_fn,
     arcsine_transform,
+    _gauss_legendre_nodes,
     cauchy_derivative,
     equation1_check,
     equation3_residual,
@@ -180,3 +184,117 @@ def test_n3_moments_match_semicircle():
     m = transform_moments(power_semicircle_fn(3), 4)
     assert m[2] == pytest.approx(0.25, abs=1e-8)
     assert m[4] == pytest.approx(0.125, abs=1e-8)
+
+
+# Scalar-loop references for the broadcast quadrature: one point per call and
+# the node-doubling loops as they read before the nodes were cached.  The
+# broadcast code does the same arithmetic, so equality is required bit for bit.
+
+
+@functools.lru_cache(maxsize=None)
+def _leggauss(order):
+    return np.polynomial.legendre.leggauss(order)
+
+
+def _scalar_gauss_legendre_01(f, atol=1e-12, rtol=1e-13, max_order=2048):
+    prev = None
+    order = 16
+    while order <= max_order:
+        nodes, weights = _leggauss(order)
+        x = 0.5 * (nodes + 1.0)
+        val = 0.5 * np.sum(weights * f(x))
+        if prev is not None and abs(val - prev) <= max(atol, rtol * abs(val)):
+            return val
+        prev = val
+        order *= 2
+    raise AssertionError("reference quadrature did not converge")
+
+
+def _scalar_power_semicircle(n, z):
+    def integrand(u):
+        r = np.sqrt(1.0 - u * u)
+        return 2.0 * u ** (n - 2) / (np.sqrt(z - r) * np.sqrt(z + r))
+
+    return (n - 1) / 2.0 * _scalar_gauss_legendre_01(integrand)
+
+
+def _scalar_cauchy_derivative(ev, z, order, radius, rtol=1e-9, max_nodes=8192):
+    n_nodes = 32
+    prev = None
+    fact = math.factorial(order)
+    while n_nodes <= max_nodes:
+        theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
+        w = z + radius * np.exp(1j * theta)
+        vals = np.asarray([ev(complex(wi)) for wi in w])
+        est = fact / (n_nodes * radius**order) * np.sum(vals * np.exp(-1j * order * theta))
+        if prev is not None and abs(est - prev) <= rtol * max(abs(est), 1e-300):
+            return complex(est)
+        prev = est
+        n_nodes *= 2
+    raise AssertionError("reference contour derivative did not converge")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_broadcast_quadrature_matches_scalar_loop_bitwise(n):
+    zs = np.array([1.5, 2.0, 5.0, 1e3, 2.5 + 0.75j, -1.2 - 0.3j, 0.2 + 1j, 3j])
+    got = power_semicircle_fn(n).evaluator(zs)
+    want = np.array([_scalar_power_semicircle(n, complex(z)) for z in zs])
+    assert got.shape == zs.shape
+    assert np.array_equal(got, want)
+    for z, w in zip(zs, want):
+        if z.imag != 0 or abs(z.real) > 1:
+            assert power_semicircle_fn(n)(z) == w
+
+
+@pytest.mark.parametrize("n, z", [(2, 1.5), (2, 5.0), (3, 2.0), (3, 3.0), (4, 2.0)])
+def test_broadcast_cauchy_derivative_matches_scalar_loop_bitwise(n, z):
+    radius = min(z - 1.25, 1.0)
+    got = cauchy_derivative(power_semicircle_fn(n), z, n - 1, radius)
+    want = _scalar_cauchy_derivative(
+        lambda w: _scalar_power_semicircle(n, w), z, n - 1, radius
+    )
+    assert got == want
+
+
+def test_gauss_legendre_nodes_cached_read_only():
+    x, weights = _gauss_legendre_nodes(64)
+    assert _gauss_legendre_nodes(64)[0] is x
+    assert not x.flags.writeable and not weights.flags.writeable
+    assert np.all((x > 0) & (x < 1)) and weights.sum() == pytest.approx(2.0, abs=1e-14)
+
+
+def test_node_table_shared_by_concurrent_threads():
+    # More threads than cores, a short switch interval and an empty table:
+    # every thread must get the residuals of a serial run, bit for bit.
+    want = equation3_residual(3, [1.5, 2.0, 3.0])
+    _gauss_legendre_nodes.cache_clear()
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [
+                pool.submit(equation3_residual, 3, [1.5, 2.0, 3.0]) for _ in range(12)
+            ]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert all(np.array_equal(r, want) for r in results)
+    assert _gauss_legendre_nodes.cache_info().currsize <= 8
+
+
+def test_cauchy_derivative_takes_array_evaluator():
+    calls = []
+
+    def ev(w):
+        calls.append(np.shape(w))
+        return 1.0 / (w * w)
+
+    v = cauchy_derivative(ev, 3.0, 1, 1.0)
+    assert v == pytest.approx(-2.0 / 27.0, rel=1e-9)
+    assert all(len(shape) == 1 and shape[0] >= 32 for shape in calls)
+
+
+def test_transform_moments_circle_must_enclose_support():
+    with pytest.raises(SupportError):
+        transform_moments(power_semicircle_fn(3), 2, radius=0.9)
+
