@@ -1,9 +1,9 @@
 """Randomly weighted averages of Dirichlet vectors.
 
 z = sum_i w_i x_i with Dirichlet summands and an independent Dirichlet weight
-vector stays Dirichlet; this package samples the construction along two
-independent paths, checks the claim with a statistical battery and exact
-moment identities, and verifies the associated Stieltjes-transform
+vector stays Dirichlet; this package samples the construction with one
+normalized-gamma sampler, checks the claim with a statistical battery and
+exact moment identities, and verifies the associated Stieltjes-transform
 differential identities numerically.
 """
 
@@ -11,34 +11,20 @@ __version__ = "0.1.0"
 
 from .distributions import (  # noqa: F401
     DirichletParams,
-    GammaParams,
     RngStream,
-    SimplexPoint,
-    dirichlet_log_pdf,
     dirichlet_mixed_moment,
-    sample_dirichlet,
     sample_dirichlet_batch,
-    sample_gamma,
-    sample_gamma_batch,
 )
 from .rwa import (  # noqa: F401
-    RwaSample,
-    RwaSpec,
     WeightedAverageScenario,
-    sample_rwa_direct,
     sample_rwa_direct_batch,
-    sample_rwa_gamma_path,
-    sample_rwa_gamma_path_batch,
-    target_params,
+    theorem_scenario,
     variant_scenario,
-    weight_params,
 )
 from .moments import (  # noqa: F401
     DirMultParams,
     MomentIndex,
     dirmult_normalization_check,
-    dirmult_pmf,
     rwa_moment_closed_form,
     rwa_moment_expansion,
-    weight_moment,
 )

@@ -8,7 +8,8 @@ Subcommands:
   stieltjes       derivative-identity residuals, CSV output
 
 Exit codes: 0 all checks passed, 1 at least one statistical/numerical check
-failed, 2 configuration or I/O error.
+failed, 2 configuration or I/O error, or concentrations so small that the
+gamma draws underflow.
 """
 from __future__ import annotations
 
@@ -20,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ScenarioConfig, load_config
+from .config import ConfigError, ScenarioConfig, load_config, parse_config
 from .runner import run_config, run_scenario, write_report
-from .rwa import RwaSpec, sample_rwa_direct_batch
+from .rwa import sample_rwa_direct_batch, theorem_scenario
 from .distributions import RngStream
 from .stieltjes import equation1_check, equation3_terms
 
@@ -46,11 +47,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    spec = RwaSpec(_parse_matrix(args.alphas))
-    z = sample_rwa_direct_batch(spec, args.n_samples, RngStream(args.seed, 1))
+    sc = theorem_scenario(_parse_matrix(args.alphas))
+    z = sample_rwa_direct_batch(sc, args.n_samples, RngStream(args.seed, 1))
     out = Path(args.out)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(f"z_{j + 1}" for j in range(spec.k)) + "\n")
+        fh.write(",".join(f"z_{j + 1}" for j in range(sc.k)) + "\n")
         for row in z:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
     print(f"wrote {args.n_samples} samples to {out}")
@@ -58,8 +59,11 @@ def _cmd_sample(args) -> int:
 
 
 def _theorem_scenario(args) -> ScenarioConfig:
-    params = {"alphas": _parse_matrix(args.alphas), "n_samples": args.n_samples}
-    return ScenarioConfig("verify-theorem", "theorem", args.seed, params)
+    # Built through parse_config so that it is validated exactly as in `run`.
+    scenario = {"id": "verify-theorem", "kind": "theorem", "seed": args.seed,
+                "alphas": _parse_matrix(args.alphas), "n_samples": args.n_samples}
+    raw = {"format_version": 1, "output_dir": ".", "scenarios": [scenario]}
+    return parse_config(raw).scenarios[0]
 
 
 def _print_summary(report: dict) -> None:
@@ -163,7 +167,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError, ValueError) as e:
+    except (ConfigError, OSError, ValueError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

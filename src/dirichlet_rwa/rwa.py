@@ -2,10 +2,13 @@
 
 A scenario is z = sum_j w_j * x_j where the x_j are independent Dirichlet
 vectors and the weight vector w is an independent Dirichlet point.  For the
-main construction the weight concentrations are the row sums of the alpha
-matrix and the law of z is Dirichlet of the column sums.  Two sampling paths
-are kept deliberately separate (direct Dirichlet draws vs. normalized-gamma
-weights) so that path-equivalence tests have independent failure modes.
+main construction (theorem_scenario) the weight concentrations are the row
+sums of the alpha matrix and the law of z is Dirichlet of the column sums.
+There is one sampler, sample_rwa_direct_batch: every Dirichlet vector in it,
+weights included, is a row of normalized gammas.  The test battery draws its
+second replicate from the same sampler on another stream, so comparing the
+two replicates checks the sampler against itself, not against a second
+algorithm.
 """
 from __future__ import annotations
 
@@ -16,73 +19,17 @@ import numpy as np
 from .distributions import (
     DirichletParams,
     RngStream,
-    SimplexPoint,
     dirichlet_mixed_moment,
     sample_dirichlet_batch,
 )
 
 __all__ = [
-    "RwaSpec",
-    "RwaSample",
     "WeightedAverageScenario",
-    "weight_params",
-    "target_params",
-    "sample_rwa_direct",
-    "sample_rwa_gamma_path",
-    "sample_rwa_direct_batch",
-    "sample_rwa_gamma_path_batch",
+    "theorem_scenario",
     "variant_scenario",
+    "sample_rwa_direct_batch",
     "resolve_variant_reading",
-    "RECOMBINE_TOL",
 ]
-
-# Max componentwise discrepancy between z and the recombination sum(w_j x_j).
-RECOMBINE_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class RwaSpec:
-    """n x k matrix of concentration parameters; row j parameterizes x_j."""
-
-    alphas: tuple  # tuple of row tuples
-
-    def __init__(self, alphas):
-        a = np.asarray(alphas, dtype=float)
-        if a.ndim != 2:
-            raise ValueError("alphas must be a 2-d matrix")
-        n, k = a.shape
-        if n < 2 or k < 2:
-            raise ValueError(f"need n >= 2 and k >= 2, got shape {a.shape}")
-        if not np.all(a > 0):
-            raise ValueError("all matrix entries must be > 0")
-        object.__setattr__(self, "alphas", tuple(tuple(row) for row in a))
-
-    @property
-    def n(self) -> int:
-        return len(self.alphas)
-
-    @property
-    def k(self) -> int:
-        return len(self.alphas[0])
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.alphas, dtype=float)
-
-
-@dataclass(frozen=True)
-class RwaSample:
-    """One draw: the average z, the weights w and the n summand vectors."""
-
-    z: SimplexPoint
-    w: SimplexPoint
-    xs: tuple
-
-    def __post_init__(self):
-        recombined = sum(
-            wj * xj.as_array() for wj, xj in zip(self.w.coords, self.xs)
-        )
-        if np.max(np.abs(recombined - self.z.as_array())) > RECOMBINE_TOL:
-            raise ValueError("z does not recombine from w and xs")
 
 
 @dataclass(frozen=True)
@@ -117,80 +64,33 @@ class WeightedAverageScenario:
         return len(self.target_alpha)
 
 
-def weight_params(spec: RwaSpec) -> DirichletParams:
-    """Row sums: concentrations of the weight vector w."""
-    return DirichletParams(spec.as_array().sum(axis=1))
-
-
-def target_params(spec: RwaSpec) -> DirichletParams:
-    """Column sums: concentrations of the claimed law of z."""
-    return DirichletParams(spec.as_array().sum(axis=0))
-
-
-def scenario_of(spec: RwaSpec) -> WeightedAverageScenario:
-    a = spec.as_array()
+def theorem_scenario(alphas) -> WeightedAverageScenario:
+    """Main construction from an n x k matrix of concentrations (n, k >= 2):
+    row j parameterizes x_j, the weight concentrations are the row sums and
+    the claimed law of z is Dirichlet of the column sums."""
+    a = np.asarray(alphas, dtype=float)
+    if a.ndim != 2:
+        raise ValueError("alphas must be a 2-d matrix")
+    n, k = a.shape
+    if n < 2 or k < 2:
+        raise ValueError(f"need n >= 2 and k >= 2, got shape {a.shape}")
+    if not np.all(a > 0):
+        raise ValueError("all matrix entries must be > 0")
     return WeightedAverageScenario(a.sum(axis=1), a, a.sum(axis=0))
 
 
-def _sample_xs_batch(x_alphas: np.ndarray, n_samples: int, rng: RngStream) -> np.ndarray:
-    """(n_samples, n, k) block of Dirichlet draws, one substream per row."""
-    n, k = x_alphas.shape
-    xs = np.empty((n_samples, n, k))
-    for j in range(n):
+def sample_rwa_direct_batch(sc: WeightedAverageScenario, n_samples: int,
+                            rng: RngStream) -> np.ndarray:
+    """(n_samples, k) array of z draws: w ~ Dirichlet(w_alpha) on substream 0,
+    x_j ~ Dirichlet(row j) on substream 1 + j, z = sum_j w_j x_j."""
+    w = sample_dirichlet_batch(DirichletParams(sc.w_alpha), n_samples, rng.child(0))
+    x_alphas = np.asarray(sc.x_alphas)
+    xs = np.empty((n_samples, sc.n, sc.k))
+    for j in range(sc.n):
         xs[:, j, :] = sample_dirichlet_batch(
             DirichletParams(x_alphas[j]), n_samples, rng.child(1 + j)
         )
-    return xs
-
-
-def _direct_batch(sc: WeightedAverageScenario, n_samples: int, rng: RngStream):
-    w = sample_dirichlet_batch(DirichletParams(sc.w_alpha), n_samples, rng.child(0))
-    xs = _sample_xs_batch(np.asarray(sc.x_alphas), n_samples, rng)
-    z = np.einsum("ij,ijk->ik", w, xs)
-    return z, w, xs
-
-def _gamma_path_batch(sc: WeightedAverageScenario, n_samples: int, rng: RngStream):
-    # weights built from independent gammas with the weight concentrations as
-    # shapes, normalized by their sum (common rate cancels; rate 1 used)
-    g = rng.child(0).generator()
-    y = g.gamma(np.asarray(sc.w_alpha), size=(n_samples, sc.n))
-    w = y / y.sum(axis=1, keepdims=True)
-    xs = _sample_xs_batch(np.asarray(sc.x_alphas), n_samples, rng)
-    z = np.einsum("ij,ijk->ik", w, xs)
-    return z, w, xs
-
-
-def _as_sample(z, w, xs) -> RwaSample:
-    return RwaSample(
-        z=SimplexPoint(z),
-        w=SimplexPoint(w),
-        xs=tuple(SimplexPoint(row) for row in xs),
-    )
-
-
-def sample_rwa_direct(spec: RwaSpec, rng: RngStream) -> RwaSample:
-    """One draw: w ~ Dirichlet(row sums), x_j ~ Dirichlet(row j), z = sum w_j x_j."""
-    z, w, xs = _direct_batch(scenario_of(spec), 1, rng)
-    return _as_sample(z[0], w[0], xs[0])
-
-
-def sample_rwa_gamma_path(spec: RwaSpec, rng: RngStream) -> RwaSample:
-    """One draw with the weights formed as normalized gamma variables."""
-    z, w, xs = _gamma_path_batch(scenario_of(spec), 1, rng)
-    return _as_sample(z[0], w[0], xs[0])
-
-
-def sample_rwa_direct_batch(spec, n_samples: int, rng: RngStream) -> np.ndarray:
-    """(n_samples, k) array of z draws via the direct path.  Accepts an
-    RwaSpec or a WeightedAverageScenario."""
-    sc = scenario_of(spec) if isinstance(spec, RwaSpec) else spec
-    return _direct_batch(sc, n_samples, rng)[0]
-
-
-def sample_rwa_gamma_path_batch(spec, n_samples: int, rng: RngStream) -> np.ndarray:
-    """(n_samples, k) array of z draws via the normalized-gamma weight path."""
-    sc = scenario_of(spec) if isinstance(spec, RwaSpec) else spec
-    return _gamma_path_batch(sc, n_samples, rng)[0]
+    return np.einsum("ij,ijk->ik", w, xs)
 
 
 def variant_scenario(alpha, reading: str = "symmetric") -> WeightedAverageScenario:
@@ -226,7 +126,7 @@ def resolve_variant_reading(alpha, max_order: int = 3, rtol: float = 1e-9):
     Returns the name of the verified reading, or None if neither matches all
     mixed moments of total order <= max_order within rtol.
     """
-    from .moments import MomentIndex, weighted_average_moment
+    from .moments import MomentIndex, rwa_moment_expansion
 
     for reading in ("symmetric", "asymmetric"):
         sc = variant_scenario(alpha, reading)
@@ -237,7 +137,7 @@ def resolve_variant_reading(alpha, max_order: int = 3, rtol: float = 1e-9):
                 if s1 == s2 == 0:
                     continue
                 s = MomentIndex((s1, s2))
-                lhs = weighted_average_moment(sc, s)
+                lhs = rwa_moment_expansion(sc, s)
                 rhs = dirichlet_mixed_moment(target, s.s)
                 if abs(lhs - rhs) > rtol * abs(rhs):
                     ok = False

@@ -1,9 +1,9 @@
 """Stieltjes transforms on [-1, 1] and contour-integral derivative checks.
 
-Implements the arcsine transform, the power-semicircle family (n=2 uniform,
-n=3 Wigner semicircle), spectrally accurate Cauchy-integral derivatives, and
-residuals of the differential identity relating the (n-1)-th derivative of
-the power-semicircle transform to (z^2-1)^{-n/2}.
+Implements the power-semicircle transform (n=2 uniform, n=3 Wigner
+semicircle), spectrally accurate Cauchy-integral derivatives, and residuals
+of the differential identity relating the (n-1)-th derivative of the
+power-semicircle transform to (z^2-1)^{-n/2}.
 
 Branch handling: every square root of z^2 - c^2 is evaluated as
 sqrt(z-c)*sqrt(z+c) with principal square roots, which selects the branch
@@ -14,24 +14,18 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "StieltjesFn",
     "PowerSemicircleParams",
     "SupportError",
     "QuadratureError",
-    "arcsine_transform",
     "power_semicircle_transform",
-    "power_semicircle_fn",
-    "arcsine_fn",
     "cauchy_derivative",
     "equation3_terms",
     "equation3_residual",
     "equation1_check",
-    "transform_moments",
     "GRID_STANDOFF",
 ]
 
@@ -48,26 +42,6 @@ class QuadratureError(RuntimeError):
     def __init__(self, msg, achieved):
         super().__init__(f"{msg} (achieved tolerance {achieved:.3e})")
         self.achieved = achieved
-
-
-@dataclass(frozen=True)
-class StieltjesFn:
-    """A Stieltjes transform: complex evaluator plus its support interval.
-
-    The evaluator accepts a complex scalar or an ndarray of complex points and
-    does no support check; calling the StieltjesFn evaluates one point and
-    rejects points on the support.
-    """
-
-    evaluator: Callable
-    support: tuple = (-1.0, 1.0)
-
-    def __call__(self, z):
-        z = complex(z)
-        lo, hi = self.support
-        if z.imag == 0 and lo <= z.real <= hi:
-            raise SupportError(f"z={z} lies on the support [{lo}, {hi}]")
-        return self.evaluator(z)
 
 
 @dataclass(frozen=True)
@@ -90,13 +64,6 @@ def _sqrt_branch(z: complex, c: float) -> complex:
 def _check_off_support(z: complex):
     if z.imag == 0 and -1.0 <= z.real <= 1.0:
         raise SupportError(f"z={z} lies on the branch cut [-1, 1]")
-
-
-def arcsine_transform(z) -> complex:
-    """Stieltjes transform of the arcsine law on [-1,1]: (z^2-1)^{-1/2}."""
-    z = complex(z)
-    _check_off_support(z)
-    return complex(1.0 / _sqrt_branch(z, 1.0))
 
 
 @functools.lru_cache(maxsize=8)
@@ -169,33 +136,17 @@ def power_semicircle_transform(p: PowerSemicircleParams, z) -> complex:
     return complex((p.n - 1) / 2.0 * _power_semicircle_integral(p.n, z))
 
 
-def arcsine_fn() -> StieltjesFn:
-    return StieltjesFn(lambda z: 1.0 / _sqrt_branch(z, 1.0))
-
-
-def power_semicircle_fn(n: int) -> StieltjesFn:
-    p = PowerSemicircleParams(n)
-    return StieltjesFn(lambda z: (n - 1) / 2.0 * _power_semicircle_integral(n, z))
-
-
-def _array_evaluator(f):
-    # The callers check the whole contour against the support [-1, 1] first,
-    # so a StieltjesFn's evaluator takes all nodes at once, without the
-    # per-point check of its __call__.
-    return f.evaluator if isinstance(f, StieltjesFn) else f
-
-
 def cauchy_derivative(f, z: float, order: int, radius: float,
                       rtol: float = 1e-9, max_nodes: int = 8192) -> complex:
     """order-th derivative of f at z via trapezoidal quadrature of the Cauchy
     integral on a circle of the given radius.
 
-    f is a StieltjesFn or a callable taking an ndarray of complex contour
-    nodes and returning their values; all nodes of one trapezoid order are
-    evaluated in one call.  The trapezoid rule is spectrally accurate for
-    periodic integrands; node counts double until two successive estimates
-    agree within rtol relative.  The closed disk must avoid the support
-    [-1, 1].
+    f is a callable taking an ndarray of complex contour nodes and returning
+    their values; all nodes of one trapezoid order are evaluated in one call.
+    The closed disk must avoid the support [-1, 1], which is checked once for
+    the whole disk rather than per node.  The trapezoid rule is spectrally
+    accurate for periodic integrands; node counts double until two successive
+    estimates agree within rtol relative.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -205,7 +156,6 @@ def cauchy_derivative(f, z: float, order: int, radius: float,
         raise SupportError(
             f"disk of radius {radius} about z={z} intersects the support [-1, 1]"
         )
-    ev = _array_evaluator(f)
     n_nodes = 32
     prev = None
     err = math.inf
@@ -213,7 +163,7 @@ def cauchy_derivative(f, z: float, order: int, radius: float,
     while n_nodes <= max_nodes:
         theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
         w = z + radius * np.exp(1j * theta)
-        vals = ev(w)
+        vals = f(w)
         est = fact / (n_nodes * radius**order) * np.sum(vals * np.exp(-1j * order * theta))
         if prev is not None:
             err = abs(est - prev)
@@ -255,8 +205,13 @@ def equation3_terms(n: int, z_grid):
     (-1)^{n-1}/(n-1)! * d^{n-1}/dz^{n-1} S_Z(z) = (z^2-1)^{-n/2}
     where S_Z is the power-semicircle transform of parameter n; lhs is the
     computed left side."""
+    PowerSemicircleParams(n)  # rejects n < 2
     sign = (-1.0) ** (n - 1) / math.factorial(n - 1)
-    return _identity_terms(power_semicircle_fn(n), sign, n, z_grid)
+
+    def transform(z):
+        return (n - 1) / 2.0 * _power_semicircle_integral(n, z)
+
+    return _identity_terms(transform, sign, n, z_grid)
 
 
 def equation3_residual(n: int, z_grid) -> np.ndarray:
@@ -274,23 +229,3 @@ def equation1_check(n: int, z_grid) -> np.ndarray:
         return _power_semicircle_integral(n, z)
 
     return _identity_terms(raw, pref, n, z_grid)[2]
-
-
-def transform_moments(f, max_order: int, radius: float = 3.0, n_nodes: int = 512) -> np.ndarray:
-    """Moments m_j = int x^j dF(x) recovered from a Stieltjes transform by the
-    contour integral m_j = (1/2 pi i) oint z^j S(z) dz on |z| = radius.
-
-    f takes the same array contract as in cauchy_derivative; the circle must
-    enclose the support [-1, 1].
-    """
-    if radius <= 1.0:
-        raise SupportError(f"circle of radius {radius} does not enclose the support [-1, 1]")
-    ev = _array_evaluator(f)
-    theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-    w = radius * np.exp(1j * theta)
-    vals = ev(w)
-    out = np.empty(max_order + 1)
-    for j in range(max_order + 1):
-        mj = radius ** (j + 1) / n_nodes * np.sum(np.exp(1j * (j + 1) * theta) * vals)
-        out[j] = mj.real
-    return out

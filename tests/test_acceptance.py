@@ -23,7 +23,7 @@ from dirichlet_rwa.moments import (
     rwa_moment_expansion,
 )
 from dirichlet_rwa.runner import moment_indices, run_config, run_scenario
-from dirichlet_rwa.rwa import RwaSpec
+from dirichlet_rwa.rwa import theorem_scenario
 from dirichlet_rwa.stieltjes import (
     PowerSemicircleParams,
     equation1_check,
@@ -107,11 +107,11 @@ def test_criterion_3_moment_oracle_equality():
     worst = 0.0
     checked = 0
     for mat in _moment_fixture_specs():
-        spec = RwaSpec(mat)
-        for s in moment_indices(spec.k, 5):
+        sc = theorem_scenario(mat)
+        for s in moment_indices(sc.k, 5):
             idx = MomentIndex(s)
-            a = rwa_moment_expansion(spec, idx)
-            b = rwa_moment_closed_form(spec, idx)
+            a = rwa_moment_expansion(sc, idx)
+            b = rwa_moment_closed_form(sc, idx)
             worst = max(worst, abs(a - b) / b)
             checked += 1
     elapsed = time.perf_counter() - start

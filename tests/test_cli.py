@@ -3,7 +3,8 @@ import json
 import pytest
 
 from dirichlet_rwa.cli import main
-from dirichlet_rwa.config import ConfigError, load_config, parse_config
+from dirichlet_rwa.config import ConfigError, ScenarioConfig, load_config, parse_config
+from dirichlet_rwa.runner import run_scenario
 
 
 def small_config(out_dir, **overrides):
@@ -238,3 +239,55 @@ def test_run_all_scenario_kinds(tmp_path):
     assert all(r["overall_pass"] for r in reports.values())
     assert any("symmetric" in n for n in reports["variant"]["notes"])
     assert any("coefficient" in n for n in reports["stieltjes"]["notes"])
+
+
+TINY_ALPHAS = "1e-3,1e-3;1e-3,1e-3"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--alphas", TINY_ALPHAS, "--n-samples", "1000", "--seed", "1"],
+        ["verify-theorem", "--alphas", TINY_ALPHAS, "--n-samples", "1000", "--seed", "1"],
+    ],
+    ids=["sample", "verify-theorem"],
+)
+def test_gamma_underflow_exits_2_with_message(tmp_path, capsys, argv):
+    # Gamma(1e-3) draws underflow to zero about half the time, so whole rows
+    # of the weight vector do, beyond what the bounded resampling repairs.
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "underflow" in err
+
+
+def test_verify_theorem_rejects_one_sample_exit2(tmp_path, capsys):
+    argv = ["verify-theorem", "--alphas", "1,2;3,4", "--n-samples", "1", "--seed", "1"]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "n_samples must be an integer >= 2" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("kind", ["theorem", "variant"])
+@pytest.mark.parametrize("n_samples", [1, 0, -5, 2.5, True, "1000", None])
+def test_run_rejects_bad_n_samples_exit2(tmp_path, capsys, kind, n_samples):
+    sc = {"id": "s", "kind": kind, "seed": 1, "n_samples": n_samples}
+    sc.update({"alphas": [[1, 2], [3, 4]]} if kind == "theorem" else {"alpha": [1, 2]})
+    cfg = {"format_version": 1, "output_dir": str(tmp_path / "r"), "scenarios": [sc]}
+    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+    assert "n_samples must be an integer >= 2" in capsys.readouterr().err
+
+
+def test_integral_float_n_samples_accepted():
+    cfg = small_config("r")
+    cfg["scenarios"][0]["n_samples"] = 2e4
+    assert parse_config(cfg).scenarios[0].params["n_samples"] == 2e4
+
+
+def test_battery_replicates_come_from_distinct_streams():
+    # Both replicates use one sampler; drawn from the same stream they would
+    # be identical and the energy statistic would be exactly 0.0.
+    params = {"alphas": [[1, 2], [3, 4]], "n_samples": 2000, "energy_permutations": 99}
+    report = run_scenario(ScenarioConfig("replicates", "theorem", 3, params), "adhoc")
+    (energy,) = [t for t in report["tests"] if t["path"] == "direct-vs-gamma"]
+    assert energy["kind"] == "energy"
+    assert energy["statistic"] != 0.0

@@ -11,17 +11,15 @@ from dirichlet_rwa.moments import (
     MomentIndex,
     OrderCapExceeded,
     compositions,
+    dirmult_log_pmf_batch,
     dirmult_normalization_check,
-    dirmult_pmf,
     kerov_tsilevich_check,
     rwa_moment_closed_form,
     rwa_moment_expansion,
-    weight_moment,
-    weighted_average_moment,
 )
-from dirichlet_rwa.rwa import RwaSpec, scenario_of, variant_scenario
+from dirichlet_rwa.rwa import theorem_scenario, variant_scenario
 
-VAN_ASSCHE = RwaSpec([[0.5, 0.5], [0.5, 0.5]])
+VAN_ASSCHE = theorem_scenario([[0.5, 0.5], [0.5, 0.5]])
 
 entry = st.sampled_from([0.5, 1.0, 2.0, 3.5])
 
@@ -101,9 +99,9 @@ def test_generating_function_matches_enumeration(n, k, data):
             )
         )
     )
-    sc = scenario_of(RwaSpec(mat))
+    sc = theorem_scenario(mat)
     want = _enumerated_moment(sc, s)
-    assert weighted_average_moment(sc, MomentIndex(s)) == pytest.approx(want, rel=1e-12)
+    assert rwa_moment_expansion(sc, MomentIndex(s)) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("reading", ["symmetric", "asymmetric"])
@@ -114,7 +112,7 @@ def test_generating_function_matches_enumeration_on_variant(alpha, reading):
     for total in range(6):
         for s in compositions(total, sc.k):
             want = _enumerated_moment(sc, s)
-            got = weighted_average_moment(sc, MomentIndex(s))
+            got = rwa_moment_expansion(sc, MomentIndex(s))
             assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -123,8 +121,8 @@ def test_expansion_examples():
     assert rwa_moment_expansion(VAN_ASSCHE, MomentIndex((1, 1))) == pytest.approx(
         1 / 6, abs=1e-12
     )
-    spec = RwaSpec([[1, 2], [3, 4]])
-    lhs = rwa_moment_expansion(spec, MomentIndex((2, 1)))
+    sc = theorem_scenario([[1, 2], [3, 4]])
+    lhs = rwa_moment_expansion(sc, MomentIndex((2, 1)))
     rhs = dirichlet_mixed_moment(DirichletParams((4, 6)), (2, 1))
     assert lhs == pytest.approx(rhs, rel=1e-9)
 
@@ -134,16 +132,20 @@ def test_closed_form_examples():
     assert rwa_moment_closed_form(VAN_ASSCHE, MomentIndex((2, 0))) == pytest.approx(
         1 / 3, rel=1e-12
     )
-    spec = RwaSpec([[1, 2, 3], [4, 5, 6]])
-    assert rwa_moment_closed_form(spec, MomentIndex((1, 0, 0))) == pytest.approx(
+    sc = theorem_scenario([[1, 2, 3], [4, 5, 6]])
+    assert rwa_moment_closed_form(sc, MomentIndex((1, 0, 0))) == pytest.approx(
         5 / 21, rel=1e-12
     )
 
 
 def test_weight_moment_examples():
-    spec = RwaSpec([[1, 2], [3, 4]])
-    assert weight_moment(spec, (0, 0)) == 1.0
-    assert weight_moment(spec, (1, 1)) == pytest.approx(21 / 110, rel=1e-12)
+    # moments of the weight Dirichlet, whose concentrations are the row sums
+    def weight_moment(sc, h):
+        return dirichlet_mixed_moment(DirichletParams(sc.w_alpha), h)
+
+    sc = theorem_scenario([[1, 2], [3, 4]])
+    assert weight_moment(sc, (0, 0)) == 1.0
+    assert weight_moment(sc, (1, 1)) == pytest.approx(21 / 110, rel=1e-12)
     assert weight_moment(VAN_ASSCHE, (1, 0)) == pytest.approx(0.5)
 
 
@@ -162,41 +164,34 @@ def test_expansion_equals_closed_form(n, k, data):
             lambda v: 1 <= sum(v) <= 5
         )
     )
-    spec = RwaSpec(mat)
-    a = rwa_moment_expansion(spec, MomentIndex(tuple(s)))
-    b = rwa_moment_closed_form(spec, MomentIndex(tuple(s)))
+    sc = theorem_scenario(mat)
+    a = rwa_moment_expansion(sc, MomentIndex(tuple(s)))
+    b = rwa_moment_closed_form(sc, MomentIndex(tuple(s)))
     assert abs(a - b) / b < 1e-9
 
 
 def test_moment_monotonicity_in_order():
-    spec = RwaSpec([[0.5, 2.0], [1.0, 3.5]])
-    prev = rwa_moment_closed_form(spec, MomentIndex((0, 0)))
+    sc = theorem_scenario([[0.5, 2.0], [1.0, 3.5]])
+    prev = rwa_moment_closed_form(sc, MomentIndex((0, 0)))
     for s1 in range(1, 5):
-        cur = rwa_moment_closed_form(spec, MomentIndex((s1, 1)))
+        cur = rwa_moment_closed_form(sc, MomentIndex((s1, 1)))
         assert cur < prev
         prev = cur
 
 
 def test_weighted_average_moment_dimension_mismatch():
     with pytest.raises(ValueError):
-        weighted_average_moment(scenario_of(VAN_ASSCHE), MomentIndex((1, 0, 0)))
+        rwa_moment_expansion(VAN_ASSCHE, MomentIndex((1, 0, 0)))
 
 
 def test_dirmult_pmf_examples():
-    assert dirmult_pmf(
-        DirMultParams(DirichletParams((1, 1)), 1), (1, 0)
-    ) == pytest.approx(0.5)
-    assert dirmult_pmf(
-        DirMultParams(DirichletParams((1, 1)), 2), (1, 1)
-    ) == pytest.approx(1 / 3)
-    assert dirmult_pmf(
-        DirMultParams(DirichletParams((2, 3)), 0), (0, 0)
-    ) == pytest.approx(1.0)
+    def pmf(alpha, trials, counts):
+        p = DirMultParams(DirichletParams(alpha), trials)
+        return float(np.exp(dirmult_log_pmf_batch(p, np.asarray([counts]))[0]))
 
-
-def test_dirmult_pmf_count_mismatch():
-    with pytest.raises(ValueError):
-        dirmult_pmf(DirMultParams(DirichletParams((1, 1)), 2), (1, 0))
+    assert pmf((1, 1), 1, (1, 0)) == pytest.approx(0.5)
+    assert pmf((1, 1), 2, (1, 1)) == pytest.approx(1 / 3)
+    assert pmf((2, 3), 0, (0, 0)) == pytest.approx(1.0)
 
 
 def test_dirmult_normalization_examples():

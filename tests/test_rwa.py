@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirichlet_rwa.distributions import DirichletParams, RngStream, dirichlet_mixed_moment
+from dirichlet_rwa.distributions import (
+    DirichletParams,
+    RngStream,
+    dirichlet_mixed_moment,
+    sample_dirichlet_batch,
+)
+from dirichlet_rwa.moments import MomentIndex, rwa_moment_expansion
+from dirichlet_rwa.runner import sample_rwa_gamma_path_batch
 from dirichlet_rwa.rwa import (
-    RECOMBINE_TOL,
-    RwaSpec,
     resolve_variant_reading,
-    sample_rwa_direct,
     sample_rwa_direct_batch,
-    sample_rwa_gamma_path,
-    sample_rwa_gamma_path_batch,
-    target_params,
+    theorem_scenario,
     variant_scenario,
-    weight_params,
 )
 
 VAN_ASSCHE = [[0.5, 0.5], [0.5, 0.5]]
@@ -35,78 +36,91 @@ def matrix_strategy(max_n=4, max_k=4):
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        RwaSpec([[1, 2]])  # n = 1
+        theorem_scenario([[1, 2]])  # n = 1
     with pytest.raises(ValueError):
-        RwaSpec([[1], [2]])  # k = 1
+        theorem_scenario([[1], [2]])  # k = 1
     with pytest.raises(ValueError):
-        RwaSpec([[1, -1], [1, 1]])
+        theorem_scenario([[1, -1], [1, 1]])
+    with pytest.raises(ValueError):
+        theorem_scenario([1, 2, 3])  # not a matrix
 
 
 def test_weight_params_examples():
-    assert weight_params(RwaSpec(VAN_ASSCHE)).alpha == (1.0, 1.0)
-    assert weight_params(RwaSpec([[2, 2], [2, 2]])).alpha == (4.0, 4.0)
-    assert weight_params(RwaSpec([[1, 2, 3], [4, 5, 6]])).alpha == (6.0, 15.0)
+    # the weight concentrations are the row sums
+    assert theorem_scenario(VAN_ASSCHE).w_alpha == (1.0, 1.0)
+    assert theorem_scenario([[2, 2], [2, 2]]).w_alpha == (4.0, 4.0)
+    assert theorem_scenario([[1, 2, 3], [4, 5, 6]]).w_alpha == (6.0, 15.0)
 
 
 def test_target_params_examples():
-    assert target_params(RwaSpec(VAN_ASSCHE)).alpha == (1.0, 1.0)
-    assert target_params(RwaSpec([[1, 2, 3], [4, 5, 6]])).alpha == (5.0, 7.0, 9.0)
+    # the claimed law of z is Dirichlet of the column sums
+    assert theorem_scenario(VAN_ASSCHE).target_alpha == (1.0, 1.0)
+    assert theorem_scenario([[1, 2, 3], [4, 5, 6]]).target_alpha == (5.0, 7.0, 9.0)
     # identical rows (alpha,...,alpha), n = k: target is (n*alpha,...)
-    assert target_params(RwaSpec(np.full((3, 3), 2.0))).alpha == (6.0, 6.0, 6.0)
+    assert theorem_scenario(np.full((3, 3), 2.0)).target_alpha == (6.0, 6.0, 6.0)
 
 
 @given(matrix_strategy())
 @settings(max_examples=50, deadline=None)
 def test_permutation_equivariance(alphas):
     a = np.asarray(alphas)
-    base = np.asarray(target_params(RwaSpec(a)).alpha)
+    base = np.asarray(theorem_scenario(a).target_alpha)
     # row permutation leaves target unchanged (up to summation-order rounding)
-    reordered = np.asarray(target_params(RwaSpec(a[::-1])).alpha)
+    reordered = np.asarray(theorem_scenario(a[::-1]).target_alpha)
     np.testing.assert_allclose(reordered, base, rtol=1e-13, atol=0)
     # column permutation permutes the target identically, exactly
     perm = np.arange(a.shape[1])[::-1]
-    permuted = np.asarray(target_params(RwaSpec(a[:, perm])).alpha)
+    permuted = np.asarray(theorem_scenario(a[:, perm]).target_alpha)
     assert permuted.tolist() == base[perm].tolist()
 
 
 def test_single_draw_recombines():
-    for sampler in (sample_rwa_direct, sample_rwa_gamma_path):
-        s = sampler(RwaSpec([[1, 2], [3, 4]]), RngStream(42, 0))
-        z = s.z.as_array()
-        recombined = sum(w * x.as_array() for w, x in zip(s.w.coords, s.xs))
-        assert np.max(np.abs(z - recombined)) <= RECOMBINE_TOL
+    # the weights come from substream 0 and row j from substream 1 + j
+    sc = theorem_scenario([[1, 2], [3, 4]])
+    rng = RngStream(42, 0)
+    z = sample_rwa_direct_batch(sc, 1, rng)[0]
+    w = sample_dirichlet_batch(DirichletParams(sc.w_alpha), 1, rng.child(0))[0]
+    xs = [
+        sample_dirichlet_batch(DirichletParams(row), 1, rng.child(1 + j))[0]
+        for j, row in enumerate(sc.x_alphas)
+    ]
+    recombined = sum(wj * xj for wj, xj in zip(w, xs))
+    assert np.max(np.abs(z - recombined)) <= 1e-10
 
 
 def test_batch_on_simplex():
-    z = sample_rwa_direct_batch(RwaSpec([[1, 2, 3], [4, 5, 6]]), 5000, RngStream(1, 0))
+    z = sample_rwa_direct_batch(theorem_scenario([[1, 2, 3], [4, 5, 6]]), 5000, RngStream(1, 0))
     assert np.all(z >= 0)
     assert np.max(np.abs(z.sum(axis=1) - 1.0)) < 1e-10
 
 
 def test_direct_path_mean_asymmetric():
     n = 2 * 10**5
-    z = sample_rwa_direct_batch(RwaSpec([[1, 2, 3], [4, 5, 6]]), n, RngStream(2, 0))
+    z = sample_rwa_direct_batch(theorem_scenario([[1, 2, 3], [4, 5, 6]]), n, RngStream(2, 0))
     for c, exact in enumerate((5 / 21, 7 / 21, 9 / 21)):
         se = z[:, c].std(ddof=1) / math.sqrt(n)
         assert abs(z[:, c].mean() - exact) < 5 * se
 
 
 def test_gamma_path_mean():
+    # the battery's second replicate: the same sampler under its second name
+    assert sample_rwa_gamma_path_batch is sample_rwa_direct_batch
     n = 2 * 10**5
-    z = sample_rwa_gamma_path_batch(RwaSpec([[1, 2], [3, 4]]), n, RngStream(3, 0))
+    z = sample_rwa_gamma_path_batch(theorem_scenario([[1, 2], [3, 4]]), n, RngStream(3, 0))
     se = z[:, 0].std(ddof=1) / math.sqrt(n)
     assert abs(z[:, 0].mean() - 0.4) < 5 * se
-    z2 = sample_rwa_gamma_path_batch(RwaSpec([[2, 2], [2, 2]]), n, RngStream(4, 0))
+    z2 = sample_rwa_gamma_path_batch(theorem_scenario([[2, 2], [2, 2]]), n, RngStream(4, 0))
     se = z2[:, 0].std(ddof=1) / math.sqrt(n)
     assert abs(z2[:, 0].mean() - 0.5) < 5 * se
 
 
 def test_path_equivalence_moments_van_assche():
     n = 2 * 10**5
-    spec = RwaSpec(VAN_ASSCHE)
-    za = sample_rwa_direct_batch(spec, n, RngStream(5, 0))
-    zb = sample_rwa_gamma_path_batch(spec, n, RngStream(5, 1))
-    target = target_params(spec)
+    # two replicates of the one sampler on distinct streams
+    sc = theorem_scenario(VAN_ASSCHE)
+    za = sample_rwa_direct_batch(sc, n, RngStream(5, 0))
+    zb = sample_rwa_gamma_path_batch(sc, n, RngStream(5, 1))
+    target = DirichletParams(sc.target_alpha)
     for s in [(1, 0), (2, 0), (1, 1), (3, 0), (2, 1)]:
         va = np.prod(za ** np.asarray(s), axis=1)
         vb = np.prod(zb ** np.asarray(s), axis=1)
@@ -119,7 +133,7 @@ def test_path_equivalence_moments_van_assche():
 
 def test_van_assche_marginals_uniform_ks():
     n = 2 * 10**5
-    z = sample_rwa_direct_batch(RwaSpec(VAN_ASSCHE), n, RngStream(6, 0))
+    z = sample_rwa_direct_batch(theorem_scenario(VAN_ASSCHE), n, RngStream(6, 0))
     grid = np.arange(1, n + 1) / n
     for c in range(2):
         u = np.sort(z[:, c])
@@ -149,10 +163,8 @@ def test_variant_reading_resolution():
 
 
 def test_variant_asymmetric_reading_fails_oracle():
-    from dirichlet_rwa.moments import MomentIndex, weighted_average_moment
-
     sc = variant_scenario((1.0, 2.0), "asymmetric")
     target = DirichletParams(sc.target_alpha)
-    lhs = weighted_average_moment(sc, MomentIndex((2, 0)))
+    lhs = rwa_moment_expansion(sc, MomentIndex((2, 0)))
     rhs = dirichlet_mixed_moment(target, (2, 0))
     assert abs(lhs - rhs) > 1e-6

@@ -10,16 +10,43 @@ from scipy.integrate import quad
 from dirichlet_rwa.stieltjes import (
     PowerSemicircleParams,
     SupportError,
-    arcsine_fn,
-    arcsine_transform,
     _gauss_legendre_nodes,
+    _power_semicircle_integral,
     cauchy_derivative,
     equation1_check,
     equation3_residual,
-    power_semicircle_fn,
+    equation3_terms,
     power_semicircle_transform,
-    transform_moments,
 )
+
+
+def arcsine_transform(z):
+    """Reference Stieltjes transform of the arcsine law on [-1, 1],
+    (z^2-1)^{-1/2} on the branch with cut [-1, 1], at a complex scalar or at
+    every point of an array of contour nodes; rejects points on the support."""
+    z = np.asarray(z, dtype=complex)
+    if np.any((z.imag == 0) & (np.abs(z.real) <= 1.0)):
+        raise SupportError("a point lies on the support [-1, 1]")
+    return (1.0 / (np.sqrt(z - 1.0) * np.sqrt(z + 1.0)))[()]
+
+
+def power_semicircle(n):
+    """The power-semicircle transform as an array evaluator, the one that
+    equation3_terms differentiates; no support check."""
+    return lambda z: (n - 1) / 2.0 * _power_semicircle_integral(n, z)
+
+
+def transform_moments(f, max_order, radius=3.0, n_nodes=512):
+    """Reference moments m_j = (1/2 pi i) oint z^j S(z) dz on |z| = radius,
+    for an array evaluator f of S; the circle must enclose the support."""
+    if radius <= 1.0:
+        raise SupportError(f"circle of radius {radius} does not enclose the support [-1, 1]")
+    theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
+    vals = f(radius * np.exp(1j * theta))
+    return np.array([
+        (radius ** (j + 1) / n_nodes * np.sum(np.exp(1j * (j + 1) * theta) * vals)).real
+        for j in range(max_order + 1)
+    ])
 
 
 def semicircle_transform(z):
@@ -92,7 +119,8 @@ def test_params_validation():
 
 def test_branch_conjugate_symmetry():
     rng = np.random.default_rng(5)
-    fns = [arcsine_fn(), power_semicircle_fn(3)]
+    p3 = PowerSemicircleParams(3)
+    fns = [arcsine_transform, lambda z: power_semicircle_transform(p3, z)]
     count = 0
     while count < 100:
         z = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
@@ -105,45 +133,45 @@ def test_branch_conjugate_symmetry():
 
 def test_herglotz_sign_upper_half_plane():
     rng = np.random.default_rng(6)
-    f = power_semicircle_fn(4)
+    p4 = PowerSemicircleParams(4)
     for _ in range(50):
         z = complex(rng.uniform(-3, 3), rng.uniform(0.3, 3))
-        assert f(z).imag < 0
-        assert arcsine_fn()(z).imag < 0
+        assert power_semicircle_transform(p4, z).imag < 0
+        assert arcsine_transform(z).imag < 0
 
 
 def test_stieltjes_fn_rejects_support():
-    f = arcsine_fn()
-    with pytest.raises(SupportError):
-        f(0.3)
+    for z in (0.3, -1.0, 1.0):
+        with pytest.raises(SupportError):
+            power_semicircle_transform(PowerSemicircleParams(3), z)
 
 
 def test_cauchy_derivative_identity_case():
-    v = cauchy_derivative(arcsine_fn(), 2.0, 0, 0.5)
+    v = cauchy_derivative(arcsine_transform, 2.0, 0, 0.5)
     assert v == pytest.approx(1 / math.sqrt(3), abs=1e-10)
 
 
 def test_cauchy_derivative_first_order():
-    v = cauchy_derivative(arcsine_fn(), 2.0, 1, 0.5)
+    v = cauchy_derivative(arcsine_transform, 2.0, 1, 0.5)
     assert v == pytest.approx(-2 / 3**1.5, abs=1e-9)
 
 
 def test_cauchy_derivative_uniform_first_order():
     # -d/dz of the uniform transform is 1/(z^2-1)
-    v = cauchy_derivative(power_semicircle_fn(2), 2.0, 1, 0.5)
+    v = cauchy_derivative(power_semicircle(2), 2.0, 1, 0.5)
     assert -v == pytest.approx(1 / 3, abs=1e-9)
 
 
 def test_cauchy_derivative_radius_independence():
     for order in (1, 2, 3):
-        a = cauchy_derivative(arcsine_fn(), 2.5, order, 1.0)
-        b = cauchy_derivative(arcsine_fn(), 2.5, order, 0.5)
+        a = cauchy_derivative(arcsine_transform, 2.5, order, 1.0)
+        b = cauchy_derivative(arcsine_transform, 2.5, order, 0.5)
         assert abs(a - b) <= 1e-8 * max(abs(a), abs(b))
 
 
 def test_cauchy_derivative_disk_hits_support():
     with pytest.raises(SupportError):
-        cauchy_derivative(arcsine_fn(), 1.5, 1, 0.75)
+        cauchy_derivative(arcsine_transform, 1.5, 1, 0.75)
 
 
 def test_equation3_residuals():
@@ -172,7 +200,7 @@ def test_grid_standoff_enforced():
 def test_n2_moments_match_rescaled_uniform():
     # law for n=2 is uniform on [-1,1]: even moments 1/(m+1), odd 0;
     # this is the affine rescaling of Dirichlet(1,1) to [-1,1]
-    m = transform_moments(power_semicircle_fn(2), 6)
+    m = transform_moments(power_semicircle(2), 6)
     assert m[0] == pytest.approx(1.0, abs=1e-8)
     for j in range(1, 7):
         exact = 1.0 / (j + 1) if j % 2 == 0 else 0.0
@@ -181,7 +209,7 @@ def test_n2_moments_match_rescaled_uniform():
 
 def test_n3_moments_match_semicircle():
     # Wigner semicircle on [-1,1]: E[x^2] = 1/4, E[x^4] = 1/8
-    m = transform_moments(power_semicircle_fn(3), 4)
+    m = transform_moments(power_semicircle(3), 4)
     assert m[2] == pytest.approx(0.25, abs=1e-8)
     assert m[4] == pytest.approx(0.125, abs=1e-8)
 
@@ -237,23 +265,26 @@ def _scalar_cauchy_derivative(ev, z, order, radius, rtol=1e-9, max_nodes=8192):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_broadcast_quadrature_matches_scalar_loop_bitwise(n):
     zs = np.array([1.5, 2.0, 5.0, 1e3, 2.5 + 0.75j, -1.2 - 0.3j, 0.2 + 1j, 3j])
-    got = power_semicircle_fn(n).evaluator(zs)
+    got = power_semicircle(n)(zs)
     want = np.array([_scalar_power_semicircle(n, complex(z)) for z in zs])
     assert got.shape == zs.shape
     assert np.array_equal(got, want)
     for z, w in zip(zs, want):
         if z.imag != 0 or abs(z.real) > 1:
-            assert power_semicircle_fn(n)(z) == w
+            assert power_semicircle_transform(PowerSemicircleParams(n), z) == w
 
 
 @pytest.mark.parametrize("n, z", [(2, 1.5), (2, 5.0), (3, 2.0), (3, 3.0), (4, 2.0)])
 def test_broadcast_cauchy_derivative_matches_scalar_loop_bitwise(n, z):
     radius = min(z - 1.25, 1.0)
-    got = cauchy_derivative(power_semicircle_fn(n), z, n - 1, radius)
+    got = cauchy_derivative(power_semicircle(n), z, n - 1, radius)
     want = _scalar_cauchy_derivative(
         lambda w: _scalar_power_semicircle(n, w), z, n - 1, radius
     )
     assert got == want
+    # the left side that equation3_terms reports is the same number
+    sign = (-1.0) ** (n - 1) / math.factorial(n - 1)
+    assert equation3_terms(n, [z])[0][0] == sign * want
 
 
 def test_gauss_legendre_nodes_cached_read_only():
@@ -296,5 +327,5 @@ def test_cauchy_derivative_takes_array_evaluator():
 
 def test_transform_moments_circle_must_enclose_support():
     with pytest.raises(SupportError):
-        transform_moments(power_semicircle_fn(3), 2, radius=0.9)
+        transform_moments(power_semicircle(3), 2, radius=0.9)
 
