@@ -8,8 +8,8 @@ Subcommands:
   stieltjes       derivative-identity residuals, CSV output
 
 Exit codes: 0 all checks passed, 1 at least one statistical/numerical check
-failed, 2 configuration or I/O error, or concentrations so small that the
-gamma draws underflow.
+failed, 2 configuration or I/O error, concentrations so small that the gamma
+draws underflow, or a quadrature that does not converge.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from .config import ConfigError, ScenarioConfig, load_config, parse_config
 from .runner import run_config, run_scenario, write_report
 from .rwa import sample_rwa_direct_batch, theorem_scenario
 from .distributions import RngStream
-from .stieltjes import equation1_check, equation3_terms
+from .stieltjes import QuadratureError, equation1_check, equation3_terms
 
 
 def _parse_matrix(text: str) -> list:
@@ -58,10 +58,9 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _theorem_scenario(args) -> ScenarioConfig:
+def _scenario(sid: str, kind: str, seed: int, **params) -> ScenarioConfig:
     # Built through parse_config so that it is validated exactly as in `run`.
-    scenario = {"id": "verify-theorem", "kind": "theorem", "seed": args.seed,
-                "alphas": _parse_matrix(args.alphas), "n_samples": args.n_samples}
+    scenario = {"id": sid, "kind": kind, "seed": seed, **params}
     raw = {"format_version": 1, "output_dir": ".", "scenarios": [scenario]}
     return parse_config(raw).scenarios[0]
 
@@ -88,12 +87,13 @@ def _run_single(sc: ScenarioConfig, out_dir) -> int:
 
 
 def _cmd_verify_theorem(args) -> int:
-    return _run_single(_theorem_scenario(args), args.out)
+    sc = _scenario("verify-theorem", "theorem", args.seed,
+                   alphas=_parse_matrix(args.alphas), n_samples=args.n_samples)
+    return _run_single(sc, args.out)
 
 
 def _cmd_verify_moments(args) -> int:
-    params = {"max_total_order": args.max_order}
-    sc = ScenarioConfig("verify-moments", "moments", args.seed, params)
+    sc = _scenario("verify-moments", "moments", args.seed, max_total_order=args.max_order)
     return _run_single(sc, args.out)
 
 
@@ -167,7 +167,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError, ValueError, FloatingPointError) as e:
+    except (ConfigError, OSError, ValueError, FloatingPointError, QuadratureError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

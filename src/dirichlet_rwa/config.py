@@ -3,6 +3,8 @@
 Unknown keys are fatal everywhere: a silently ignored typo in an alpha matrix
 would invalidate the scientific conclusion a run is supposed to support.
 Every scenario must carry an explicit seed; seeds are never auto-generated.
+Values are checked by building what the runner builds, so a config that
+parses never fails on a bad value after earlier scenarios have run.
 """
 from __future__ import annotations
 
@@ -10,32 +12,33 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from .distributions import DirichletParams
+from .moments import DIRMULT_TRIALS_CAP, MomentIndex, kerov_tsilevich_check
+from .rwa import WeightedAverageScenario, theorem_scenario, variant_scenario
+from .stattest import DEFAULT_PERMUTATIONS
+from .stieltjes import _check_grid
+
 __all__ = ["ConfigError", "ScenarioConfig", "ExperimentConfig", "load_config"]
 
 FORMAT_VERSION = 1
 
 _TOP_KEYS = {"format_version", "output_dir", "scenarios"}
 
-_COMMON_KEYS = {"id", "kind", "seed"}
-_SCENARIO_KEYS = {
-    "theorem": _COMMON_KEYS
-    | {
-        "alphas",
-        "n_samples",
-        "max_moment_order",
-        "z_threshold",
-        "ks_level",
-        "energy_level",
-        "energy_permutations",
-        "target_override",
-    },
-    "variant": _COMMON_KEYS
-    | {"alpha", "n_samples", "max_moment_order", "z_threshold", "ks_level"},
-    "moments": _COMMON_KEYS
-    | {"max_total_order", "sizes", "entries", "n_random", "rtol"},
-    "dirmult": _COMMON_KEYS | {"max_trials", "max_k", "entries", "tol"},
-    "stieltjes": _COMMON_KEYS | {"orders", "grid", "tol_exact", "tol_numeric"},
-    "kerov_tsilevich": _COMMON_KEYS | {"alphas", "t_values", "order", "tol"},
+_REQUIRED = object()
+# Every settable key of each scenario kind with its default; _REQUIRED marks
+# a key without one.  A target_override of None keeps the column sums.
+_SCENARIO_PARAMS = {
+    "theorem": {"alphas": _REQUIRED, "n_samples": _REQUIRED,
+                "energy_permutations": DEFAULT_PERMUTATIONS, "target_override": None},
+    "variant": {"alpha": _REQUIRED, "n_samples": _REQUIRED},
+    "moments": {"max_total_order": 5, "sizes": ((2, 2), (2, 3), (3, 2), (3, 3)),
+                "entries": (0.5, 1.0, 2.0, 3.5), "n_random": 30},
+    "dirmult": {"max_trials": 10, "max_k": 4, "entries": (0.5, 1.0, 2.0, 5.0)},
+    "stieltjes": {"orders": (2, 3, 4), "grid": (1.5, 2.0, 3.0, 5.0)},
+    "kerov_tsilevich": {"alphas": _REQUIRED, "t_values": (
+        (0.5, 0.5), (0.5, -0.5), (-0.5, -0.5), (0.25, 0.4), (-0.3, 0.1))},
 }
 
 
@@ -45,10 +48,26 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario; params holds every key of its kind, defaults filled in."""
+
     id: str
     kind: str
     seed: int
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.kind not in _SCENARIO_PARAMS:
+            raise ConfigError(
+                f"unknown kind {self.kind!r}; expected one of {sorted(_SCENARIO_PARAMS)}"
+            )
+        table = _SCENARIO_PARAMS[self.kind]
+        unknown = set(self.params) - set(table)
+        if unknown:
+            raise ConfigError(f"unknown keys for kind {self.kind!r}: {sorted(unknown)}")
+        for key, default in table.items():
+            if default is _REQUIRED and key not in self.params:
+                raise ConfigError(f"missing required key {key!r}")
+        object.__setattr__(self, "params", {**table, **self.params})
 
 
 @dataclass(frozen=True)
@@ -64,25 +83,72 @@ def _canonical_hash(raw: dict) -> str:
     return hashlib.sha256(canon).hexdigest()
 
 
-def _require_positive_matrix(m, where: str):
+def _numbers(v, key: str) -> list:
+    """v as a non-empty list of JSON numbers; np.asarray(v, dtype=float)
+    would also take strings such as "1"."""
     if (
-        not isinstance(m, list)
-        or not m
-        or not all(isinstance(r, list) and r for r in m)
-        or len({len(r) for r in m}) != 1
+        not isinstance(v, (list, tuple))
+        or not v
+        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
     ):
-        raise ConfigError(f"{where}: alphas must be a non-empty rectangular matrix")
-    for r in m:
-        for v in r:
-            if not isinstance(v, (int, float)) or not v > 0:
-                raise ConfigError(f"{where}: matrix entries must be positive numbers, got {v!r}")
+        raise ValueError(f"{key} must be a non-empty list of numbers, got {v!r}")
+    return list(v)
 
 
-def _require_sample_count(v, where: str):
-    # One draw leaves the standard errors undefined, so at least two.
+def _rows(v, key: str) -> list:
+    if not isinstance(v, (list, tuple)) or not v:
+        raise ValueError(f"{key} must be a non-empty list of lists, got {v!r}")
+    return [_numbers(r, key) for r in v]
+
+
+def _count(v, key: str, low: int) -> None:
     integral = isinstance(v, int) or (isinstance(v, float) and v.is_integer())
-    if isinstance(v, bool) or not integral or v < 2:
-        raise ConfigError(f"{where}: n_samples must be an integer >= 2, got {v!r}")
+    if isinstance(v, bool) or not integral or v < low:
+        raise ValueError(f"{key} must be an integer >= {low}, got {v!r}")
+
+
+# Least value of each integer key; one draw leaves the standard errors
+# undefined, and smaller values of the others would check nothing.
+_COUNT_MIN = {"n_samples": 2, "energy_permutations": 1, "max_total_order": 1,
+              "n_random": 1, "max_trials": 0, "max_k": 2}
+
+
+def _check_values(kind: str, p: dict) -> None:
+    """Build what the runner builds from the parameters; a bad value raises
+    ValueError."""
+    for key, low in _COUNT_MIN.items():
+        if key in p:
+            _count(p[key], key, low)
+    if kind == "theorem":
+        sc = theorem_scenario(_rows(p["alphas"], "alphas"))
+        if p["target_override"] is not None:
+            WeightedAverageScenario(sc.w_alpha, sc.x_alphas,
+                                    _numbers(p["target_override"], "target_override"))
+    elif kind == "variant":
+        variant_scenario(_numbers(p["alpha"], "alpha"))
+    elif kind == "moments":
+        MomentIndex([p["max_total_order"]])  # the order cap
+        entries = _numbers(p["entries"], "entries")
+        for n, k in _rows(p["sizes"], "sizes"):
+            for e in entries:
+                theorem_scenario(np.full((n, k), e))
+    elif kind == "dirmult":
+        if p["max_trials"] > DIRMULT_TRIALS_CAP:
+            raise ValueError(f"max_trials exceeds the cap of {DIRMULT_TRIALS_CAP}")
+        for e in _numbers(p["entries"], "entries"):
+            DirichletParams((e, e))
+    elif kind == "stieltjes":
+        grid = _check_grid(_numbers(p["grid"], "grid"))
+        for n in _numbers(p["orders"], "orders"):
+            _count(n, "orders", 2)  # PowerSemicircleParams needs n >= 2
+            # The runner checks orders above 3 on the grid points >= 2 only.
+            if n > 3 and max(grid) < 2.0:
+                raise ValueError(f"order {n} needs a grid point >= 2, got {grid}")
+    else:
+        t_values = _rows(p["t_values"], "t_values")
+        for alpha in _rows(p["alphas"], "alphas"):
+            for t in t_values:
+                kerov_tsilevich_check(alpha, t, order=0)  # argument checks only
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -107,14 +173,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         where = f"scenarios[{i}]"
         if not isinstance(sc, dict):
             raise ConfigError(f"{where}: must be an object")
-        kind = sc.get("kind")
-        if kind not in _SCENARIO_KEYS:
-            raise ConfigError(
-                f"{where}: unknown kind {kind!r}; expected one of {sorted(_SCENARIO_KEYS)}"
-            )
-        unknown = set(sc) - _SCENARIO_KEYS[kind]
-        if unknown:
-            raise ConfigError(f"{where}: unknown keys for kind {kind!r}: {sorted(unknown)}")
         for key in ("id", "seed"):
             if key not in sc:
                 raise ConfigError(f"{where}: missing required key {key!r}")
@@ -123,22 +181,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if sc["id"] in seen_ids:
             raise ConfigError(f"{where}: duplicate scenario id {sc['id']!r}")
         seen_ids.add(sc["id"])
-        if kind == "theorem":
-            if "alphas" not in sc or "n_samples" not in sc:
-                raise ConfigError(f"{where}: theorem scenarios need alphas and n_samples")
-            _require_positive_matrix(sc["alphas"], where)
-            if "target_override" in sc:
-                for v in sc["target_override"]:
-                    if not isinstance(v, (int, float)) or not v > 0:
-                        raise ConfigError(f"{where}: target_override entries must be positive")
-        if kind == "variant" and ("alpha" not in sc or "n_samples" not in sc):
-            raise ConfigError(f"{where}: variant scenarios need alpha and n_samples")
-        if kind in ("theorem", "variant"):
-            _require_sample_count(sc["n_samples"], where)
-        if kind == "kerov_tsilevich" and "alphas" not in sc:
-            raise ConfigError(f"{where}: kerov_tsilevich scenarios need alphas")
         params = {k: v for k, v in sc.items() if k not in ("id", "kind", "seed")}
-        scenarios.append(ScenarioConfig(str(sc["id"]), kind, sc["seed"], params))
+        try:
+            scenario = ScenarioConfig(str(sc["id"]), sc.get("kind"), sc["seed"], params)
+            _check_values(scenario.kind, scenario.params)
+        except (ValueError, TypeError) as e:
+            raise ConfigError(f"{where}: {e}") from e
+        scenarios.append(scenario)
 
     return ExperimentConfig(
         format_version=FORMAT_VERSION,

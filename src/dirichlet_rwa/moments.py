@@ -55,18 +55,16 @@ class MomentIndex:
     """Vector of non-negative integer exponents for a mixed moment."""
 
     s: tuple
-    order_cap: int = DEFAULT_ORDER_CAP
 
-    def __init__(self, s, order_cap: int = DEFAULT_ORDER_CAP):
+    def __init__(self, s):
         s = tuple(int(v) for v in s)
         if any(v < 0 for v in s):
             raise ValueError("exponents must be non-negative")
-        if sum(s) > order_cap:
+        if sum(s) > DEFAULT_ORDER_CAP:
             raise OrderCapExceeded(
-                f"total order {sum(s)} exceeds the cap of {order_cap}"
+                f"total order {sum(s)} exceeds the cap of {DEFAULT_ORDER_CAP}"
             )
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "order_cap", order_cap)
 
     @property
     def total(self) -> int:

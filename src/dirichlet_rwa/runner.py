@@ -33,15 +33,7 @@ from .rwa import (
     theorem_scenario,
     variant_scenario,
 )
-from .stattest import (
-    DEFAULT_ENERGY_LEVEL,
-    DEFAULT_KS_LEVEL,
-    DEFAULT_Z_THRESHOLD,
-    SampleBatch,
-    energy_two_sample,
-    ks_marginal,
-    moment_ztest,
-)
+from .stattest import DEFAULT_PERMUTATIONS, energy_two_sample, ks_marginal, moment_ztest
 from .stieltjes import (
     PowerSemicircleParams,
     equation1_check,
@@ -54,6 +46,15 @@ __all__ = ["run_scenario", "run_config", "write_report", "moment_indices"]
 # The second replicate reuses the one sampler; its own name keeps per-path traces.
 sample_rwa_gamma_path_batch = sample_rwa_direct_batch
 
+# Fixed bounds of the checks.  Stieltjes orders above 3 are held to the
+# looser bound and checked on the grid points >= 2 only.
+MAX_MOMENT_ORDER = 3
+MOMENTS_RTOL = 1e-9
+DIRMULT_TOL = 1e-10
+STIELTJES_TOL_EXACT = 1e-8
+STIELTJES_TOL_NUMERIC = 1e-6
+KT_TOL = 1e-6
+
 
 def moment_indices(k: int, max_total: int):
     """All exponent vectors of length k with 1 <= total order <= max_total."""
@@ -63,51 +64,33 @@ def moment_indices(k: int, max_total: int):
     return out
 
 
-def _statistical_suite(scenario, target: DirichletParams, seed: int, params: dict):
+def _statistical_suite(scenario, target: DirichletParams, seed: int, n_samples: int,
+                       n_permutations: int):
     """Moment z-tests and marginal KS tests on two replicates of the
     scenario, drawn by the one sampler from streams (seed, 1) and (seed, 2),
     and an energy test between the replicates."""
-    n_samples = int(params.get("n_samples", 200_000))
-    max_order = int(params.get("max_moment_order", 3))
-    z_thr = float(params.get("z_threshold", DEFAULT_Z_THRESHOLD))
-    ks_level = float(params.get("ks_level", DEFAULT_KS_LEVEL))
-    energy_level = float(params.get("energy_level", DEFAULT_ENERGY_LEVEL))
-    energy_perms = int(params.get("energy_permutations", 1999))
-
-    direct_stream = RngStream(seed, 1)
-    gamma_stream = RngStream(seed, 2)
-    direct = SampleBatch(
-        sample_rwa_direct_batch(scenario, n_samples, direct_stream), direct_stream
-    )
-    gamma = SampleBatch(
-        sample_rwa_gamma_path_batch(scenario, n_samples, gamma_stream), gamma_stream
-    )
+    direct = sample_rwa_direct_batch(scenario, n_samples, RngStream(seed, 1))
+    gamma = sample_rwa_gamma_path_batch(scenario, n_samples, RngStream(seed, 2))
 
     tests = []
-    k = direct.k
     # "gamma" labels the second replicate, as in reports of earlier versions.
     for path, batch in (("direct", direct), ("gamma", gamma)):
-        for s in moment_indices(k, max_order):
-            rec = moment_ztest(batch, target, s, z_thr).to_dict()
-            rec["path"] = path
-            tests.append(rec)
-        for c in range(k):
-            rec = ks_marginal(batch, target, c, ks_level).to_dict()
-            rec["path"] = path
-            tests.append(rec)
-    rec = energy_two_sample(
-        direct, gamma, level=energy_level, n_permutations=energy_perms, seed=seed
-    ).to_dict()
+        for s in moment_indices(scenario.k, MAX_MOMENT_ORDER):
+            tests.append({**moment_ztest(batch, target, s), "path": path})
+        for c in range(scenario.k):
+            tests.append({**ks_marginal(batch, target, c), "path": path})
+    rec = energy_two_sample(direct, gamma, n_permutations=n_permutations, seed=seed)
     rec["path"] = "direct-vs-gamma"
     tests.append(rec)
     return tests
 
 
 def _run_theorem(sc: ScenarioConfig):
-    scenario = theorem_scenario(sc.params["alphas"])
-    target = DirichletParams(sc.params.get("target_override", scenario.target_alpha))
-    tests = _statistical_suite(scenario, target, sc.seed, sc.params)
-    return tests, []
+    p = sc.params
+    scenario = theorem_scenario(p["alphas"])
+    target = DirichletParams(p["target_override"] or scenario.target_alpha)
+    return _statistical_suite(scenario, target, sc.seed, int(p["n_samples"]),
+                              int(p["energy_permutations"])), []
 
 
 def _run_variant(sc: ScenarioConfig):
@@ -123,37 +106,32 @@ def _run_variant(sc: ScenarioConfig):
     target = DirichletParams(scenario.target_alpha)
     notes = [f"variant parameter reading resolved by moment oracle: {reading}"]
     tests = [{"kind": "variant-resolution", "reading": reading, "pass": True}]
-    tests += _statistical_suite(scenario, target, sc.seed, sc.params)
+    tests += _statistical_suite(scenario, target, sc.seed, int(sc.params["n_samples"]),
+                                DEFAULT_PERMUTATIONS)
     return tests, notes
 
 
-def _spec_grid(sizes, entries, n_random: int, seed: int):
-    """Deterministic fixture grid of alpha matrices: exhaustive when small,
-    otherwise a seeded sample of entry combinations."""
+def _spec_grid(n: int, k: int, entries, n_random: int, seed: int):
+    """Deterministic fixture grid of n x k alpha matrices: exhaustive when
+    small, otherwise a seeded sample of entry combinations."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     entries = [float(e) for e in entries]
-    for n, k in sizes:
-        cells = n * k
-        if len(entries) ** cells <= 256:
-            for combo in itertools.product(entries, repeat=cells):
-                yield np.asarray(combo).reshape(n, k)
-        else:
-            for _ in range(n_random):
-                yield rng.choice(entries, size=(n, k))
+    if len(entries) ** (n * k) <= 256:
+        for combo in itertools.product(entries, repeat=n * k):
+            yield np.asarray(combo).reshape(n, k)
+    else:
+        for _ in range(n_random):
+            yield rng.choice(entries, size=(n, k))
 
 
 def _run_moments(sc: ScenarioConfig):
-    sizes = [tuple(sz) for sz in sc.params.get("sizes", [[2, 2], [2, 3], [3, 2], [3, 3]])]
-    entries = sc.params.get("entries", [0.5, 1.0, 2.0, 3.5])
-    n_random = int(sc.params.get("n_random", 30))
-    max_total = int(sc.params.get("max_total_order", 5))
-    rtol = float(sc.params.get("rtol", 1e-9))
-
+    p = sc.params
+    n_random, max_total = int(p["n_random"]), int(p["max_total_order"])
     tests = []
-    for n, k in sizes:
+    for n, k in p["sizes"]:
         worst = 0.0
         checked = 0
-        for mat in _spec_grid([(n, k)], entries, n_random, sc.seed):
+        for mat in _spec_grid(n, k, p["entries"], n_random, sc.seed):
             scenario = theorem_scenario(mat)
             for s in moment_indices(k, max_total):
                 idx = MomentIndex(s)
@@ -168,19 +146,16 @@ def _run_moments(sc: ScenarioConfig):
                 "k": k,
                 "checked": checked,
                 "max_rel_error": worst,
-                "rtol": rtol,
-                "pass": worst < rtol,
+                "rtol": MOMENTS_RTOL,
+                "pass": worst < MOMENTS_RTOL,
             }
         )
     return tests, []
 
 
 def _run_dirmult(sc: ScenarioConfig):
-    max_trials = int(sc.params.get("max_trials", 10))
-    max_k = int(sc.params.get("max_k", 4))
-    entries = [float(e) for e in sc.params.get("entries", [0.5, 1.0, 2.0, 5.0])]
-    tol = float(sc.params.get("tol", 1e-10))
-
+    max_trials, max_k = int(sc.params["max_trials"]), int(sc.params["max_k"])
+    entries = [float(e) for e in sc.params["entries"]]
     worst = 0.0
     checked = 0
     for k in range(2, max_k + 1):
@@ -195,8 +170,8 @@ def _run_dirmult(sc: ScenarioConfig):
             "kind": "dirmult-normalization",
             "checked": checked,
             "max_abs_error": worst,
-            "tol": tol,
-            "pass": worst < tol,
+            "tol": DIRMULT_TOL,
+            "pass": worst < DIRMULT_TOL,
         }
     ]
     return tests, []
@@ -209,14 +184,10 @@ _COEFFICIENT_NOTE = (
 
 
 def _run_stieltjes(sc: ScenarioConfig):
-    orders = [int(n) for n in sc.params.get("orders", [2, 3, 4])]
-    grid = [float(z) for z in sc.params.get("grid", [1.5, 2.0, 3.0, 5.0])]
-    tol_exact = float(sc.params.get("tol_exact", 1e-8))
-    tol_numeric = float(sc.params.get("tol_numeric", 1e-6))
-
+    grid = [float(z) for z in sc.params["grid"]]
     tests = []
-    for n in orders:
-        tol = tol_exact if n <= 3 else tol_numeric
+    for n in (int(n) for n in sc.params["orders"]):
+        tol = STIELTJES_TOL_EXACT if n <= 3 else STIELTJES_TOL_NUMERIC
         g = [z for z in grid] if n <= 3 else [z for z in grid if z >= 2.0]
         r3 = equation3_residual(n, g)
         r1 = equation1_check(n, g)
@@ -261,18 +232,10 @@ def _run_stieltjes(sc: ScenarioConfig):
 
 
 def _run_kerov_tsilevich(sc: ScenarioConfig):
-    alphas = sc.params["alphas"]
-    t_values = sc.params.get(
-        "t_values",
-        [[0.5, 0.5], [0.5, -0.5], [-0.5, -0.5], [0.25, 0.4], [-0.3, 0.1]],
-    )
-    order = int(sc.params.get("order", 12))
-    tol = float(sc.params.get("tol", 1e-6))
-
     tests = []
-    for alpha in alphas:
-        for t in t_values:
-            series, product, tail = kerov_tsilevich_check(alpha, t, order)
+    for alpha in sc.params["alphas"]:
+        for t in sc.params["t_values"]:
+            series, product, tail = kerov_tsilevich_check(alpha, t)
             resid = abs(series - product)
             tests.append(
                 {
@@ -283,7 +246,7 @@ def _run_kerov_tsilevich(sc: ScenarioConfig):
                     "product": product,
                     "tail_bound": tail,
                     "residual": resid,
-                    "pass": resid <= tail + tol,
+                    "pass": resid <= tail + KT_TOL,
                 }
             )
     return tests, []

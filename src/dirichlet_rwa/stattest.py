@@ -9,168 +9,83 @@ seeds, failures indicate bugs rather than noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import betainc
 
-from .distributions import DirichletParams, RngStream, dirichlet_mixed_moment
+from .distributions import DirichletParams, dirichlet_mixed_moment
 
 __all__ = [
-    "SampleBatch",
-    "MomentTestResult",
-    "KsResult",
-    "EnergyResult",
     "moment_ztest",
     "ks_marginal",
     "ks_threshold",
     "energy_two_sample",
-    "DEFAULT_Z_THRESHOLD",
-    "DEFAULT_KS_LEVEL",
-    "DEFAULT_ENERGY_LEVEL",
+    "Z_THRESHOLD",
+    "KS_LEVEL",
+    "ENERGY_LEVEL",
+    "ENERGY_SUBSAMPLE",
+    "DEFAULT_PERMUTATIONS",
 ]
 
-DEFAULT_Z_THRESHOLD = 5.0
-DEFAULT_KS_LEVEL = 0.001
-DEFAULT_ENERGY_LEVEL = 0.001
+Z_THRESHOLD = 5.0
+KS_LEVEL = 0.001
+ENERGY_LEVEL = 0.001
+DEFAULT_PERMUTATIONS = 1999
 
-# Cap on pairwise distances evaluated by the energy statistic.
-DEFAULT_PAIR_CAP = 10_000_000
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    """Block of simplex-valued samples with the stream that produced them."""
-
-    values: np.ndarray  # (N, k)
-    stream: RngStream
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.ndim != 2 or v.shape[0] == 0:
-            raise ValueError("values must be a non-empty (N, k) array")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.values.shape[1]
+# Rows per sample kept by the energy statistic: the pooled distance matrix of
+# two subsamples stays below 10^7 entries.
+ENERGY_SUBSAMPLE = 1581
 
 
-@dataclass(frozen=True)
-class MomentTestResult:
-    index: tuple
-    empirical: float
-    exact: float
-    std_error: float
-    z_score: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "moment",
-            "index": list(self.index),
-            "empirical": self.empirical,
-            "exact": self.exact,
-            "std_error": self.std_error,
-            "z_score": self.z_score,
-            "pass": self.passed,
-        }
-
-
-@dataclass(frozen=True)
-class KsResult:
-    coordinate: int
-    statistic: float
-    threshold: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "ks",
-            "coordinate": self.coordinate,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "pass": self.passed,
-        }
-
-
-@dataclass(frozen=True)
-class EnergyResult:
-    statistic: float
-    permutation_p: float
-    n_permutations: int
-    seed: int
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "energy",
-            "statistic": self.statistic,
-            "permutation_p": self.permutation_p,
-            "n_permutations": self.n_permutations,
-            "seed": self.seed,
-            "pass": self.passed,
-        }
-
-
-def moment_ztest(
-    batch: SampleBatch,
-    target: DirichletParams,
-    s,
-    threshold: float = DEFAULT_Z_THRESHOLD,
-) -> MomentTestResult:
-    """z-test of the empirical mixed moment prod_j z_j^{s_j} against the exact
-    target Dirichlet moment, standard error from the sample variance."""
+def moment_ztest(values: np.ndarray, target: DirichletParams, s) -> dict:
+    """z-test of the empirical mixed moment prod_j z_j^{s_j} of the (N, k)
+    samples against the exact target Dirichlet moment, standard error from
+    the sample variance."""
     s = tuple(int(v) for v in s)
-    if len(s) != batch.k:
+    if len(s) != values.shape[1]:
         raise ValueError("moment index length must match batch dimension")
     if sum(s) == 0:
         # empty product: trivially 1 on both sides
-        return MomentTestResult(s, 1.0, 1.0, 0.0, 0.0, True)
-    prod = np.prod(batch.values ** np.asarray(s), axis=1)
-    emp = float(prod.mean())
-    var = float(prod.var(ddof=1))
-    if var <= 0:
-        raise ValueError("degenerate batch: zero sample variance")
-    se = math.sqrt(var / batch.n)
-    exact = dirichlet_mixed_moment(target, s)
-    z = (emp - exact) / se
-    return MomentTestResult(s, emp, exact, se, z, abs(z) <= threshold)
+        emp = exact = 1.0
+        se = z = 0.0
+    else:
+        prod = np.prod(values ** np.asarray(s), axis=1)
+        emp = float(prod.mean())
+        var = float(prod.var(ddof=1))
+        if var <= 0:
+            raise ValueError("degenerate batch: zero sample variance")
+        se = math.sqrt(var / values.shape[0])
+        exact = dirichlet_mixed_moment(target, s)
+        z = (emp - exact) / se
+    return {"kind": "moment", "index": list(s), "empirical": emp, "exact": exact,
+            "std_error": se, "z_score": z, "pass": abs(z) <= Z_THRESHOLD}
 
 
-def ks_threshold(n: int, level: float = DEFAULT_KS_LEVEL) -> float:
-    """Asymptotic one-sample KS critical value c(level)/sqrt(n)."""
-    return math.sqrt(-0.5 * math.log(level / 2.0)) / math.sqrt(n)
+def ks_threshold(n: int) -> float:
+    """Asymptotic one-sample KS critical value c(KS_LEVEL)/sqrt(n)."""
+    return math.sqrt(-0.5 * math.log(KS_LEVEL / 2.0)) / math.sqrt(n)
 
 
-def ks_marginal(
-    batch: SampleBatch,
-    target: DirichletParams,
-    coordinate: int,
-    level: float = DEFAULT_KS_LEVEL,
-) -> KsResult:
-    """One-sample KS statistic of one coordinate against its Beta marginal
-    Beta(alpha_c, sum(alpha) - alpha_c)."""
-    if not (0 <= coordinate < batch.k):
-        raise ValueError(f"coordinate {coordinate} out of range for k={batch.k}")
-    if target.k != batch.k:
+def ks_marginal(values: np.ndarray, target: DirichletParams, coordinate: int) -> dict:
+    """One-sample KS statistic of one coordinate of the (N, k) samples against
+    its Beta marginal Beta(alpha_c, sum(alpha) - alpha_c)."""
+    n, k = values.shape
+    if not (0 <= coordinate < k):
+        raise ValueError(f"coordinate {coordinate} out of range for k={k}")
+    if target.k != k:
         raise ValueError("target dimension must match batch dimension")
     a = target.alpha[coordinate]
     b = target.total - a
-    x = np.sort(batch.values[:, coordinate])
+    x = np.sort(values[:, coordinate])
     cdf = betainc(a, b, np.clip(x, 0.0, 1.0))
-    n = batch.n
     grid = np.arange(1, n + 1) / n
     d_plus = np.max(grid - cdf)
     d_minus = np.max(cdf - (grid - 1.0 / n))
     stat = float(max(d_plus, d_minus))
-    thr = ks_threshold(n, level)
-    return KsResult(coordinate, stat, thr, stat <= thr)
+    thr = ks_threshold(n)
+    return {"kind": "ks", "coordinate": coordinate, "statistic": stat,
+            "threshold": thr, "pass": stat <= thr}
 
 
 def _subsample(values: np.ndarray, m: int) -> np.ndarray:
@@ -180,26 +95,19 @@ def _subsample(values: np.ndarray, m: int) -> np.ndarray:
     return values[idx]
 
 
-def energy_two_sample(
-    a: SampleBatch,
-    b: SampleBatch,
-    level: float = DEFAULT_ENERGY_LEVEL,
-    n_permutations: int = 1999,
-    pair_cap: int = DEFAULT_PAIR_CAP,
-    seed: int = 0,
-) -> EnergyResult:
+def energy_two_sample(a: np.ndarray, b: np.ndarray,
+                      n_permutations: int = DEFAULT_PERMUTATIONS, seed: int = 0) -> dict:
     """Energy-distance two-sample test with a permutation p-value.
 
     The V-statistic 2*mean(D_ab) - mean(D_aa) - mean(D_bb) is computed on
-    deterministic subsamples capped so the pooled pairwise-distance matrix
-    stays below pair_cap entries; permutations reuse that matrix.  The
+    deterministic subsamples of at most ENERGY_SUBSAMPLE rows of the (N, k)
+    samples a and b; permutations reuse their pooled distance matrix.  The
     statistic is exactly zero for identical inputs.
     """
-    if a.k != b.k:
+    if a.shape[1] != b.shape[1]:
         raise ValueError("batches must have the same dimension")
-    m = max(2, int(math.isqrt(pair_cap) // 2))
-    va = _subsample(a.values, m)
-    vb = _subsample(b.values, m)
+    va = _subsample(a, ENERGY_SUBSAMPLE)
+    vb = _subsample(b, ENERGY_SUBSAMPLE)
     ma, mb = va.shape[0], vb.shape[0]
     pooled = np.vstack([va, vb])
     dmat = cdist(pooled, pooled)
@@ -235,4 +143,5 @@ def energy_two_sample(
     s_bb = total - 2 * u + s_aa
     stats = 2 * s_ab / (ma * mb) - s_aa / (ma * ma) - s_bb / (mb * mb)
     p_value = float((1 + np.sum(stats >= observed)) / (n_permutations + 1))
-    return EnergyResult(float(observed), p_value, n_permutations, seed, p_value > level)
+    return {"kind": "energy", "statistic": float(observed), "permutation_p": p_value,
+            "n_permutations": n_permutations, "seed": seed, "pass": p_value > ENERGY_LEVEL}
