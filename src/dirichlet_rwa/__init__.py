@@ -1,8 +1,8 @@
 """Randomly weighted averages of Dirichlet vectors.
 
 z = sum_i w_i x_i with Dirichlet summands and an independent Dirichlet weight
-vector stays Dirichlet; this package samples the construction with one
-normalized-gamma sampler, checks the claim with a statistical battery and
+vector stays Dirichlet; this package samples the construction with numpy's
+Dirichlet sampler, checks the claim with a statistical battery and
 exact moment identities, and verifies the associated Stieltjes-transform
 differential identities numerically.
 """

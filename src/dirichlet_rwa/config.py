@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,6 @@ import numpy as np
 from .distributions import DirichletParams
 from .moments import DIRMULT_TRIALS_CAP, MomentIndex, kerov_tsilevich_check
 from .rwa import WeightedAverageScenario, theorem_scenario, variant_scenario
-from .stattest import DEFAULT_PERMUTATIONS
 from .stieltjes import _check_grid
 
 __all__ = ["ConfigError", "ScenarioConfig", "ExperimentConfig", "load_config"]
@@ -25,13 +25,14 @@ __all__ = ["ConfigError", "ScenarioConfig", "ExperimentConfig", "load_config"]
 FORMAT_VERSION = 1
 
 _TOP_KEYS = {"format_version", "output_dir", "scenarios"}
+# A scenario id names its report file: no path separator, no leading dot.
+_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 _REQUIRED = object()
 # Every settable key of each scenario kind with its default; _REQUIRED marks
 # a key without one.  A target_override of None keeps the column sums.
 _SCENARIO_PARAMS = {
-    "theorem": {"alphas": _REQUIRED, "n_samples": _REQUIRED,
-                "energy_permutations": DEFAULT_PERMUTATIONS, "target_override": None},
+    "theorem": {"alphas": _REQUIRED, "n_samples": _REQUIRED, "target_override": None},
     "variant": {"alpha": _REQUIRED, "n_samples": _REQUIRED},
     "moments": {"max_total_order": 5, "sizes": ((2, 2), (2, 3), (3, 2), (3, 3)),
                 "entries": (0.5, 1.0, 2.0, 3.5), "n_random": 30},
@@ -109,8 +110,8 @@ def _count(v, key: str, low: int) -> None:
 
 # Least value of each integer key; one draw leaves the standard errors
 # undefined, and smaller values of the others would check nothing.
-_COUNT_MIN = {"n_samples": 2, "energy_permutations": 1, "max_total_order": 1,
-              "n_random": 1, "max_trials": 0, "max_k": 2}
+_COUNT_MIN = {"n_samples": 2, "max_total_order": 1, "n_random": 1, "max_trials": 0,
+              "max_k": 2}
 
 
 def _check_values(kind: str, p: dict) -> None:
@@ -178,12 +179,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 raise ConfigError(f"{where}: missing required key {key!r}")
         if not isinstance(sc["seed"], int) or not (0 <= sc["seed"] < 2**64):
             raise ConfigError(f"{where}: seed must be an unsigned 64-bit integer")
+        if not isinstance(sc["id"], str) or not _ID.fullmatch(sc["id"]):
+            raise ConfigError(f"{where}: id must match {_ID.pattern}, got {sc['id']!r}")
         if sc["id"] in seen_ids:
             raise ConfigError(f"{where}: duplicate scenario id {sc['id']!r}")
         seen_ids.add(sc["id"])
         params = {k: v for k, v in sc.items() if k not in ("id", "kind", "seed")}
         try:
-            scenario = ScenarioConfig(str(sc["id"]), sc.get("kind"), sc["seed"], params)
+            scenario = ScenarioConfig(sc["id"], sc.get("kind"), sc["seed"], params)
             _check_values(scenario.kind, scenario.params)
         except (ValueError, TypeError) as e:
             raise ConfigError(f"{where}: {e}") from e

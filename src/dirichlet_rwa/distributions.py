@@ -2,9 +2,11 @@
 seeded random streams.
 
 Everything downstream (weighted-average sampling, moment identities, the
-statistical test battery) is built on top of this module.  The sampler is a
-pure function of (params, RngStream); exact moments go through log-gamma so
-that large total orders do not overflow.
+statistical test battery) is built on top of this module.  The sampler is
+numpy's Generator.dirichlet on the stream's generator: normalized gammas, or
+Beta stick-breaking when every concentration is below 0.1, so that tiny ones
+do not underflow.  Exact moments go through log-gamma so that large total
+orders do not overflow.
 """
 from __future__ import annotations
 
@@ -21,12 +23,9 @@ __all__ = [
     "dirichlet_mixed_moment",
 ]
 
-# Tolerance on |sum(coords) - 1| after a single renormalization of the gamma
-# vector; 1e-12 covers 64-bit accumulation error for dimensions up to ~64.
+# Tolerance on |sum(coords) - 1| of a sampled row; 1e-12 covers 64-bit
+# accumulation error for dimensions up to ~64.
 SIMPLEX_SUM_TOL = 1e-12
-
-# Bounded retries when an entire gamma draw underflows to zero.
-_MAX_RESAMPLE = 16
 
 
 @dataclass(frozen=True)
@@ -85,30 +84,9 @@ class RngStream:
         return RngStream(self.seed, (self.stream_id * 1_000_003 + 1 + i) % 2**64)
 
 
-def _normalized_gammas(alpha: np.ndarray, g: np.random.Generator, n: int) -> np.ndarray:
-    """(n, k) independent Gamma(alpha_i) draws, each row divided by its sum,
-    with bounded resampling of rows that underflow to zero (possible for
-    tiny shapes)."""
-    k = len(alpha)
-    for _ in range(_MAX_RESAMPLE):
-        y = g.gamma(alpha, size=(n, k))
-        s = y.sum(axis=1, keepdims=True)
-        bad = ~(s[:, 0] > 0)
-        if not bad.any():
-            return y / s
-        # redraw only the degenerate rows
-        y[bad] = g.gamma(alpha, size=(int(bad.sum()), k))
-        s = y.sum(axis=1, keepdims=True)
-        if (s > 0).all():
-            return y / s
-    raise FloatingPointError(
-        f"gamma vector underflowed to zero {_MAX_RESAMPLE} times for alpha={alpha}"
-    )
-
-
 def sample_dirichlet_batch(p: DirichletParams, n: int, rng: RngStream) -> np.ndarray:
     """(n, k) array of Dirichlet draws; rows sum to 1 within SIMPLEX_SUM_TOL."""
-    return _normalized_gammas(p.as_array(), rng.generator(), n)
+    return rng.generator().dirichlet(p.as_array(), size=n)
 
 
 def dirichlet_mixed_moment(p: DirichletParams, s) -> float:

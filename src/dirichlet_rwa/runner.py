@@ -33,7 +33,7 @@ from .rwa import (
     theorem_scenario,
     variant_scenario,
 )
-from .stattest import DEFAULT_PERMUTATIONS, energy_two_sample, ks_marginal, moment_ztest
+from .stattest import energy_two_sample, ks_marginal, moment_ztest
 from .stieltjes import (
     PowerSemicircleParams,
     equation1_check,
@@ -64,8 +64,7 @@ def moment_indices(k: int, max_total: int):
     return out
 
 
-def _statistical_suite(scenario, target: DirichletParams, seed: int, n_samples: int,
-                       n_permutations: int):
+def _statistical_suite(scenario, target: DirichletParams, seed: int, n_samples: int):
     """Moment z-tests and marginal KS tests on two replicates of the
     scenario, drawn by the one sampler from streams (seed, 1) and (seed, 2),
     and an energy test between the replicates."""
@@ -79,7 +78,7 @@ def _statistical_suite(scenario, target: DirichletParams, seed: int, n_samples: 
             tests.append({**moment_ztest(batch, target, s), "path": path})
         for c in range(scenario.k):
             tests.append({**ks_marginal(batch, target, c), "path": path})
-    rec = energy_two_sample(direct, gamma, n_permutations=n_permutations, seed=seed)
+    rec = energy_two_sample(direct, gamma, seed=seed)
     rec["path"] = "direct-vs-gamma"
     tests.append(rec)
     return tests
@@ -89,8 +88,7 @@ def _run_theorem(sc: ScenarioConfig):
     p = sc.params
     scenario = theorem_scenario(p["alphas"])
     target = DirichletParams(p["target_override"] or scenario.target_alpha)
-    return _statistical_suite(scenario, target, sc.seed, int(p["n_samples"]),
-                              int(p["energy_permutations"])), []
+    return _statistical_suite(scenario, target, sc.seed, int(p["n_samples"])), []
 
 
 def _run_variant(sc: ScenarioConfig):
@@ -106,8 +104,7 @@ def _run_variant(sc: ScenarioConfig):
     target = DirichletParams(scenario.target_alpha)
     notes = [f"variant parameter reading resolved by moment oracle: {reading}"]
     tests = [{"kind": "variant-resolution", "reading": reading, "pass": True}]
-    tests += _statistical_suite(scenario, target, sc.seed, int(sc.params["n_samples"]),
-                                DEFAULT_PERMUTATIONS)
+    tests += _statistical_suite(scenario, target, sc.seed, int(sc.params["n_samples"]))
     return tests, notes
 
 

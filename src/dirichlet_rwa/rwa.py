@@ -5,10 +5,10 @@ vectors and the weight vector w is an independent Dirichlet point.  For the
 main construction (theorem_scenario) the weight concentrations are the row
 sums of the alpha matrix and the law of z is Dirichlet of the column sums.
 There is one sampler, sample_rwa_direct_batch: every Dirichlet vector in it,
-weights included, is a row of normalized gammas.  The test battery draws its
-second replicate from the same sampler on another stream, so comparing the
-two replicates checks the sampler against itself, not against a second
-algorithm.
+weights included, is a row of one sample_dirichlet_batch call.  The test
+battery draws its second replicate from the same sampler on another stream,
+so comparing the two replicates checks the sampler against itself, not
+against a second algorithm.
 """
 from __future__ import annotations
 

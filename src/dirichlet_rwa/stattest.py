@@ -25,13 +25,15 @@ __all__ = [
     "KS_LEVEL",
     "ENERGY_LEVEL",
     "ENERGY_SUBSAMPLE",
-    "DEFAULT_PERMUTATIONS",
+    "ENERGY_PERMUTATIONS",
 ]
 
 Z_THRESHOLD = 5.0
 KS_LEVEL = 0.001
 ENERGY_LEVEL = 0.001
-DEFAULT_PERMUTATIONS = 1999
+# The permutation p-value is at least 1/(P+1); P = 1999 lets it fall below
+# ENERGY_LEVEL, which P < 999 would not.
+ENERGY_PERMUTATIONS = 1999
 
 # Rows per sample kept by the energy statistic: the pooled distance matrix of
 # two subsamples stays below 10^7 entries.
@@ -95,8 +97,7 @@ def _subsample(values: np.ndarray, m: int) -> np.ndarray:
     return values[idx]
 
 
-def energy_two_sample(a: np.ndarray, b: np.ndarray,
-                      n_permutations: int = DEFAULT_PERMUTATIONS, seed: int = 0) -> dict:
+def energy_two_sample(a: np.ndarray, b: np.ndarray, seed: int = 0) -> dict:
     """Energy-distance two-sample test with a permutation p-value.
 
     The V-statistic 2*mean(D_ab) - mean(D_aa) - mean(D_bb) is computed on
@@ -131,17 +132,18 @@ def energy_two_sample(a: np.ndarray, b: np.ndarray,
         observed = statistic(base_mask.astype(float))
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    # all permutation label vectors stacked; statistics via one GEMM
+    # all permutation label vectors stacked (as bools, then converted once, to
+    # keep the transient small); statistics via one GEMM
     perms = np.stack(
-        [rng.permutation(base_mask).astype(float) for _ in range(n_permutations)],
-        axis=1,
-    )
+        [rng.permutation(base_mask) for _ in range(ENERGY_PERMUTATIONS)], axis=1
+    ).astype(float)
     dg = dmat @ perms
     s_aa = np.einsum("ip,ip->p", perms, dg)
     u = rowsum @ perms
     s_ab = u - s_aa
     s_bb = total - 2 * u + s_aa
     stats = 2 * s_ab / (ma * mb) - s_aa / (ma * ma) - s_bb / (mb * mb)
-    p_value = float((1 + np.sum(stats >= observed)) / (n_permutations + 1))
+    p_value = float((1 + np.sum(stats >= observed)) / (ENERGY_PERMUTATIONS + 1))
     return {"kind": "energy", "statistic": float(observed), "permutation_p": p_value,
-            "n_permutations": n_permutations, "seed": seed, "pass": p_value > ENERGY_LEVEL}
+            "n_permutations": ENERGY_PERMUTATIONS, "seed": seed,
+            "pass": p_value > ENERGY_LEVEL}

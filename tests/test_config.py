@@ -49,7 +49,8 @@ def test_bad_value_exits_2_before_any_scenario_runs(tmp_path, capsys, bad):
 
 @pytest.mark.parametrize(
     "kind,key",
-    [("theorem", k) for k in ("max_moment_order", "z_threshold", "ks_level", "energy_level")]
+    [("theorem", k) for k in ("max_moment_order", "z_threshold", "ks_level", "energy_level",
+                              "energy_permutations")]
     + [("variant", k) for k in ("max_moment_order", "z_threshold", "ks_level")]
     + [("moments", "rtol"), ("dirmult", "tol"), ("stieltjes", "tol_exact"),
        ("stieltjes", "tol_numeric"), ("kerov_tsilevich", "order"), ("kerov_tsilevich", "tol")],
@@ -110,8 +111,7 @@ SCENARIOS = st.one_of(
     st.tuples(SIZE, SIZE).flatmap(lambda s: _kind(
         "theorem",
         {"alphas": _rows(s[1], rows=st.just(s[0])), "n_samples": st.integers(2, 500)},
-        {"energy_permutations": st.integers(0, 49),
-         "target_override": st.lists(NUMBER, min_size=2, max_size=3)})),
+        {"target_override": st.lists(NUMBER, min_size=2, max_size=3)})),
     _kind("variant", {"alpha": st.lists(NUMBER, min_size=1, max_size=3),
                       "n_samples": st.integers(2, 500)}, {}),
     _kind("moments", {"n_random": st.integers(0, 3)},

@@ -28,8 +28,9 @@ def test_dirichlet_params_reject_k1_and_nonpositive():
         DirichletParams((1.0, 0.0))
 
 
-# The Dirichlet sampler normalizes the stream's gamma draws; these three
-# check those draws, including numpy's separate algorithm below shape 1.
+# When some concentration is >= 0.1 the Dirichlet sampler normalizes the
+# stream's gamma draws; these three check those draws, including numpy's
+# separate algorithm below shape 1.
 
 
 def test_exponential_mean():
@@ -53,6 +54,27 @@ def test_gamma_small_shape_branch():
     x = RngStream(13, 0).generator().gamma(0.5, size=n)
     se = math.sqrt(0.5 / n)
     assert abs(x.mean() - 0.5) < 5 * se
+
+
+@pytest.mark.parametrize("alpha", [(1.0, 1.0), (2.0, 3.0, 5.0), (0.1, 0.05), (0.5, 0.02, 1.0)])
+def test_sampler_matches_normalized_gammas(alpha):
+    # Reference: the stream's gammas divided by their row sums, no retry.
+    # numpy multiplies by the reciprocal of the sum instead, so rows may
+    # differ in the last bit.
+    n, rng = 20_000, RngStream(24, 0)
+    y = rng.generator().gamma(alpha, size=(n, len(alpha)))
+    x = sample_dirichlet_batch(DirichletParams(alpha), n, rng)
+    np.testing.assert_array_max_ulp(x, y / y.sum(axis=1, keepdims=True), maxulp=1)
+
+
+def test_all_small_alphas_sample_the_simplex():
+    # Every concentration below 0.1: numpy breaks the stick with Beta draws.
+    n = 10**5
+    x = sample_dirichlet_batch(DirichletParams((0.05, 0.05)), n, RngStream(25, 0))
+    assert np.all(x >= 0) and not np.isnan(x).any()
+    assert np.max(np.abs(x.sum(axis=1) - 1.0)) <= SIMPLEX_SUM_TOL
+    se = x[:, 0].std(ddof=1) / math.sqrt(n)
+    assert abs(x[:, 0].mean() - 0.5) < 5 * se
 
 
 def test_dirichlet_uniform_marginal_ks():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dirichlet_rwa.distributions import DirichletParams, RngStream, sample_dirichlet_batch
-from dirichlet_rwa.stattest import energy_two_sample, ks_marginal, ks_threshold, moment_ztest
+from dirichlet_rwa.stattest import (ENERGY_PERMUTATIONS, energy_two_sample, ks_marginal,
+                                    ks_threshold, moment_ztest)
 
 
 def batch(alpha, n, seed, stream=0):
@@ -105,5 +106,5 @@ def test_energy_dimension_mismatch():
 def test_energy_seed_recorded():
     a = batch((1, 1), 2_000, 113, stream=0)
     b = batch((1, 1), 2_000, 113, stream=1)
-    r = energy_two_sample(a, b, seed=42, n_permutations=299)
-    assert r["seed"] == 42 and r["n_permutations"] == 299
+    r = energy_two_sample(a, b, seed=42)
+    assert r["seed"] == 42 and r["n_permutations"] == ENERGY_PERMUTATIONS
