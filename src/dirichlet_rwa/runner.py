@@ -287,8 +287,12 @@ def write_report(report: dict, out_dir) -> Path:
     return path
 
 
-def run_config(cfg: ExperimentConfig, out_dir=None, workers: int = 1) -> int:
-    """Execute every scenario, write one report each; 0 iff all pass."""
+def run_config(cfg: ExperimentConfig, out_dir=None, workers: int = 1,
+               on_report=None) -> int:
+    """Execute every scenario, write one report each; 0 iff all pass.
+
+    ``on_report``, if given, is called with each report after it is written,
+    in scenario-id order."""
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -300,5 +304,7 @@ def run_config(cfg: ExperimentConfig, out_dir=None, workers: int = 1) -> int:
     all_pass = True
     for report in sorted(reports, key=lambda r: r["scenario_id"]):
         write_report(report, out)
+        if on_report is not None:
+            on_report(report)
         all_pass = all_pass and report["overall_pass"]
     return 0 if all_pass else 1

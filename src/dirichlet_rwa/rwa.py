@@ -82,15 +82,18 @@ def theorem_scenario(alphas) -> WeightedAverageScenario:
 def sample_rwa_direct_batch(sc: WeightedAverageScenario, n_samples: int,
                             rng: RngStream) -> np.ndarray:
     """(n_samples, k) array of z draws: w ~ Dirichlet(w_alpha) on substream 0,
-    x_j ~ Dirichlet(row j) on substream 1 + j, z = sum_j w_j x_j."""
+    x_j ~ Dirichlet(row j) on substream 1 + j, z = sum_j w_j x_j.
+
+    z is accumulated in place, one summand at a time for j = 0..n-1, so
+    memory is O(n_samples * (n + k)): no (n_samples, n, k) tensor of all the
+    x_j is held, and the sums are bitwise those of einsum over one."""
     w = sample_dirichlet_batch(DirichletParams(sc.w_alpha), n_samples, rng.child(0))
-    x_alphas = np.asarray(sc.x_alphas)
-    xs = np.empty((n_samples, sc.n, sc.k))
-    for j in range(sc.n):
-        xs[:, j, :] = sample_dirichlet_batch(
-            DirichletParams(x_alphas[j]), n_samples, rng.child(1 + j)
-        )
-    return np.einsum("ij,ijk->ik", w, xs)
+    z = np.zeros((n_samples, sc.k))
+    for j, row in enumerate(sc.x_alphas):
+        x = sample_dirichlet_batch(DirichletParams(row), n_samples, rng.child(1 + j))
+        x *= w[:, j, None]
+        z += x
+    return z
 
 
 def variant_scenario(alpha, reading: str = "symmetric") -> WeightedAverageScenario:

@@ -1,12 +1,16 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
+from dirichlet_rwa import cli
 from dirichlet_rwa.cli import main
 from dirichlet_rwa.config import ConfigError, ScenarioConfig, load_config, parse_config
-from dirichlet_rwa.distributions import SIMPLEX_SUM_TOL
+from dirichlet_rwa.distributions import SIMPLEX_SUM_TOL, RngStream
 from dirichlet_rwa.runner import run_scenario
+from dirichlet_rwa.rwa import theorem_scenario
+from test_rwa import einsum_sample_batch
 
 
 def small_config(out_dir, **overrides):
@@ -301,3 +305,88 @@ def test_battery_replicates_come_from_distinct_streams():
     (energy,) = [t for t in report["tests"] if t["path"] == "direct-vs-gamma"]
     assert energy["kind"] == "energy"
     assert energy["statistic"] != 0.0
+
+
+def test_run_prints_one_verdict_line_per_scenario(tmp_path, capsys):
+    cfg = small_config(tmp_path / "reports")
+    cfg["scenarios"].append({**cfg["scenarios"][0], "id": "planted", "target_override": [3, 1]})
+    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("planted: FAIL (") and lines[0].endswith("/23 checks)")
+    assert lines[1] == "tiny: PASS (23/23 checks)"
+
+
+def reference_csv(z):
+    """The sample CSV written value by value with f-strings."""
+    header = ",".join(f"z_{j + 1}" for j in range(z.shape[1])) + "\n"
+    return header + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in z)
+
+
+def assert_same_lines(text, ref):
+    # A plain == on strings of 65k lines makes pytest build a diff for minutes.
+    a, b = text.splitlines(keepends=True), ref.splitlines(keepends=True)
+    diff = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    same = text == ref
+    assert same, f"line {diff}: {a[diff:diff + 1]} != {b[diff:diff + 1]}"
+
+
+def chunked_csv(z):
+    fh = io.StringIO()
+    fh.write(",".join(f"z_{j + 1}" for j in range(z.shape[1])) + "\n")
+    cli._write_csv_rows(fh, z)
+    return fh.getvalue()
+
+
+# 0.1 + 0.2 = 0.30000000000000004 is the nearest double only at 17 digits.
+AWKWARD = [0.0, 1.0, 1 - 2**-53, 5e-324, 1e-300, 0.1 + 0.2]
+
+
+def test_awkward_values_need_and_survive_17_digits():
+    assert float(f"{AWKWARD[-1]:.16g}") != AWKWARD[-1]
+    text = chunked_csv(np.array([AWKWARD]))
+    assert text == reference_csv(np.array([AWKWARD]))
+    assert [float(v) for v in text.splitlines()[1].split(",")] == AWKWARD
+
+
+@pytest.mark.parametrize("offset", [None, 1, 0, -1], ids=["one", "block+1", "block", "block-1"])
+def test_chunked_csv_matches_per_value_reference(offset):
+    rows = 1 if offset is None else cli.CSV_BLOCK_ROWS + offset
+    z = np.random.default_rng(rows).dirichlet([0.5, 1.0, 2.0], size=rows)
+    # awkward values at both ends and on both sides of the block boundary
+    for r in {0, rows - 1, min(cli.CSV_BLOCK_ROWS, rows) - 1, min(cli.CSV_BLOCK_ROWS, rows - 1)}:
+        z[r] = np.roll(AWKWARD, r)[:3]
+    text = chunked_csv(z)
+    assert_same_lines(text, reference_csv(z))
+    assert text.count("\n") == rows + 1
+
+
+def test_chunked_csv_empty_is_header_only():
+    assert chunked_csv(np.empty((0, 4))) == reference_csv(np.empty((0, 4))) == "z_1,z_2,z_3,z_4\n"
+
+
+def test_sample_csv_bytes_match_reference(tmp_path):
+    out = tmp_path / "z.csv"
+    argv = ["sample", "--alphas", "1,2;3,4;5,6", "--n-samples", "1000", "--seed", "5"]
+    assert main(argv + ["--out", str(out)]) == 0
+    z = einsum_sample_batch(theorem_scenario([[1, 2], [3, 4], [5, 6]]), 1000, RngStream(5, 1))
+    assert out.read_bytes() == reference_csv(z).encode("utf-8")
+
+
+def test_sample_zero_rows_writes_header_only(tmp_path):
+    out = tmp_path / "z.csv"
+    argv = ["sample", "--alphas", "1,2;3,4", "--n-samples", "0", "--seed", "5"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == b"z_1,z_2\n"
+
+
+def test_sample_negative_count_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled despite a negative count")
+
+    monkeypatch.setattr(cli, "sample_rwa_direct_batch", no_sampling)
+    out = tmp_path / "z.csv"
+    argv = ["sample", "--alphas", "1,2;3,4", "--n-samples", "-1", "--seed", "5"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "--n-samples" in capsys.readouterr().err
+    assert not out.exists()

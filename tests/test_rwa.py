@@ -88,6 +88,44 @@ def test_single_draw_recombines():
     assert np.max(np.abs(z - recombined)) <= 1e-10
 
 
+def einsum_sample_batch(sc, n_samples, rng):
+    """Reference: the sampler as it was before z was accumulated in place,
+    with all x_j held in one (n_samples, n, k) tensor and summed by einsum."""
+    w = sample_dirichlet_batch(DirichletParams(sc.w_alpha), n_samples, rng.child(0))
+    x_alphas = np.asarray(sc.x_alphas)
+    xs = np.empty((n_samples, sc.n, sc.k))
+    for j in range(sc.n):
+        xs[:, j, :] = sample_dirichlet_batch(
+            DirichletParams(x_alphas[j]), n_samples, rng.child(1 + j)
+        )
+    return np.einsum("ij,ijk->ik", w, xs)
+
+
+def assert_sampler_matches_einsum(alphas, n_samples, seed):
+    sc = theorem_scenario(alphas)
+    z = sample_rwa_direct_batch(sc, n_samples, RngStream(seed, 1))
+    ref = einsum_sample_batch(sc, n_samples, RngStream(seed, 1))
+    assert z.shape == ref.shape == (n_samples, sc.k)
+    assert np.array_equal(z, ref)
+
+
+@given(matrix_strategy(max_n=5, max_k=5), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_in_place_sum_is_bitwise_the_einsum(alphas, seed):
+    assert_sampler_matches_einsum(alphas, 1000, seed)
+
+
+def test_in_place_sum_is_bitwise_the_einsum_export_shape():
+    # the 8 x 4 shape of the sample export, entries in [1, 4]
+    alphas = np.random.default_rng(7).uniform(1.0, 4.0, size=(8, 4))
+    assert_sampler_matches_einsum(alphas, 100_000, 7)
+
+
+def test_in_place_sum_is_bitwise_the_einsum_stick_breaking():
+    # every concentration below 0.1: numpy breaks the stick with Beta draws
+    assert_sampler_matches_einsum(np.full((3, 3), 1e-3), 20_000, 1)
+
+
 def test_batch_on_simplex():
     z = sample_rwa_direct_batch(theorem_scenario([[1, 2, 3], [4, 5, 6]]), 5000, RngStream(1, 0))
     assert np.all(z >= 0)
