@@ -65,10 +65,11 @@ def _cmd_sample(args) -> int:
     if args.n_samples < 0:
         raise ConfigError(f"--n-samples must be >= 0, got {args.n_samples}")
     sc = theorem_scenario(_parse_matrix(args.alphas))
-    z = sample_rwa_direct_batch(sc, args.n_samples, RngStream(args.seed, 1))
     out = Path(args.out)
+    # opened before sampling, so that a bad path fails before the sampling cost
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(f"z_{j + 1}" for j in range(sc.k)) + "\n")
+        z = sample_rwa_direct_batch(sc, args.n_samples, RngStream(args.seed, 1))
         _write_csv_rows(fh, z)
     print(f"wrote {args.n_samples} samples to {out}")
     return 0

@@ -35,6 +35,12 @@ ENERGY_LEVEL = 0.001
 # ENERGY_LEVEL, which P < 999 would not.
 ENERGY_PERMUTATIONS = 1999
 
+# Block length of ks_marginal's CDF pruning, and how far below the largest
+# deviation seen a block's bound may lie and still be evaluated in full: the
+# margin covers ulp-level non-monotonicity of betainc.
+KS_BLOCK = 64
+KS_MARGIN = 1e-12
+
 # Rows per sample kept by the energy statistic: the pooled distance matrix of
 # two subsamples stays below 10^7 entries.
 ENERGY_SUBSAMPLE = 1581
@@ -43,7 +49,15 @@ ENERGY_SUBSAMPLE = 1581
 def moment_ztest(values: np.ndarray, target: DirichletParams, s) -> dict:
     """z-test of the empirical mixed moment prod_j z_j^{s_j} of the (N, k)
     samples against the exact target Dirichlet moment, standard error from
-    the sample variance."""
+    the sample variance.
+
+    The product is taken column by column, left to right, as
+    ``np.prod(values ** s, axis=1)`` takes it.  Orders 0 and 1 skip ``pow``:
+    x**0 is exactly 1 and x**1 exactly x, so they contribute nothing or the
+    column itself.  Orders >= 2 go through ``np.power`` with an array
+    exponent of the column's length; a scalar exponent 2 takes numpy's
+    squaring shortcut, which rounds differently from its general power loop.
+    """
     s = tuple(int(v) for v in s)
     if len(s) != values.shape[1]:
         raise ValueError("moment index length must match batch dimension")
@@ -52,7 +66,13 @@ def moment_ztest(values: np.ndarray, target: DirichletParams, s) -> dict:
         emp = exact = 1.0
         se = z = 0.0
     else:
-        prod = np.prod(values ** np.asarray(s), axis=1)
+        n = values.shape[0]
+        prod = np.ones(n)
+        for j, e in enumerate(s):
+            if e == 1:
+                prod *= values[:, j]
+            elif e >= 2:
+                prod *= np.power(values[:, j], np.full(n, float(e)))
         emp = float(prod.mean())
         var = float(prod.var(ddof=1))
         if var <= 0:
@@ -71,7 +91,15 @@ def ks_threshold(n: int) -> float:
 
 def ks_marginal(values: np.ndarray, target: DirichletParams, coordinate: int) -> dict:
     """One-sample KS statistic of one coordinate of the (N, k) samples against
-    its Beta marginal Beta(alpha_c, sum(alpha) - alpha_c)."""
+    its Beta marginal Beta(alpha_c, sum(alpha) - alpha_c).
+
+    The Beta CDF is evaluated on the end points of blocks of KS_BLOCK sorted
+    points.  Since the CDF is monotone, a block's end points bound both
+    deviations inside it, and only the blocks whose bound reaches the largest
+    end-point deviation (less KS_MARGIN) are evaluated in full.  Every value
+    compared is the grid-minus-CDF difference a full evaluation computes, so
+    the statistic is the same double.
+    """
     n, k = values.shape
     if not (0 <= coordinate < k):
         raise ValueError(f"coordinate {coordinate} out of range for k={k}")
@@ -79,12 +107,24 @@ def ks_marginal(values: np.ndarray, target: DirichletParams, coordinate: int) ->
         raise ValueError("target dimension must match batch dimension")
     a = target.alpha[coordinate]
     b = target.total - a
-    x = np.sort(values[:, coordinate])
-    cdf = betainc(a, b, np.clip(x, 0.0, 1.0))
+    x = np.clip(np.sort(values[:, coordinate]), 0.0, 1.0)
     grid = np.arange(1, n + 1) / n
-    d_plus = np.max(grid - cdf)
-    d_minus = np.max(cdf - (grid - 1.0 / n))
-    stat = float(max(d_plus, d_minus))
+    lo = grid - 1.0 / n
+
+    first = np.arange(0, n, KS_BLOCK)
+    last = np.minimum(first + KS_BLOCK, n) - 1
+    ends = np.concatenate([first, last])
+    cdf = betainc(a, b, x[ends])
+    best = max(np.max(grid[ends] - cdf), np.max(cdf - lo[ends]))
+    cdf_first, cdf_last = cdf[:first.size], cdf[first.size:]
+    bound = np.maximum(grid[last] - cdf_first, cdf_last - lo[first])
+    refine = first[bound >= best - KS_MARGIN]
+    if refine.size:
+        idx = (refine[:, None] + np.arange(KS_BLOCK)).ravel()
+        idx = idx[idx < n]
+        cdf = betainc(a, b, x[idx])
+        best = max(best, np.max(grid[idx] - cdf), np.max(cdf - lo[idx]))
+    stat = float(best)
     thr = ks_threshold(n)
     return {"kind": "ks", "coordinate": coordinate, "statistic": stat,
             "threshold": thr, "pass": stat <= thr}
@@ -95,6 +135,18 @@ def _subsample(values: np.ndarray, m: int) -> np.ndarray:
         return values
     idx = np.linspace(0, values.shape[0] - 1, m).round().astype(int)
     return values[idx]
+
+
+def _permutation_labels(base: np.ndarray, seed: int) -> np.ndarray:
+    """ENERGY_PERMUTATIONS shuffles of the 0/1 float labels base, one per
+    column.  One rng.permuted call shuffles every row of a tiled copy in
+    place, with the draws that successive rng.permutation calls make.  The
+    rows are then copied into columns: a matrix-vector product over the
+    transposed view would sum in another order."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    labels = np.tile(base, (ENERGY_PERMUTATIONS, 1))
+    rng.permuted(labels, axis=1, out=labels)
+    return np.ascontiguousarray(labels.T)
 
 
 def energy_two_sample(a: np.ndarray, b: np.ndarray, seed: int = 0) -> dict:
@@ -124,19 +176,15 @@ def energy_two_sample(a: np.ndarray, b: np.ndarray, seed: int = 0) -> dict:
         s_bb = total - 2 * u + s_aa
         return 2 * s_ab / (ma * mb) - s_aa / (ma * ma) - s_bb / (mb * mb)
 
-    base_mask = np.zeros(ma + mb, dtype=bool)
-    base_mask[:ma] = True
+    base = np.zeros(ma + mb)
+    base[:ma] = 1.0
     if ma == mb and np.array_equal(va, vb):
         observed = 0.0  # identical inputs: the four distance blocks coincide
     else:
-        observed = statistic(base_mask.astype(float))
+        observed = statistic(base)
 
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    # all permutation label vectors stacked (as bools, then converted once, to
-    # keep the transient small); statistics via one GEMM
-    perms = np.stack(
-        [rng.permutation(base_mask) for _ in range(ENERGY_PERMUTATIONS)], axis=1
-    ).astype(float)
+    # statistics of all permutations via one GEMM
+    perms = _permutation_labels(base, seed)
     dg = dmat @ perms
     s_aa = np.einsum("ip,ip->p", perms, dg)
     u = rowsum @ perms

@@ -390,3 +390,15 @@ def test_sample_negative_count_exits_2_before_sampling(tmp_path, capsys, monkeyp
     assert main(argv + ["--out", str(out)]) == 2
     assert "--n-samples" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sample_bad_output_path_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled before the output file was opened")
+
+    monkeypatch.setattr(cli, "sample_rwa_direct_batch", no_sampling)
+    out = tmp_path / "missing" / "z.csv"
+    argv = ["sample", "--alphas", "1,2;3,4", "--n-samples", "1000", "--seed", "5"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert not out.parent.exists()

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import betainc
 
-from dirichlet_rwa.distributions import DirichletParams, RngStream, sample_dirichlet_batch
-from dirichlet_rwa.stattest import (ENERGY_PERMUTATIONS, energy_two_sample, ks_marginal,
-                                    ks_threshold, moment_ztest)
+from dirichlet_rwa import runner, stattest
+from dirichlet_rwa.config import ScenarioConfig
+from dirichlet_rwa.distributions import (DirichletParams, RngStream, dirichlet_mixed_moment,
+                                         sample_dirichlet_batch)
+from dirichlet_rwa.stattest import (ENERGY_PERMUTATIONS, KS_BLOCK, Z_THRESHOLD,
+                                    energy_two_sample, ks_marginal, ks_threshold, moment_ztest)
 
 
 def batch(alpha, n, seed, stream=0):
@@ -108,3 +113,180 @@ def test_energy_seed_recorded():
     b = batch((1, 1), 2_000, 113, stream=1)
     r = energy_two_sample(a, b, seed=42)
     assert r["seed"] == 42 and r["n_permutations"] == ENERGY_PERMUTATIONS
+
+
+# References: the tests as they were computed before the CDF pruning, the
+# pow-free orders and the single permutation call.  The records and labels of
+# the library must equal theirs bit for bit.
+
+def full_ks_marginal(values, target, coordinate):
+    """Reference: the KS record with the Beta CDF evaluated at every point."""
+    n = values.shape[0]
+    a = target.alpha[coordinate]
+    b = target.total - a
+    x = np.sort(values[:, coordinate])
+    cdf = betainc(a, b, np.clip(x, 0.0, 1.0))
+    grid = np.arange(1, n + 1) / n
+    d_plus = np.max(grid - cdf)
+    d_minus = np.max(cdf - (grid - 1.0 / n))
+    stat = float(max(d_plus, d_minus))
+    thr = ks_threshold(n)
+    return {"kind": "ks", "coordinate": coordinate, "statistic": stat,
+            "threshold": thr, "pass": stat <= thr}
+
+
+def pow_moment_ztest(values, target, s):
+    """Reference: the moment record with every factor taken by pow."""
+    s = tuple(int(v) for v in s)
+    if sum(s) == 0:
+        emp = exact = 1.0
+        se = z = 0.0
+    else:
+        prod = np.prod(values ** np.asarray(s), axis=1)
+        emp = float(prod.mean())
+        var = float(prod.var(ddof=1))
+        if var <= 0:
+            raise ValueError("degenerate batch: zero sample variance")
+        se = math.sqrt(var / values.shape[0])
+        exact = dirichlet_mixed_moment(target, s)
+        z = (emp - exact) / se
+    return {"kind": "moment", "index": list(s), "empirical": emp, "exact": exact,
+            "std_error": se, "z_score": z, "pass": abs(z) <= Z_THRESHOLD}
+
+
+def stacked_permutation_labels(ma, mb, seed):
+    """Reference: one rng.permutation call per permutation, stacked as columns."""
+    mask = np.zeros(ma + mb, dtype=bool)
+    mask[:ma] = True
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    return np.stack([rng.permutation(mask) for _ in range(ENERGY_PERMUTATIONS)],
+                    axis=1).astype(float)
+
+
+concentration = st.sampled_from([1e-3, 0.05, 0.5, 1.0, 2.0, 7.5, 40.0])
+# below one block, one block and one point either side, several blocks with a
+# partial last one
+block_sizes = st.sampled_from([1, 2, 17, KS_BLOCK - 1, KS_BLOCK, KS_BLOCK + 1,
+                               3 * KS_BLOCK + 5, 1000, 5000])
+
+
+@st.composite
+def ks_batches(draw):
+    alpha = draw(st.lists(concentration, min_size=2, max_size=4))
+    n = draw(block_sizes)
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).dirichlet(alpha, n)
+    if draw(st.booleans()):
+        values = np.round(values, draw(st.integers(1, 3)))  # ties
+    target = DirichletParams(draw(st.lists(concentration, min_size=len(alpha),
+                                           max_size=len(alpha))))
+    return values, target
+
+
+@given(ks_batches())
+@settings(max_examples=150, deadline=None)
+def test_ks_record_equals_full_evaluation(batch_and_target):
+    values, target = batch_and_target
+    for c in range(values.shape[1]):
+        assert ks_marginal(values, target, c) == full_ks_marginal(values, target, c)
+
+
+def test_ks_atoms_at_zero_and_one_equal_full_evaluation():
+    # the 1e-3 matrix puts exact zeros and ones into every coordinate
+    values = np.random.default_rng(3).dirichlet([1e-3, 1e-3], 20_000)
+    assert np.any(values == 0.0) and np.any(values == 1.0)
+    for target in (DirichletParams((1e-3, 1e-3)), DirichletParams((1.0, 1.0))):
+        for c in range(2):
+            assert ks_marginal(values, target, c) == full_ks_marginal(values, target, c)
+
+
+@pytest.mark.parametrize("n", [KS_BLOCK - 1, KS_BLOCK + 1, 3 * KS_BLOCK + 5])
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_ks_maximum_in_last_partial_block(n, side):
+    # uniform target, so the CDF is the identity; an evenly spread sample
+    # whose last n % KS_BLOCK points are pulled down onto the point before
+    # them (plus) or pushed up to 1 (minus) has its largest deviation there
+    x = (np.arange(n) + 0.5) / n
+    tail = n % KS_BLOCK
+    x[n - tail:] = x[n - tail - 1] + 1e-9 if side == "plus" else 1 - 1e-9
+    values = np.stack([x, 1 - x], axis=1)
+    target = DirichletParams((1.0, 1.0))
+    grid = np.arange(1, n + 1) / n
+    deviation = np.maximum(grid - x, x - (grid - 1.0 / n))
+    assert np.argmax(deviation) >= n - tail
+    assert ks_marginal(values, target, 0) == full_ks_marginal(values, target, 0)
+
+
+def test_ks_large_batch_equals_full_evaluation():
+    b = batch((0.5, 0.5, 4), 200_000, 114)
+    for target in (DirichletParams((0.5, 0.5, 4)), DirichletParams((0.6, 0.5, 4))):
+        for c in range(3):
+            assert ks_marginal(b, target, c) == full_ks_marginal(b, target, c)
+
+
+@st.composite
+def moment_batches(draw):
+    k = draw(st.integers(2, 5))
+    alpha = draw(st.lists(concentration, min_size=k, max_size=k))
+    n = draw(st.sampled_from([3, 100, 5000]))
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).dirichlet(alpha, n)
+    s = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+    return values, DirichletParams(alpha), s
+
+
+def record_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return str(e)
+
+
+@given(moment_batches())
+@settings(max_examples=200, deadline=None)
+def test_moment_record_equals_pow_product(batch_target_index):
+    values, target, s = batch_target_index
+    assert (record_or_error(moment_ztest, values, target, s)
+            == record_or_error(pow_moment_ztest, values, target, s))
+
+
+@pytest.mark.parametrize("s", [(0, 1, 2, 3), (2, 0, 0, 0), (0, 0, 0, 3), (1, 1, 1, 0), (3, 2, 1, 0)])
+def test_moment_orders_0_to_3_equal_pow_product(s):
+    values = batch((0.5, 1, 2, 3), 100_000, 115)
+    target = DirichletParams((0.5, 1, 2, 3))
+    assert moment_ztest(values, target, s) == pow_moment_ztest(values, target, s)
+
+
+@pytest.mark.parametrize("seed", [7, 11, 12345678901234567])
+def test_permutation_labels_equal_stacked_permutations(seed):
+    base = np.zeros((2 * stattest.ENERGY_SUBSAMPLE))
+    base[:(2 * stattest.ENERGY_SUBSAMPLE) // 2] = 1.0
+    expected = stacked_permutation_labels((2 * stattest.ENERGY_SUBSAMPLE) // 2,
+                                          (2 * stattest.ENERGY_SUBSAMPLE) - (2 * stattest.ENERGY_SUBSAMPLE) // 2, seed)
+    assert np.array_equal(stattest._permutation_labels(base, seed), expected)
+
+
+@given(st.integers(1, 300), st.integers(1, 300), st.integers(0, 2**64 - 1))
+@settings(max_examples=40, deadline=None)
+def test_permutation_labels_equal_stacked_permutations_any_sizes(ma, mb, seed):
+    base = np.zeros(ma + mb)
+    base[:ma] = 1.0
+    assert np.array_equal(stattest._permutation_labels(base, seed),
+                          stacked_permutation_labels(ma, mb, seed))
+
+
+def test_moment_and_ks_called_once_per_check(monkeypatch):
+    # perfbench times these layers through the names the runner looks up
+    calls = {"moment": 0, "ks": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(runner, "moment_ztest", counted("moment", runner.moment_ztest))
+    monkeypatch.setattr(runner, "ks_marginal", counted("ks", runner.ks_marginal))
+    params = {"alphas": [[1, 2, 3], [2, 1, 1], [1, 1, 2]], "n_samples": 2000}
+    report = runner.run_scenario(ScenarioConfig("counts", "theorem", 5, params), "adhoc")
+    # 19 indices of total order 1..3 in k = 3, and 3 marginals, on 2 replicates
+    assert calls == {"moment": 38, "ks": 6}
+    assert len(report["tests"]) == 38 + 6 + 1
