@@ -8,7 +8,7 @@ Subcommands:
   stieltjes       derivative-identity residuals, CSV output
 
 Exit codes: 0 all checks passed, 1 at least one statistical/numerical check
-failed, 2 configuration or I/O error, or a quadrature that does not converge.
+failed, 2 configuration or I/O error, a non-finite number or a non-converging quadrature.
 """
 from __future__ import annotations
 
@@ -47,6 +47,8 @@ CSV_BLOCK_ROWS = 65_536
 
 
 def _cmd_run(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     cfg = load_config(args.config)
     return run_config(cfg, out_dir=args.out, workers=args.workers,
                       on_report=lambda report: print(_verdict(report)))
@@ -188,7 +190,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError, ValueError, QuadratureError) as e:
+    except (ConfigError, OSError, ValueError, OverflowError, QuadratureError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

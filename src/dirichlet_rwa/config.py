@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -85,14 +86,15 @@ def _canonical_hash(raw: dict) -> str:
 
 
 def _numbers(v, key: str) -> list:
-    """v as a non-empty list of JSON numbers; np.asarray(v, dtype=float)
-    would also take strings such as "1"."""
+    """v as a non-empty list of finite JSON numbers; np.asarray(v, dtype=float)
+    would also take "1", and json reads NaN, Infinity and 1e400 as floats."""
     if (
         not isinstance(v, (list, tuple))
         or not v
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
+        or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                   and math.isfinite(x) for x in v)
     ):
-        raise ValueError(f"{key} must be a non-empty list of numbers, got {v!r}")
+        raise ValueError(f"{key} must be a non-empty list of finite numbers, got {v!r}")
     return list(v)
 
 
@@ -190,6 +192,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
             _check_values(scenario.kind, scenario.params)
         except (ValueError, TypeError) as e:
             raise ConfigError(f"{where}: {e}") from e
+        except OverflowError as e:
+            raise ConfigError(f"{where}: a value overflows: {e}") from e
         scenarios.append(scenario)
 
     return ExperimentConfig(

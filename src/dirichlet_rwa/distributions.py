@@ -38,8 +38,8 @@ class DirichletParams:
         alpha = tuple(float(a) for a in np.atleast_1d(np.asarray(alpha, dtype=float)))
         if len(alpha) < 2:
             raise ValueError("Dirichlet needs at least 2 components (k=1 is degenerate)")
-        if any(not (a > 0) for a in alpha):
-            raise ValueError(f"all concentration parameters must be > 0, got {alpha}")
+        if not (all(0 < a < np.inf for a in alpha) and sum(alpha) < np.inf):
+            raise ValueError(f"concentrations must be finite and > 0 with a finite sum, got {alpha}")
         object.__setattr__(self, "alpha", alpha)
 
     @property

@@ -185,44 +185,29 @@ def _run_stieltjes(sc: ScenarioConfig):
     tests = []
     for n in (int(n) for n in sc.params["orders"]):
         tol = STIELTJES_TOL_EXACT if n <= 3 else STIELTJES_TOL_NUMERIC
-        g = [z for z in grid] if n <= 3 else [z for z in grid if z >= 2.0]
-        r3 = equation3_residual(n, g)
-        r1 = equation1_check(n, g)
-        tests.append(
-            {
-                "kind": "derivative-identity",
-                "form": "transform",
-                "n": n,
-                "grid": g,
-                "residuals": [float(v) for v in r3],
-                "tol": tol,
-                "pass": bool(np.max(r3) < tol),
-            }
-        )
-        tests.append(
-            {
-                "kind": "derivative-identity",
-                "form": "integral",
-                "n": n,
-                "grid": g,
-                "residuals": [float(v) for v in r1],
-                "tol": tol,
-                "pass": bool(np.max(r1) < tol),
-            }
-        )
+        g = grid if n <= 3 else [z for z in grid if z >= 2.0]
+        for form, check in (("transform", equation3_residual), ("integral", equation1_check)):
+            resid = check(n, g)
+            tests.append(
+                {
+                    "kind": "derivative-identity",
+                    "form": form,
+                    "n": n,
+                    "grid": g,
+                    "residuals": [float(v) for v in resid],
+                    "tol": tol,
+                    "pass": bool(np.max(resid) < tol),
+                }
+            )
         p = PowerSemicircleParams(n)
-        norm_pass = True
-        norm_vals = []
-        for z in (10.0, 1e3, 1e6):
-            val = float(abs(z * power_semicircle_transform(p, z) - 1.0))
-            norm_vals.append(val)
-            norm_pass = norm_pass and val <= 2.0 / z
+        far = (10.0, 1e3, 1e6)
+        norm_vals = [float(abs(z * power_semicircle_transform(p, z) - 1.0)) for z in far]
         tests.append(
             {
                 "kind": "normalization",
                 "n": n,
                 "values": norm_vals,
-                "pass": norm_pass,
+                "pass": all(v <= 2.0 / z for v, z in zip(norm_vals, far)),
             }
         )
     return tests, [_COEFFICIENT_NOTE]
@@ -277,13 +262,20 @@ def run_scenario(sc: ScenarioConfig, config_hash: str) -> dict:
     }
 
 
+def _report_text(report: dict) -> str:
+    """The report as JSON; a NaN or infinity raises ValueError."""
+    try:
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as e:
+        raise ValueError(f"report {report['scenario_id']!r} holds a non-finite number") from e
+
+
 def write_report(report: dict, out_dir) -> Path:
+    text = _report_text(report)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{report['scenario_id']}.json"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    path.write_text(text, encoding="utf-8", newline="\n")
     return path
 
 
@@ -301,6 +293,8 @@ def run_config(cfg: ExperimentConfig, out_dir=None, workers: int = 1,
             )
     else:
         reports = [run_scenario(sc, cfg.config_hash) for sc in cfg.scenarios]
+    for report in reports:
+        _report_text(report)  # no report is written if any holds a non-finite number
     all_pass = True
     for report in sorted(reports, key=lambda r: r["scenario_id"]):
         write_report(report, out)

@@ -47,8 +47,8 @@ class WeightedAverageScenario:
         t = np.asarray(target_alpha, dtype=float)
         if x.ndim != 2 or len(w) != x.shape[0]:
             raise ValueError("x_alphas must be (n, k) with n matching w_alpha")
-        if not (np.all(w > 0) and np.all(x > 0) and np.all(t > 0)):
-            raise ValueError("all concentration parameters must be > 0")
+        if not all(np.all((a > 0) & (a < np.inf)) for a in (w, x, t)):
+            raise ValueError("all concentration parameters must be finite and > 0")
         if len(t) != x.shape[1]:
             raise ValueError("target dimension must match k")
         object.__setattr__(self, "w_alpha", tuple(w))

@@ -56,16 +56,6 @@ class PowerSemicircleParams:
             raise ValueError("need n >= 2")
 
 
-def _sqrt_branch(z: complex, c: float) -> complex:
-    """sqrt(z^2 - c^2) with branch cut [-c, c] and ~z at infinity."""
-    return np.sqrt(z - c) * np.sqrt(z + c)
-
-
-def _check_off_support(z: complex):
-    if z.imag == 0 and -1.0 <= z.real <= 1.0:
-        raise SupportError(f"z={z} lies on the branch cut [-1, 1]")
-
-
 @functools.lru_cache(maxsize=8)
 def _gauss_legendre_nodes(order: int):
     """Gauss-Legendre nodes mapped to [0,1] and their weights, computed once
@@ -80,24 +70,25 @@ def _gauss_legendre_nodes(order: int):
     return x, weights
 
 
-def _gauss_legendre_01(f, z, atol: float = 1e-12, rtol: float = 1e-13, max_order: int = 2048):
-    """Integrate f(., z) on [0,1] for every point of the 1-d complex array z
-    by Gauss-Legendre with node doubling until two successive orders agree.
+# Tolerances and largest node counts: Gauss-Legendre orders double from 16 and
+# trapezoid node counts from 32; the contour's relative test is floored at 1e-300.
+_GL_ATOL, _GL_RTOL, _GL_MAX_ORDER = 1e-12, 1e-13, 2048
+_CONTOUR_RTOL, _CONTOUR_MAX_NODES = 1e-9, 8192
 
-    f(x, zc) takes the nodes x, shape (q,), and a column zc, shape (m, 1), of
-    the points still being integrated, and returns their (m, q) integrand
-    values.  Each point keeps the value of the first order at which it
-    converges; later orders evaluate only the points that have not.
+
+def _node_doubling(estimate, m: int, first: int, last: int, atol: float, rtol: float,
+                   what: str) -> np.ndarray:
+    """Estimates of m points from node counts first, 2*first, ..., last.
+
+    estimate(count, todo) returns the estimates of the points todo (an index
+    array) at that node count.  Each point keeps the value of the first count
+    at which it agrees with the previous count within max(atol, rtol*|value|);
+    later counts evaluate only the points that have not converged.
     """
-    z = np.asarray(z, dtype=complex)
-    out = np.empty(z.shape, dtype=complex)
-    todo = np.arange(z.size)
-    prev = None
-    order = 16
-    err = math.inf
-    while order <= max_order:
-        x, weights = _gauss_legendre_nodes(order)
-        val = 0.5 * np.sum(weights * f(x, z[todo, None]), axis=1)
+    out, todo = np.empty(m, dtype=complex), np.arange(m)
+    prev, count, err = None, first, math.inf
+    while count <= last:
+        val = estimate(count, todo)
         if prev is not None:
             diff = np.abs(val - prev)
             done = diff <= np.maximum(atol, rtol * np.abs(val))
@@ -107,21 +98,27 @@ def _gauss_legendre_01(f, z, atol: float = 1e-12, rtol: float = 1e-13, max_order
             err = float(np.max(diff[~done]))
             todo, val = todo[~done], val[~done]
         prev = val
-        order *= 2
-    raise QuadratureError("quadrature did not converge on [0,1]", err)
+        count *= 2
+    raise QuadratureError(what, err)
 
 
 def _power_semicircle_integral(n: int, z):
     """int_0^1 (1-t)^{(n-3)/2} (z^2-t)^{-1/2} dt via the substitution
     u = sqrt(1-t), which removes the endpoint singularity at t=1 for n=2.
-    Evaluated for a complex scalar or every point of an array of any shape."""
-
-    def integrand(u, zc):
-        r = np.sqrt(1.0 - u * u)
-        return 2.0 * u ** (n - 2) / (np.sqrt(zc - r) * np.sqrt(zc + r))
-
+    Gauss-Legendre on [0,1] at a complex scalar or every point of an array of
+    any shape; the points unconverged at one order form one (m, order) array."""
     z = np.asarray(z, dtype=complex)
-    return _gauss_legendre_01(integrand, z.reshape(-1)).reshape(z.shape)[()]
+    zf = z.reshape(-1)
+
+    def estimate(order, todo):
+        u, weights = _gauss_legendre_nodes(order)
+        r, zc = np.sqrt(1.0 - u * u), zf[todo, None]
+        vals = 2.0 * u ** (n - 2) / (np.sqrt(zc - r) * np.sqrt(zc + r))
+        return 0.5 * np.sum(weights * vals, axis=1)
+
+    out = _node_doubling(estimate, zf.size, 16, _GL_MAX_ORDER, _GL_ATOL, _GL_RTOL,
+                         "quadrature did not converge on [0,1]")
+    return out.reshape(z.shape)[()]
 
 
 def power_semicircle_transform(p: PowerSemicircleParams, z) -> complex:
@@ -132,72 +129,66 @@ def power_semicircle_transform(p: PowerSemicircleParams, z) -> complex:
     alternative (n-2)/2 would make the n=2 transform vanish identically.
     """
     z = complex(z)
-    _check_off_support(z)
+    if z.imag == 0 and -1.0 <= z.real <= 1.0:
+        raise SupportError(f"z={z} lies on the branch cut [-1, 1]")
     return complex((p.n - 1) / 2.0 * _power_semicircle_integral(p.n, z))
 
 
-def cauchy_derivative(f, z: float, order: int, radius: float,
-                      rtol: float = 1e-9, max_nodes: int = 8192) -> complex:
-    """order-th derivative of f at z via trapezoidal quadrature of the Cauchy
-    integral on a circle of the given radius.
+def cauchy_derivative(f, z, order: int, radius):
+    """order-th derivative of f at each real point z via trapezoidal quadrature
+    of the Cauchy integral on the circle of the given radius about it.
 
-    f is a callable taking an ndarray of complex contour nodes and returning
-    their values; all nodes of one trapezoid order are evaluated in one call.
-    The closed disk must avoid the support [-1, 1], which is checked once for
-    the whole disk rather than per node.  The trapezoid rule is spectrally
-    accurate for periodic integrands; node counts double until two successive
-    estimates agree within rtol relative.
+    z and radius broadcast together; scalars give a complex, arrays an array.
+    f takes an (m, N) ndarray of complex contour nodes, the N nodes of every
+    point not yet converged, and returns their values.  Each closed disk must
+    avoid the support [-1, 1].  The rule is spectrally accurate for periodic
+    integrands; N doubles from 32 until a point's estimates agree to 1e-9.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    if radius <= 0:
+    z, radius = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(radius, dtype=float))
+    if not np.all(radius > 0):
         raise ValueError("radius must be > 0")
-    if z - radius <= 1.0 and (z + radius >= -1.0):
-        raise SupportError(
-            f"disk of radius {radius} about z={z} intersects the support [-1, 1]"
-        )
-    n_nodes = 32
-    prev = None
-    err = math.inf
+    hit = (z - radius <= 1.0) & (z + radius >= -1.0)
+    if hit.any():
+        raise SupportError(f"disk of radius {radius[hit][0]} about z={z[hit][0]} "
+                           "intersects the support [-1, 1]")
+    zf, rf = z.reshape(-1), radius.reshape(-1)
     fact = math.factorial(order)
-    while n_nodes <= max_nodes:
+
+    def estimate(n_nodes, todo):
         theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-        w = z + radius * np.exp(1j * theta)
-        vals = f(w)
-        est = fact / (n_nodes * radius**order) * np.sum(vals * np.exp(-1j * order * theta))
-        if prev is not None:
-            err = abs(est - prev)
-            if err <= rtol * max(abs(est), 1e-300):
-                return complex(est)
-        prev = est
-        n_nodes *= 2
-    raise QuadratureError("contour derivative did not converge", err)
+        w = zf[todo, None] + rf[todo, None] * np.exp(1j * theta)
+        # Python's pow: numpy's array power differs from it in the last bit
+        scale = np.array([fact / (n_nodes * r**order) for r in rf[todo].tolist()])
+        return scale * np.sum(f(w) * np.exp(-1j * order * theta), axis=1)
+
+    out = _node_doubling(estimate, zf.size, 32, _CONTOUR_MAX_NODES, _CONTOUR_RTOL * 1e-300,
+                         _CONTOUR_RTOL, "contour derivative did not converge")
+    return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
-def _contour_radius(z: float) -> float:
-    return min(z - 1.0 - GRID_STANDOFF, 1.0)
-
-
-def _check_grid(z_grid):
-    zs = [float(z) for z in np.atleast_1d(np.asarray(z_grid, dtype=float))]
-    for z in zs:
-        if z <= 1.0 + GRID_STANDOFF:
-            raise ValueError(f"grid point {z} must exceed 1 + {GRID_STANDOFF}")
-    return zs
+def _check_grid(z_grid) -> np.ndarray:
+    z = np.atleast_1d(np.asarray(z_grid, dtype=float))
+    for v in z.tolist():
+        if not (1.0 + GRID_STANDOFF < v < math.inf):
+            raise ValueError(f"grid point {v} must be finite and exceed 1 + {GRID_STANDOFF}")
+    return z
 
 
 def _identity_terms(f, pref: float, n: int, z_grid):
     """Computed left side pref * f^{(n-1)}(z), right side (z^2-1)^{-n/2} and
-    residual |lhs - rhs| at each grid point."""
-    zs = _check_grid(z_grid)
-    lhs = np.empty(len(zs), dtype=complex)
-    rhs = np.empty(len(zs), dtype=complex)
-    resid = np.empty(len(zs))
-    for i, z in enumerate(zs):
-        left = pref * cauchy_derivative(f, z, n - 1, _contour_radius(z))
-        right = _sqrt_branch(complex(z), 1.0) ** (-n)
-        lhs[i], rhs[i], resid[i] = left, right, abs(left - right)
-    return lhs, rhs, resid
+    residual |lhs - rhs| at each grid point; the contour radius is
+    min(z - 1 - GRID_STANDOFF, 1)."""
+    z = _check_grid(z_grid)
+    lhs = pref * cauchy_derivative(f, z, n - 1, np.minimum(z - 1.0 - GRID_STANDOFF, 1.0))
+    # principal roots of z-1 and z+1 select the branch with cut [-1, 1]
+    rhs = (np.sqrt(z - 1.0 + 0j) * np.sqrt(z + 1.0 + 0j)) ** (-n)
+    bad = ~(np.isfinite(lhs) & np.isfinite(rhs))
+    if bad.any():
+        raise ValueError(f"identity terms at z={z[bad].tolist()} are not finite")
+    # scalar abs: numpy's array abs of a complex can differ in the last bit
+    return lhs, rhs, np.array([abs(d) for d in lhs - rhs])
 
 
 def equation3_terms(n: int, z_grid):
@@ -207,11 +198,8 @@ def equation3_terms(n: int, z_grid):
     computed left side."""
     PowerSemicircleParams(n)  # rejects n < 2
     sign = (-1.0) ** (n - 1) / math.factorial(n - 1)
-
-    def transform(z):
-        return (n - 1) / 2.0 * _power_semicircle_integral(n, z)
-
-    return _identity_terms(transform, sign, n, z_grid)
+    return _identity_terms(lambda z: (n - 1) / 2.0 * _power_semicircle_integral(n, z),
+                           sign, n, z_grid)
 
 
 def equation3_residual(n: int, z_grid) -> np.ndarray:
@@ -224,8 +212,4 @@ def equation1_check(n: int, z_grid) -> np.ndarray:
     derivative is applied to the raw integral, with the (n-1)/2 prefactor kept
     outside the derivative."""
     pref = (-1.0) ** (n - 1) / math.factorial(n - 1) * (n - 1) / 2.0
-
-    def raw(z):
-        return _power_semicircle_integral(n, z)
-
-    return _identity_terms(raw, pref, n, z_grid)[2]
+    return _identity_terms(functools.partial(_power_semicircle_integral, n), pref, n, z_grid)[2]

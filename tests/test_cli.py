@@ -8,7 +8,7 @@ from dirichlet_rwa import cli
 from dirichlet_rwa.cli import main
 from dirichlet_rwa.config import ConfigError, ScenarioConfig, load_config, parse_config
 from dirichlet_rwa.distributions import SIMPLEX_SUM_TOL, RngStream
-from dirichlet_rwa.runner import run_scenario
+from dirichlet_rwa.runner import run_scenario, write_report
 from dirichlet_rwa.rwa import theorem_scenario
 from test_rwa import einsum_sample_batch
 
@@ -402,3 +402,66 @@ def test_sample_bad_output_path_exits_2_before_sampling(tmp_path, capsys, monkey
     assert main(argv + ["--out", str(out)]) == 2
     assert "No such file or directory" in capsys.readouterr().err
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("alphas", ["inf,1;1,1", "1e308,1e308;1,1", "nan,1;1,1"])
+def test_sample_non_finite_concentrations_exit_2(tmp_path, capsys, alphas):
+    # inf passes the > 0 check; 1e308 + 1e308 overflows in the row sums
+    out = tmp_path / "z.csv"
+    assert main(["sample", "--alphas", alphas, "--n-samples", "5", "--seed", "1",
+                 "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_run_workers_below_one_exit_2(tmp_path, capsys, monkeypatch, workers):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran a scenario with fewer than one worker")
+
+    monkeypatch.setattr(cli, "run_config", no_run)
+    path = write_config(tmp_path, small_config(tmp_path / "reports"))
+    assert main(["run", "--config", str(path), "--workers", workers]) == 2
+    assert capsys.readouterr().err.startswith("error: --workers must be >= 1")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_stieltjes_non_finite_terms_exit_2(tmp_path, capsys):
+    out = tmp_path / "resid.csv"
+    assert main(["stieltjes", "--n", "3", "--grid", "1e308", "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overflow_in_a_command_exits_2(tmp_path, capsys, monkeypatch):
+    def overflow(*args, **kwargs):
+        raise OverflowError("(34, 'Numerical result out of range')")
+
+    monkeypatch.setattr(cli, "run_config", overflow)
+    path = write_config(tmp_path, small_config(tmp_path / "reports"))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_report_with_nan_exits_2_and_writes_no_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("dirichlet_rwa.runner.kerov_tsilevich_check",
+                        lambda alpha, t: (float("nan"), 1.0, 0.0))
+    cfg = small_config(tmp_path / "reports")
+    cfg["scenarios"] = [
+        {"id": "a-finite", "kind": "dirmult", "seed": 1, "max_trials": 1, "max_k": 2},
+        {"id": "b-nan", "kind": "kerov_tsilevich", "seed": 2, "alphas": [[1, 2]]},
+    ]
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(path)]) == 2
+    assert "b-nan" in capsys.readouterr().err
+    assert not (tmp_path / "reports").exists()
+
+
+def test_finite_report_bytes_unchanged(tmp_path):
+    sc = ScenarioConfig("kt", "kerov_tsilevich", 3, {"alphas": [[1, 2]]})
+    report = run_scenario(sc, config_hash="h")
+    path = write_report(report, tmp_path)
+    with io.StringIO() as ref:
+        json.dump(report, ref, sort_keys=True, indent=2)
+        assert path.read_text(encoding="utf-8") == ref.getvalue() + "\n"

@@ -34,6 +34,16 @@ BAD_VALUES = {
     "stieltjes-order-1": {"kind": "stieltjes", "orders": [1]},
     "stieltjes-empty-numeric-grid": {"kind": "stieltjes", "orders": [4], "grid": [1.5]},
     "moments-one-row": {"kind": "moments", "sizes": [[1, 2]]},
+    # json reads NaN, Infinity and 1e400 as floats; none is a valid number
+    "stieltjes-nan-grid": {"kind": "stieltjes", "grid": [float("nan")]},
+    "stieltjes-infinite-grid": {"kind": "stieltjes", "grid": [2.0, float("inf")]},
+    "kt-infinite-alpha": {"kind": "kerov_tsilevich", "alphas": [[float("inf"), 1]]},
+    "override-infinite": {"kind": "theorem", "alphas": [[1, 2], [3, 4]], "n_samples": 100,
+                          "target_override": [float("inf"), 1]},
+    "theorem-row-sum-overflows": {"kind": "theorem", "alphas": [[1e308, 1e308], [1, 1]],
+                                  "n_samples": 100},
+    "kt-product-overflows": {"kind": "kerov_tsilevich", "alphas": [[1e308, 1]]},
+    "kt-alpha-sum-overflows": {"kind": "kerov_tsilevich", "alphas": [[1e308, 1e308]]},
 }
 
 
@@ -138,3 +148,15 @@ def test_config_is_rejected_or_runs(scenarios):
         except ConfigError:
             return
         assert run(Path(tmp), cfg) in (0, 1, 2)
+
+
+def test_json_non_finite_literals_rejected(tmp_path, capsys):
+    # NaN, Infinity and an overflowing literal, as a hand-written config holds them
+    sc = ('{"id": "s", "kind": "stieltjes", "seed": 1, "grid": [%s]}')
+    for literal in ("NaN", "Infinity", "-Infinity", "1e400"):
+        path = tmp_path / "config.json"
+        path.write_text('{"format_version": 1, "output_dir": "%s", "scenarios": [%s]}'
+                        % (tmp_path / "reports", sc % literal))
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: scenarios[0]: grid must be")
+        assert not (tmp_path / "reports").exists()

@@ -28,6 +28,13 @@ def test_dirichlet_params_reject_k1_and_nonpositive():
         DirichletParams((1.0, 0.0))
 
 
+@pytest.mark.parametrize("alpha", [(np.inf, 1.0), (np.nan, 1.0), (1e308, 1e308)])
+def test_dirichlet_params_reject_non_finite(alpha):
+    # the last sums to infinity, so its moments and mgf would not be finite
+    with pytest.raises(ValueError, match="finite"):
+        DirichletParams(alpha)
+
+
 # When some concentration is >= 0.1 the Dirichlet sampler normalizes the
 # stream's gamma draws; these three check those draws, including numpy's
 # separate algorithm below shape 1.

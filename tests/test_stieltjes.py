@@ -321,8 +321,95 @@ def test_cauchy_derivative_takes_array_evaluator():
         return 1.0 / (w * w)
 
     v = cauchy_derivative(ev, 3.0, 1, 1.0)
+    assert isinstance(v, complex)
     assert v == pytest.approx(-2.0 / 27.0, rel=1e-9)
-    assert all(len(shape) == 1 and shape[0] >= 32 for shape in calls)
+    assert calls and all(len(shape) == 2 and shape[0] == 1 and shape[1] >= 32
+                         for shape in calls)
+    # a grid goes to the evaluator whole: one (m, N) array per node count
+    calls.clear()
+    z = np.array([2.0, 3.0, 5.0])
+    v = cauchy_derivative(ev, z, 1, np.array([0.5, 1.0, 1.0]))
+    assert v.shape == z.shape
+    assert np.allclose(v, -2.0 / z**3, rtol=1e-9, atol=0)
+    assert calls[0] == (3, 32)
+    assert all(len(shape) == 2 and 1 <= shape[0] <= 3 and shape[1] >= 32 for shape in calls)
+    assert [shape[1] for shape in calls] == [32 * 2**i for i in range(len(calls))]
+
+
+@pytest.mark.parametrize("n, order", [(2, 0), (2, 1), (3, 2), (4, 3)])
+def test_cauchy_derivative_on_a_grid_matches_scalar_loop_bitwise(n, order):
+    # The evaluator is the power-semicircle integral, whose values at a node
+    # do not depend on the shape of the node array; numpy's SIMD complex
+    # arithmetic can make those of a closed form such as arcsine_transform do.
+    z = np.array([[1.3, 1.5, 2.0], [3.0, 5.0, -2.5]])
+    radius = np.minimum(np.abs(z) - 1.25, 1.0)
+    got = cauchy_derivative(power_semicircle(n), z, order, radius)
+    want = [_scalar_cauchy_derivative(power_semicircle(n), zi, order, ri)
+            for zi, ri in zip(z.ravel().tolist(), radius.ravel().tolist())]
+    assert got.shape == z.shape
+    assert got.tobytes() == np.array(want).reshape(z.shape).tobytes()
+    # a scalar radius broadcasts over the grid
+    got = cauchy_derivative(power_semicircle(n), [2.0, 3.0], order, 0.5)
+    want = [_scalar_cauchy_derivative(power_semicircle(n), zi, order, 0.5) for zi in (2.0, 3.0)]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_cauchy_derivative_rejects_any_disk_on_the_support():
+    with pytest.raises(SupportError, match="z=1.5"):
+        cauchy_derivative(arcsine_transform, [3.0, 1.5], 1, [1.0, 0.75])
+    with pytest.raises(ValueError, match="radius"):
+        cauchy_derivative(arcsine_transform, [3.0, 4.0], 1, [1.0, 0.0])
+
+
+def _scalar_identity_terms(n, grid, integral_form):
+    """The per-point loop that equation3_terms (integral_form False) and
+    equation1_check (True) ran before the grid went to cauchy_derivative
+    whole: one contour derivative, right side and scalar abs per point."""
+    pref = (-1.0) ** (n - 1) / math.factorial(n - 1)
+    if integral_form:
+        pref = pref * (n - 1) / 2.0
+        ev = functools.partial(_power_semicircle_integral, n)
+    else:
+        ev = power_semicircle(n)
+    lhs, rhs, resid = [], [], []
+    for z in grid:
+        left = pref * _scalar_cauchy_derivative(ev, z, n - 1, min(z - 1.0 - 0.25, 1.0))
+        right = (np.sqrt(complex(z) - 1.0) * np.sqrt(complex(z) + 1.0)) ** (-n)
+        lhs.append(left)
+        rhs.append(right)
+        resid.append(abs(left - right))
+    return np.array(lhs), np.array(rhs), np.array(resid)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_identity_terms_on_a_grid_match_scalar_loop_bitwise(n):
+    # n = 4 at z = 2 is a point where np.abs of the complex difference and
+    # the scalar abs differ in the last bit; at z = 1.32 and 1.338 numpy's
+    # array power of the radius differs from Python's pow for orders 4 and 3.
+    grid = [1.3, 1.32, 1.338, 1.5, 2.0, 3.0, 5.0]
+    lhs, rhs, r3 = equation3_terms(n, grid)
+    want = _scalar_identity_terms(n, grid, integral_form=False)
+    for got, ref in zip((lhs, rhs, r3), want):
+        assert got.tobytes() == ref.tobytes()
+    assert equation3_residual(n, grid).tobytes() == want[2].tobytes()
+    r1 = equation1_check(n, grid)
+    assert r1.tobytes() == _scalar_identity_terms(n, grid, integral_form=True)[2].tobytes()
+
+
+@pytest.mark.parametrize("grid", [[np.nan], [2.0, np.inf]])
+def test_grid_rejects_non_finite_points(grid):
+    with pytest.raises(ValueError, match="grid point"):
+        equation3_terms(3, grid)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_identity_terms_raise():
+    # at z = 1e308 the right side (z^2-1)^{-3/2} is not finite
+    with pytest.raises(ValueError, match="not finite"):
+        equation3_terms(3, [2.0, 1e308])
+    with pytest.raises(ValueError, match="not finite"):
+        equation1_check(3, [1e308])
 
 
 def test_transform_moments_circle_must_enclose_support():
