@@ -243,7 +243,9 @@ def kerov_tsilevich_check(alpha, t, order: int = 12):
             inner.append(coef * np.prod(t ** np.asarray(h)) * dirichlet_mixed_moment(p, h))
         series_terms.append(math.exp(log_poch) * math.fsum(inner))
     series = math.fsum(series_terms)
-    product = float(np.prod((1 - t) ** (-p.as_array())))
+    # If this overflows, so does the larger (1 - tau)**-A below, which raises.
+    with np.errstate(over="ignore"):
+        product = float(np.prod((1 - t) ** (-p.as_array())))
     # dominating tail: sum_{m>order} (A)_m/m! tau^m with tau = max|t_i|
     tau = float(np.max(np.abs(t)))
     if tau == 0.0:

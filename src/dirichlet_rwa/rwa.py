@@ -76,7 +76,9 @@ def theorem_scenario(alphas) -> WeightedAverageScenario:
         raise ValueError(f"need n >= 2 and k >= 2, got shape {a.shape}")
     if not np.all(a > 0):
         raise ValueError("all matrix entries must be > 0")
-    return WeightedAverageScenario(a.sum(axis=1), a, a.sum(axis=0))
+    with np.errstate(over="ignore"):  # WeightedAverageScenario rejects an infinite sum
+        w_alpha, target_alpha = a.sum(axis=1), a.sum(axis=0)
+    return WeightedAverageScenario(w_alpha, a, target_alpha)
 
 
 def sample_rwa_direct_batch(sc: WeightedAverageScenario, n_samples: int,

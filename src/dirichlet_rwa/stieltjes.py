@@ -71,24 +71,29 @@ def _gauss_legendre_nodes(order: int):
 
 
 # Tolerances and largest node counts: Gauss-Legendre orders double from 16 and
-# trapezoid node counts from 32; the contour's relative test is floored at 1e-300.
+# trapezoid node counts from 32, or from above the order.  The contour's absolute floor is 64 times the
+# round-off of its trapezoid sum, eps * order!/r^order * max|f|; it applies
+# only while it is at most _CONTOUR_MAX_ROUNDOFF of the estimate, since past
+# that successive sums agree on round-off noise rather than on the derivative.
 _GL_ATOL, _GL_RTOL, _GL_MAX_ORDER = 1e-12, 1e-13, 2048
 _CONTOUR_RTOL, _CONTOUR_MAX_NODES = 1e-9, 8192
+_CONTOUR_ROUNDOFF, _CONTOUR_MAX_ROUNDOFF = 64 * np.finfo(float).eps, 1e-3
 
 
-def _node_doubling(estimate, m: int, first: int, last: int, atol: float, rtol: float,
+def _node_doubling(estimate, m: int, first: int, last: int, rtol: float,
                    what: str) -> np.ndarray:
     """Estimates of m points from node counts first, 2*first, ..., last.
 
     estimate(count, todo) returns the estimates of the points todo (an index
-    array) at that node count.  Each point keeps the value of the first count
-    at which it agrees with the previous count within max(atol, rtol*|value|);
-    later counts evaluate only the points that have not converged.
+    array) at that node count and their absolute tolerance atol, a scalar or
+    one per point.  Each point keeps the value of the first count at which it
+    agrees with the previous count within max(atol, rtol*|value|); later
+    counts evaluate only the points that have not converged.
     """
     out, todo = np.empty(m, dtype=complex), np.arange(m)
     prev, count, err = None, first, math.inf
     while count <= last:
-        val = estimate(count, todo)
+        val, atol = estimate(count, todo)
         if prev is not None:
             diff = np.abs(val - prev)
             done = diff <= np.maximum(atol, rtol * np.abs(val))
@@ -114,9 +119,9 @@ def _power_semicircle_integral(n: int, z):
         u, weights = _gauss_legendre_nodes(order)
         r, zc = np.sqrt(1.0 - u * u), zf[todo, None]
         vals = 2.0 * u ** (n - 2) / (np.sqrt(zc - r) * np.sqrt(zc + r))
-        return 0.5 * np.sum(weights * vals, axis=1)
+        return 0.5 * np.sum(weights * vals, axis=1), _GL_ATOL
 
-    out = _node_doubling(estimate, zf.size, 16, _GL_MAX_ORDER, _GL_ATOL, _GL_RTOL,
+    out = _node_doubling(estimate, zf.size, 16, _GL_MAX_ORDER, _GL_RTOL,
                          "quadrature did not converge on [0,1]")
     return out.reshape(z.shape)[()]
 
@@ -142,7 +147,11 @@ def cauchy_derivative(f, z, order: int, radius):
     f takes an (m, N) ndarray of complex contour nodes, the N nodes of every
     point not yet converged, and returns their values.  Each closed disk must
     avoid the support [-1, 1].  The rule is spectrally accurate for periodic
-    integrands; N doubles from 32 until a point's estimates agree to 1e-9.
+    integrands; N doubles from the first power of two above max(order, 31)
+    until a point's estimates agree to 1e-9, or to the round-off of the sum,
+    64*eps * order!/r^order * max|f| over the nodes, where the derivative is
+    too small for a relative test (far from the support) but still 1e3 times
+    that round-off.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -159,12 +168,17 @@ def cauchy_derivative(f, z, order: int, radius):
     def estimate(n_nodes, todo):
         theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
         w = zf[todo, None] + rf[todo, None] * np.exp(1j * theta)
+        fw = f(w)
         # Python's pow: numpy's array power differs from it in the last bit
         scale = np.array([fact / (n_nodes * r**order) for r in rf[todo].tolist()])
-        return scale * np.sum(f(w) * np.exp(-1j * order * theta), axis=1)
+        val = scale * np.sum(fw * np.exp(-1j * order * theta), axis=1)
+        roundoff = _CONTOUR_ROUNDOFF * n_nodes * scale * np.max(np.abs(fw), axis=1)
+        return val, np.where(roundoff <= _CONTOUR_MAX_ROUNDOFF * np.abs(val), roundoff, 0.0)
 
-    out = _node_doubling(estimate, zf.size, 32, _CONTOUR_MAX_NODES, _CONTOUR_RTOL * 1e-300,
-                         _CONTOUR_RTOL, "contour derivative did not converge")
+    # Fewer nodes than order + 1 alias lower Taylor coefficients onto this one.
+    first = max(32, 2 ** order.bit_length())
+    out = _node_doubling(estimate, zf.size, first, _CONTOUR_MAX_NODES, _CONTOUR_RTOL,
+                         "contour derivative did not converge")
     return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
@@ -182,8 +196,10 @@ def _identity_terms(f, pref: float, n: int, z_grid):
     min(z - 1 - GRID_STANDOFF, 1)."""
     z = _check_grid(z_grid)
     lhs = pref * cauchy_derivative(f, z, n - 1, np.minimum(z - 1.0 - GRID_STANDOFF, 1.0))
-    # principal roots of z-1 and z+1 select the branch with cut [-1, 1]
-    rhs = (np.sqrt(z - 1.0 + 0j) * np.sqrt(z + 1.0 + 0j)) ** (-n)
+    # principal roots of z-1 and z+1 select the branch with cut [-1, 1]; a
+    # non-finite power is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = (np.sqrt(z - 1.0 + 0j) * np.sqrt(z + 1.0 + 0j)) ** (-n)
     bad = ~(np.isfinite(lhs) & np.isfinite(rhs))
     if bad.any():
         raise ValueError(f"identity terms at z={z[bad].tolist()} are not finite")

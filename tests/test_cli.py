@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -425,13 +429,47 @@ def test_run_workers_below_one_exit_2(tmp_path, capsys, monkeypatch, workers):
     assert capsys.readouterr().err.startswith("error: --workers must be >= 1")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("n, z", [("5", "100"), ("6", "100"), ("4", "1000"), ("13", "5"),
+                                  ("14", "2,3,5")])
+def test_stieltjes_far_field_converges(tmp_path, n, z):
+    # far from the support the derivative is so small that the round-off of
+    # the contour sum exceeds 1e-9 of it
+    out = tmp_path / "resid.csv"
+    assert main(["stieltjes", "--n", n, "--grid", z, "--out", str(out)]) == 0
+
+
 def test_stieltjes_non_finite_terms_exit_2(tmp_path, capsys):
     out = tmp_path / "resid.csv"
     assert main(["stieltjes", "--n", "3", "--grid", "1e308", "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def cli_process(argv):
+    """The CLI in a fresh interpreter, whose stderr shows numpy's warnings as
+    a user sees them."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "dirichlet_rwa.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+
+
+@pytest.mark.parametrize("command", ["sample", "stieltjes", "kerov_tsilevich"])
+def test_overflowing_input_prints_only_its_error_line(tmp_path, command):
+    out = str(tmp_path / "out.csv")
+    if command == "sample":
+        argv = ["sample", "--alphas", "1e308,1e308;1,1", "--n-samples", "5", "--seed", "1",
+                "--out", out]
+    elif command == "stieltjes":
+        argv = ["stieltjes", "--n", "3", "--grid", "1e308", "--out", out]
+    else:
+        cfg = small_config(tmp_path / "reports")
+        cfg["scenarios"] = [{"id": "kt", "kind": "kerov_tsilevich", "seed": 1,
+                             "alphas": [[1e308, 1]]}]
+        argv = ["run", "--config", str(write_config(tmp_path, cfg))]
+    proc = cli_process(argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_overflow_in_a_command_exits_2(tmp_path, capsys, monkeypatch):

@@ -92,7 +92,7 @@ def test_entries_are_a_grid_not_an_alpha_vector():
 @pytest.mark.parametrize("entry", ["stieltjes", "run"])
 def test_quadrature_failure_exits_2(tmp_path, capsys, entry):
     if entry == "stieltjes":
-        code = main(["stieltjes", "--n", "14", "--grid", "2,3,5"])
+        code = main(["stieltjes", "--n", "40", "--grid", "2,3,5"])
     else:
         sc = {"id": "s", "kind": "stieltjes", "seed": 1, "orders": [40]}
         code = run(tmp_path, config(tmp_path / "reports", sc))

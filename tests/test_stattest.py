@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 from scipy.special import betainc
 
 from dirichlet_rwa import runner, stattest
 from dirichlet_rwa.config import ScenarioConfig
 from dirichlet_rwa.distributions import (DirichletParams, RngStream, dirichlet_mixed_moment,
                                          sample_dirichlet_batch)
-from dirichlet_rwa.stattest import (ENERGY_PERMUTATIONS, KS_BLOCK, Z_THRESHOLD,
-                                    energy_two_sample, ks_marginal, ks_threshold, moment_ztest)
+from dirichlet_rwa.stattest import (ENERGY_LEVEL, ENERGY_PERMUTATIONS, ENERGY_SUBSAMPLE, KS_BLOCK,
+                                    Z_THRESHOLD, energy_two_sample, ks_marginal, ks_threshold,
+                                    moment_ztest)
 
 
 def batch(alpha, n, seed, stream=0):
@@ -116,8 +118,11 @@ def test_energy_seed_recorded():
 
 
 # References: the tests as they were computed before the CDF pruning, the
-# pow-free orders and the single permutation call.  The records and labels of
-# the library must equal theirs bit for bit.
+# pow-free orders, the single permutation call and the triangular product.
+# The records and labels of the library must equal theirs bit for bit.  The
+# permutation statistics, summed in another order, agree to rounding, so an
+# energy record may differ only where rounding decides a permutation that
+# ties with the observed statistic.
 
 def full_ks_marginal(values, target, coordinate):
     """Reference: the KS record with the Beta CDF evaluated at every point."""
@@ -161,6 +166,68 @@ def stacked_permutation_labels(ma, mb, seed):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     return np.stack([rng.permutation(mask) for _ in range(ENERGY_PERMUTATIONS)],
                     axis=1).astype(float)
+
+
+def gemm_energy_statistics(a, b, seed):
+    """Reference: the observed statistic and those of the permutations, the
+    latter from one full GEMM over C-ordered labels."""
+    va = stattest._subsample(a, ENERGY_SUBSAMPLE)
+    vb = stattest._subsample(b, ENERGY_SUBSAMPLE)
+    ma, mb = va.shape[0], vb.shape[0]
+    pooled = np.vstack([va, vb])
+    dmat = cdist(pooled, pooled)
+
+    rowsum = dmat.sum(axis=1)
+    total = float(rowsum.sum())
+
+    def statistic(g):
+        s_aa = float(g @ (dmat @ g))
+        u = float(rowsum @ g)
+        s_ab = u - s_aa
+        s_bb = total - 2 * u + s_aa
+        return 2 * s_ab / (ma * mb) - s_aa / (ma * ma) - s_bb / (mb * mb)
+
+    base = np.zeros(ma + mb)
+    base[:ma] = 1.0
+    if ma == mb and np.array_equal(va, vb):
+        observed = 0.0
+    else:
+        observed = statistic(base)
+
+    perms = np.ascontiguousarray(stattest._permutation_labels(base, seed))
+    dg = dmat @ perms
+    s_aa = np.einsum("ip,ip->p", perms, dg)
+    u = rowsum @ perms
+    s_ab = u - s_aa
+    s_bb = total - 2 * u + s_aa
+    stats = 2 * s_ab / (ma * mb) - s_aa / (ma * ma) - s_bb / (mb * mb)
+    return observed, stats
+
+
+def gemm_energy_two_sample(a, b, seed=0):
+    """Reference: the energy record with the permutation statistics of the
+    full GEMM."""
+    observed, stats = gemm_energy_statistics(a, b, seed)
+    p_value = float((1 + np.sum(stats >= observed)) / (ENERGY_PERMUTATIONS + 1))
+    return {"kind": "energy", "statistic": float(observed), "permutation_p": p_value,
+            "n_permutations": ENERGY_PERMUTATIONS, "seed": seed,
+            "pass": p_value > ENERGY_LEVEL}
+
+
+def pooled_distances(a, b):
+    """Subsample sizes ma, mb and the sum of the pooled distance matrix."""
+    va = stattest._subsample(a, ENERGY_SUBSAMPLE)
+    vb = stattest._subsample(b, ENERGY_SUBSAMPLE)
+    pooled = np.vstack([va, vb])
+    return va.shape[0], vb.shape[0], float(cdist(pooled, pooled).sum())
+
+
+def energy_rounding_bound(a, b):
+    """Bound on the rounding error of one permutation statistic: each of its
+    sums adds at most n non-negative distances, whose total the statistic
+    cancels down with weights up to (1/ma + 1/mb)^2."""
+    ma, mb, total = pooled_distances(a, b)
+    return 4 * (ma + mb) * np.finfo(float).eps * total * (1 / ma + 1 / mb) ** 2
 
 
 concentration = st.sampled_from([1e-3, 0.05, 0.5, 1.0, 2.0, 7.5, 40.0])
@@ -271,6 +338,90 @@ def test_permutation_labels_equal_stacked_permutations_any_sizes(ma, mb, seed):
     base[:ma] = 1.0
     assert np.array_equal(stattest._permutation_labels(base, seed),
                           stacked_permutation_labels(ma, mb, seed))
+
+
+def test_permutation_labels_are_the_shuffled_block_in_blas_layout(monkeypatch):
+    # the labels reach BLAS as the transposed view of the shuffled block: no copy
+    shuffled = []
+    default_rng = np.random.default_rng
+
+    class RecordingRng:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def permuted(self, x, axis, out):
+            shuffled.append(out)
+            return self.rng.permuted(x, axis=axis, out=out)
+
+    monkeypatch.setattr(np.random, "default_rng", RecordingRng)
+    base = np.zeros(2 * ENERGY_SUBSAMPLE)
+    base[:ENERGY_SUBSAMPLE] = 1.0
+    labels = stattest._permutation_labels(base, 7)
+    assert labels.shape == (base.size, ENERGY_PERMUTATIONS)
+    assert labels.flags.f_contiguous
+    assert len(shuffled) == 1 and np.shares_memory(labels, shuffled[0])
+
+
+@st.composite
+def energy_batches(draw):
+    k = draw(st.integers(2, 4))
+    sizes = st.integers(1, 300)
+    ma, mb = draw(sizes), draw(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.dirichlet(draw(st.lists(concentration, min_size=k, max_size=k)), ma)
+    b = rng.dirichlet(draw(st.lists(concentration, min_size=k, max_size=k)), mb)
+    return a, b, draw(st.integers(0, 2**64 - 1))
+
+
+@given(energy_batches())
+@settings(max_examples=60, deadline=None)
+def test_energy_record_equals_gemm_any_sizes(batches):
+    a, b, seed = batches
+    observed, stats = stattest._energy_statistics(a, b, seed)
+    ref_observed, ref_stats = gemm_energy_statistics(a, b, seed)
+    bound = energy_rounding_bound(a, b)
+    assert observed == ref_observed
+    assert np.all(np.abs(stats - ref_stats) <= bound)
+    record, ref = energy_two_sample(a, b, seed), gemm_energy_two_sample(a, b, seed)
+    # Permutations that repeat the observed partition (frequent at a few
+    # rows) equal the observed statistic up to rounding, and the rounding of
+    # either product decides which side of it they fall on.
+    ties = int(np.sum(np.abs(ref_stats - ref_observed) <= bound))
+    if ties == 0:
+        assert record == ref
+    else:
+        flipped = abs(record["permutation_p"] - ref["permutation_p"]) * (ENERGY_PERMUTATIONS + 1)
+        assert round(flipped) <= ties
+        assert {**record, "permutation_p": None, "pass": None} == {
+            **ref, "permutation_p": None, "pass": None}
+
+
+@pytest.mark.parametrize("change", ["identical", "one-row"])
+def test_energy_record_equals_gemm_near_identical_inputs(change):
+    a = batch((2, 3, 5), 5_000, 116)
+    b = a.copy()
+    if change == "one-row":
+        b[1234] = (0.2, 0.3, 0.5)
+    record = energy_two_sample(a, b, seed=9)
+    assert record == gemm_energy_two_sample(a, b, seed=9)
+    assert (record["statistic"] == 0.0) == (change == "identical")
+
+
+@pytest.mark.parametrize("shift", [False, True])
+def test_energy_full_subsample_equals_gemm(shift):
+    a = batch((1, 2, 3), 200_000, 117, stream=0)
+    b = batch((1.2, 2, 3) if shift else (1, 2, 3), 200_000, 117, stream=1)
+    observed, stats = stattest._energy_statistics(a, b, 13)
+    ref_observed, ref_stats = gemm_energy_statistics(a, b, 13)
+    assert observed == ref_observed
+    # The statistic cancels means of distances about a thousandfold, so the
+    # two sums agree relative to the mean pooled distance, not to each value.
+    ma, mb, total = pooled_distances(a, b)
+    mean_distance = total / (ma + mb) ** 2
+    np.testing.assert_allclose(stats, ref_stats, rtol=0, atol=1e-12 * mean_distance)
+    record = energy_two_sample(a, b, seed=13)
+    assert record == gemm_energy_two_sample(a, b, seed=13)
+    assert (record["permutation_p"] == 1 / (ENERGY_PERMUTATIONS + 1)) == shift
 
 
 def test_moment_and_ks_called_once_per_check(monkeypatch):
