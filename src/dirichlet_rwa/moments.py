@@ -18,6 +18,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -92,24 +93,82 @@ def _log_multinomial(total: int, parts) -> float:
     return math.lgamma(total + 1) - sum(math.lgamma(h + 1) for h in parts)
 
 
-@functools.lru_cache(maxsize=256)
-def _box(s: tuple):
-    """Index data of the box prod_j [0, s_j], flattened in C order.
+# Pair-count bound of the cell sets.  It is the size of _box's table of
+# cell pairs at the order cap, 2^8 x 2^8.
+_MAX_PAIRS = 2 ** 16
 
-    Returns (cells, degree, left, right): cells[j] is coordinate j of every
-    flat cell, degree its total |h|, and (left, right) run over the pairs of
-    cells whose sum stays in the box.  Flat indices add without carry inside
-    the box, so a pair's sum is cell left + right.
+
+class _Cells(NamedTuple):
+    """A downward-closed set of cells h (if h is in the set, so is every
+    g <= h) and the pairs of cells whose sum stays in it.
+
+    cells[j] is coordinate j of every cell and degree its total |h|.  The
+    pairs (left, right) are grouped by left in ascending order, and target
+    is the index of the cell left + right.
     """
+
+    cells: np.ndarray
+    degree: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    target: np.ndarray
+
+
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=256)
+def _box(s: tuple) -> _Cells:
+    """The box prod_j [0, s_j], flattened in C order, so s is the last cell.
+    Flat indices add without carry inside the box, so a pair's sum is cell
+    left + right."""
     cells = np.indices(tuple(sj + 1 for sj in s)).reshape(len(s), -1)
     fits = np.ones((cells.shape[1],) * 2, dtype=bool)
     for sj, cj in zip(s, cells):
         fits &= cj[:, None] + cj[None, :] <= sj
     left, right = np.nonzero(fits)
-    out = (cells, cells.sum(axis=0), left, right)
-    for arr in out:
-        arr.flags.writeable = False
-    return out
+    return _Cells(*_read_only(cells, cells.sum(axis=0), left, right, left + right))
+
+
+@functools.lru_cache(maxsize=64)
+def _simplex(k: int, top: int):
+    """The simplex of cells |h| <= top in lexicographic order and a dict from
+    each cell to its index, or None if it has more than _MAX_PAIRS pairs.
+
+    There are C(top + 2k, 2k) pairs, the length-2k vectors of total <= top.
+    The pairs are built in O(pairs) memory: each left cell h takes as right
+    cells a prefix of the cells sorted by degree, those of degree
+    <= top - |h|.  The index of a pair's sum is its lexicographic rank,
+    summed one coordinate at a time from a table of cell counts.
+    """
+    if math.comb(top + 2 * k, 2 * k) > _MAX_PAIRS:
+        return None
+    # Lexicographic compositions of top into k + 1 parts, less the slack part.
+    cells = np.asarray(list(compositions(top, k + 1)), dtype=np.intp)[:, :k].T.copy()
+    degree = cells.sum(axis=0)
+    by_degree = np.argsort(degree, kind="stable")
+    upto = np.searchsorted(degree[by_degree], np.arange(top + 1), side="right")
+    count = upto[top - degree]
+    left = np.repeat(np.arange(degree.size), count)
+    start = np.repeat(np.cumsum(count) - count, count)
+    right = by_degree[np.arange(left.size) - start]
+    # below[m, r, v]: cells of length m + 1 and total <= r whose first
+    # coordinate is below v, i.e. sum over u < v of C(r - u + m, m).
+    below = np.zeros((k, top + 1, top + 1), dtype=np.intp)
+    for m in range(k):
+        for r in range(top + 1):
+            below[m, r, 1:r + 1] = np.cumsum([math.comb(r - u + m, m) for u in range(r)])
+    target = np.zeros_like(left)
+    budget = np.full_like(left, top)
+    for j in range(k):
+        h = cells[j, left] + cells[j, right]
+        target += below[k - 1 - j, budget, h]
+        budget -= h
+    index = {cell: i for i, cell in enumerate(map(tuple, cells.T.tolist()))}
+    return _Cells(*_read_only(cells, degree, left, right, target)), index
 
 
 def _rising_ratios(top: np.ndarray, bottom, m: int) -> np.ndarray:
@@ -120,50 +179,84 @@ def _rising_ratios(top: np.ndarray, bottom, m: int) -> np.ndarray:
     return np.cumprod(out, axis=-1, out=out)
 
 
+def _product(w_alpha: tuple, x_alphas: tuple, cs: _Cells, top: int) -> np.ndarray:
+    """Coefficients of prod_i F_i(t) on the cells of cs, whose totals are at
+    most top, read-only.
+
+    Each factor is multiplied in by one bincount, which adds the products
+    poly[h] * f[c - h] into cell c in ascending order of h.  Every
+    coefficient is so the same sum in the same order whatever the cell set,
+    so the simplex and the box give the same bits for a shared cell.
+    """
+    a = np.asarray(w_alpha)
+    x = np.asarray(x_alphas)
+    # F_i over the cells: (a_i)_{|h|}/(b_i)_{|h|} * prod_j (alpha_ij)_{h_j}/h_j!
+    per_row = _rising_ratios(a, x.sum(axis=1), top)
+    per_cell = _rising_ratios(x, 1.0, top)
+    coords = np.arange(x.shape[1])[:, None]
+    poly = None
+    for row, cell_row in zip(per_row, per_cell):
+        f = row[cs.degree] * np.prod(cell_row[coords, cs.cells], axis=0)
+        if poly is None:
+            poly = f
+        else:
+            poly = np.bincount(cs.target, weights=poly[cs.left] * f[cs.right],
+                               minlength=f.size)
+    return _read_only(poly)[0]
+
+
+@functools.lru_cache(maxsize=256)
+def _moment_table(w_alpha: tuple, x_alphas: tuple, top: int) -> np.ndarray:
+    """prod_i F_i(t) on the simplex |h| <= top: one coefficient for every
+    moment index of total order top."""
+    return _product(w_alpha, x_alphas, _simplex(len(x_alphas[0]), top)[0], top)
+
+
 def rwa_moment_expansion(sc: WeightedAverageScenario, s: MomentIndex) -> float:
     """E[prod_j z_j^{s_j}] as the coefficient [t^s] of prod_i F_i(t) (see the
-    module docstring), with each F_i truncated to the box prod_j [0, s_j].
+    module docstring).
 
-    Every term is positive, so nothing cancels.  Only the weight
-    concentrations and the rows of x enter; the column sums never do, which
-    keeps this oracle independent of rwa_moment_closed_form and valid for
-    scenarios whose weight concentrations are not the row sums.
+    The coefficient is read from the scenario's cached table for the total
+    order of s; where that simplex has too many pairs, it comes from the
+    product over the box prod_j [0, s_j] of this one index.  Every term is
+    positive, so nothing cancels.  Only the weight concentrations and the
+    rows of x enter; the column sums never do, which keeps this oracle
+    independent of rwa_moment_closed_form and valid for scenarios whose
+    weight concentrations are not the row sums.
     """
     if s.k != sc.k:
         raise ValueError(f"moment index length {s.k} != scenario dimension {sc.k}")
-    a = np.asarray(sc.w_alpha)
-    x = np.asarray(sc.x_alphas)
-    cells, degree, left, right = _box(s.s)
     total = s.total
-    # F[i] over the box: (a_i)_{|h|}/(b_i)_{|h|} * prod_j (alpha_ij)_{h_j}/h_j!
-    per_row = _rising_ratios(a, x.sum(axis=1), total)
-    per_cell = _rising_ratios(x, 1.0, max(s.s))
-    coords = np.arange(sc.k)[:, None]
-    F = per_row[:, degree] * np.prod(per_cell[:, coords, cells], axis=1)
-    poly = F[0]
-    for f in F[1:-1]:
-        poly = np.bincount(left + right, weights=poly[left] * f[right], minlength=poly.size)
-    # The last factor only contributes its coefficient at s - h, which sits
-    # at the mirrored flat index.
-    coeff = float(poly @ F[-1][::-1]) if sc.n > 1 else float(poly[-1])
+    simplex = _simplex(s.k, total)
+    if simplex is None:
+        coeff = float(_product(sc.w_alpha, sc.x_alphas, _box(s.s), total)[-1])
+    else:
+        coeff = float(_moment_table(sc.w_alpha, sc.x_alphas, total)[simplex[1][s.s]])
     # prod_j s_j! / (A)_S, one factor pair at a time
     numer = [q for sj in s.s for q in range(1, sj + 1)]
-    a_total = float(a.sum())
+    a_total = float(np.asarray(sc.w_alpha).sum())
     return coeff * math.prod(q / (a_total + r) for r, q in enumerate(numer))
+
+
+@functools.lru_cache(maxsize=256)
+def _column_terms(x_alphas: tuple):
+    """Column sums of x, their total and the gammaln of both."""
+    a = np.asarray(x_alphas)
+    col = a.sum(axis=0)
+    total = a.sum()
+    return col, total, gammaln(col), gammaln(total)
 
 
 def rwa_moment_closed_form(sc: WeightedAverageScenario, s: MomentIndex) -> float:
     """Mixed moment of z from the closed form: the Dirichlet of the column
     sums of x_alphas, evaluated directly in log space (independent arithmetic
     from both the expansion and dirichlet_mixed_moment's code path)."""
-    a = np.asarray(sc.x_alphas)
     if s.k != sc.k:
         raise ValueError("moment index length does not match scenario dimension")
-    col = a.sum(axis=0)
-    total = a.sum()
+    col, total, g_col, g_total = _column_terms(sc.x_alphas)
     sv = np.asarray(s.s, dtype=float)
-    log_m = gammaln(total) - gammaln(total + sv.sum())
-    log_m += np.sum(gammaln(col + sv) - gammaln(col))
+    log_m = g_total - gammaln(total + sv.sum())
+    log_m += np.sum(gammaln(col + sv) - g_col)
     return float(np.exp(log_m))
 
 
