@@ -11,6 +11,18 @@ S = sum_j s_j, which is the multinomial expansion of the moment over
 composition tables summed one factor at a time.  The result must agree with
 the closed-form moment of the target Dirichlet; that equality is the
 computable core this module exists to check.
+
+One table per scenario and total order S holds prod_i F_i(t) on the simplex
+of cells |h| <= S, so every index of that order reads its coefficient from
+it.  Each factor is multiplied in by one bincount over the C(S + 2k, 2k)
+pairs of cells whose sum stays in the simplex.  Where that is more than
+2^16 pairs (k = 6 at S = 8, for one), the index is expanded alone on its
+box prod_j [0, s_j], as many cells as before and at most 2^16 pairs at the
+order cap.  So no array of cell pairs exceeds 2^16 entries.
+
+The closed forms, the moment of the target Dirichlet and the
+Dirichlet-multinomial pmf, sum log rising factorials and share no code with
+the expansion.
 """
 from __future__ import annotations
 
@@ -38,9 +50,9 @@ __all__ = [
     "kerov_tsilevich_check",
 ]
 
-# Total-order cap on moment indices.  It bounds the oracle's box
-# prod_j [0, s_j] to at most 2^8 = 256 cells, so _box's table of cell pairs
-# stays at most 256 x 256.
+# Total-order cap on moment indices.  It bounds a box prod_j [0, s_j] to
+# at most 2^8 cells, so _box's table of cell pairs stays at most 2^8 x 2^8 =
+# _MAX_PAIRS; a simplex table is built only up to the same number of pairs.
 DEFAULT_ORDER_CAP = 8
 
 # Trial cap for explicit enumeration of the Dirichlet-multinomial support.
@@ -190,19 +202,24 @@ def _product(w_alpha: tuple, x_alphas: tuple, cs: _Cells, top: int) -> np.ndarra
     """
     a = np.asarray(w_alpha)
     x = np.asarray(x_alphas)
-    # F_i over the cells: (a_i)_{|h|}/(b_i)_{|h|} * prod_j (alpha_ij)_{h_j}/h_j!
-    per_row = _rising_ratios(a, x.sum(axis=1), top)
-    per_cell = _rising_ratios(x, 1.0, top)
-    coords = np.arange(x.shape[1])[:, None]
-    poly = None
-    for row, cell_row in zip(per_row, per_cell):
-        f = row[cs.degree] * np.prod(cell_row[coords, cs.cells], axis=0)
-        if poly is None:
-            poly = f
-        else:
-            poly = np.bincount(cs.target, weights=poly[cs.left] * f[cs.right],
-                               minlength=f.size)
-    return _read_only(poly)[0]
+    # (alpha_ij)_h/h! grows like alpha_ij^h and overflows to inf for large
+    # entries; the moment then comes out non-finite, which the report check
+    # refuses, so numpy's warnings would only add noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # F_i over the cells: (a_i)_{|h|}/(b_i)_{|h|} * prod_j (alpha_ij)_{h_j}/h_j!
+        per_row = _rising_ratios(a, x.sum(axis=1), top)
+        per_cell = _rising_ratios(x, 1.0, top)
+        coords = np.arange(x.shape[1])[:, None]
+        poly = None
+        for row, cell_row in zip(per_row, per_cell):
+            f = row[cs.degree] * np.prod(cell_row[coords, cs.cells], axis=0)
+            if poly is None:
+                poly = f
+            else:
+                poly = np.bincount(cs.target, weights=poly[cs.left] * f[cs.right],
+                                   minlength=f.size)
+    poly.flags.writeable = False
+    return poly
 
 
 @functools.lru_cache(maxsize=256)
@@ -238,26 +255,39 @@ def rwa_moment_expansion(sc: WeightedAverageScenario, s: MomentIndex) -> float:
     return coeff * math.prod(q / (a_total + r) for r, q in enumerate(numer))
 
 
+def _log_rising(x, m: int) -> np.ndarray:
+    """log (x)_h = sum_{r < h} log(x + r) for h = 0..m along a new last axis.
+
+    Summing the logs of the factors loses nothing at large x, where
+    gammaln(x + h) - gammaln(x) cancels: at x = 1e12 that difference keeps
+    only about two significant digits.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape + (m + 1,))
+    np.cumsum(np.log(x[..., None] + np.arange(m)), axis=-1, out=out[..., 1:])
+    return out
+
+
 @functools.lru_cache(maxsize=256)
-def _column_terms(x_alphas: tuple):
-    """Column sums of x, their total and the gammaln of both."""
+def _column_log_rising(x_alphas: tuple):
+    """log (c_j)_h for the column sums c_j of x and log (C)_h for their total
+    C, h = 0..DEFAULT_ORDER_CAP, as lists."""
     a = np.asarray(x_alphas)
-    col = a.sum(axis=0)
-    total = a.sum()
-    return col, total, gammaln(col), gammaln(total)
+    return (_log_rising(a.sum(axis=0), DEFAULT_ORDER_CAP).tolist(),
+            _log_rising(a.sum(), DEFAULT_ORDER_CAP).tolist())
 
 
 def rwa_moment_closed_form(sc: WeightedAverageScenario, s: MomentIndex) -> float:
     """Mixed moment of z from the closed form: the Dirichlet of the column
-    sums of x_alphas, evaluated directly in log space (independent arithmetic
-    from both the expansion and dirichlet_mixed_moment's code path)."""
+    sums c_j of x_alphas, prod_j (c_j)_{s_j} / (C)_S with C = sum_j c_j,
+    evaluated in log space from log rising factorials (independent
+    arithmetic from both the expansion and dirichlet_mixed_moment's code
+    path)."""
     if s.k != sc.k:
         raise ValueError("moment index length does not match scenario dimension")
-    col, total, g_col, g_total = _column_terms(sc.x_alphas)
-    sv = np.asarray(s.s, dtype=float)
-    log_m = g_total - gammaln(total + sv.sum())
-    log_m += np.sum(gammaln(col + sv) - g_col)
-    return float(np.exp(log_m))
+    col_logs, total_logs = _column_log_rising(sc.x_alphas)
+    log_m = sum(logs[sj] for logs, sj in zip(col_logs, s.s)) - total_logs[s.total]
+    return math.exp(log_m)
 
 
 @dataclass(frozen=True)
@@ -274,17 +304,22 @@ class DirMultParams:
 
 
 def dirmult_log_pmf_batch(p: DirMultParams, counts: np.ndarray) -> np.ndarray:
-    """Vectorized log pmf over an (m, k) array of count vectors."""
+    """Vectorized log pmf over an (m, k) array of count vectors of p.trials
+    trials:
+
+        log n!/prod_j c_j! + sum_j log (alpha_j)_{c_j} - log (A)_n,
+
+    with the rising factorials read from tables of log rising factorials of
+    this alpha."""
     alpha = p.alpha.as_array()
-    c = np.asarray(counts, dtype=float)
-    a = alpha.sum()
+    c = np.asarray(counts, dtype=np.intp)
     n = p.trials
+    cell_logs = _log_rising(alpha, n)[np.arange(alpha.size), c]
     return (
         math.lgamma(n + 1)
-        - gammaln(c + 1).sum(axis=1)
-        + gammaln(a)
-        - gammaln(a + n)
-        + (gammaln(c + alpha) - gammaln(alpha)).sum(axis=1)
+        - gammaln(c + 1.0).sum(axis=1)
+        - _log_rising(alpha.sum(), n)[n]
+        + cell_logs.sum(axis=1)
     )
 
 

@@ -496,6 +496,43 @@ def test_report_with_nan_exits_2_and_writes_no_report(tmp_path, capsys, monkeypa
     assert not (tmp_path / "reports").exists()
 
 
+def large_entry_config(out_dir, entry):
+    return small_config(out_dir, scenarios=[
+        {"id": "moments", "kind": "moments", "seed": 1, "sizes": [[2, 2]], "entries": [entry]},
+        {"id": "dirmult", "kind": "dirmult", "seed": 2, "entries": [entry]},
+    ])
+
+
+@pytest.mark.parametrize("entry", [1e6, 1e12])
+def test_exact_route_holds_at_large_entries(tmp_path, entry):
+    # gammaln(x + m) - gammaln(x) cancels at such entries; the closed forms
+    # sum log rising factorials instead
+    cfg = large_entry_config(tmp_path / "reports", entry)
+    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+    moments = json.loads((tmp_path / "reports" / "moments.json").read_text())
+    assert max(t["max_rel_error"] for t in moments["tests"]) < 1e-13
+
+
+def test_moment_expansion_overflow_exits_2(tmp_path):
+    # (x)_h/h! overflows at entries of 1e200, so the expansion is NaN; that
+    # must not read as an error of 0
+    cfg = large_entry_config(tmp_path / "reports", 1e200)
+    proc = cli_process(["run", "--config", str(write_config(tmp_path, cfg))])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "'moments'" in proc.stderr
+    assert not (tmp_path / "reports").exists()
+
+
+def test_dirmult_nan_error_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("dirichlet_rwa.runner.dirmult_normalization_check",
+                        lambda p: float("nan") if p.trials == 1 else 1.0)
+    cfg = small_config(tmp_path / "reports",
+                       scenarios=[{"id": "dirmult", "kind": "dirmult", "seed": 1}])
+    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+    assert "'dirmult'" in capsys.readouterr().err
+
+
 def test_finite_report_bytes_unchanged(tmp_path):
     sc = ScenarioConfig("kt", "kerov_tsilevich", 3, {"alphas": [[1, 2]]})
     report = run_scenario(sc, config_hash="h")

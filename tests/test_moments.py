@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dirichlet_rwa.distributions import DirichletParams, dirichlet_mixed_moment
 from dirichlet_rwa.moments import (
+    DEFAULT_ORDER_CAP,
     DirMultParams,
     MomentIndex,
     OrderCapExceeded,
@@ -17,7 +19,8 @@ from dirichlet_rwa.moments import (
     rwa_moment_closed_form,
     rwa_moment_expansion,
 )
-from dirichlet_rwa.rwa import theorem_scenario, variant_scenario
+from dirichlet_rwa import moments
+from dirichlet_rwa.rwa import WeightedAverageScenario, theorem_scenario, variant_scenario
 
 VAN_ASSCHE = theorem_scenario([[0.5, 0.5], [0.5, 0.5]])
 
@@ -114,6 +117,137 @@ def test_generating_function_matches_enumeration_on_variant(alpha, reading):
             want = _enumerated_moment(sc, s)
             got = rwa_moment_expansion(sc, MomentIndex(s))
             assert got == pytest.approx(want, rel=1e-12)
+
+
+def _box_expansion(sc, s):
+    """Reference: the expansion computed for one index alone, on the box
+    prod_j [0, s_j] flattened in C order (the oracle's body before it read
+    coefficients from a table per scenario and total order)."""
+    cells = np.indices(tuple(sj + 1 for sj in s)).reshape(len(s), -1)
+    fits = np.ones((cells.shape[1],) * 2, dtype=bool)
+    for sj, cj in zip(s, cells):
+        fits &= cj[:, None] + cj[None, :] <= sj
+    left, right = np.nonzero(fits)
+    degree = cells.sum(axis=0)
+
+    def rising_ratios(top, bottom, m):
+        r = np.arange(m)
+        out = np.ones(top.shape + (m + 1,))
+        out[..., 1:] = (top[..., None] + r) / (np.asarray(bottom)[..., None] + r)
+        return np.cumprod(out, axis=-1, out=out)
+
+    a = np.asarray(sc.w_alpha)
+    x = np.asarray(sc.x_alphas)
+    per_row = rising_ratios(a, x.sum(axis=1), sum(s))
+    per_cell = rising_ratios(x, 1.0, max(s))
+    coords = np.arange(sc.k)[:, None]
+    F = per_row[:, degree] * np.prod(per_cell[:, coords, cells], axis=1)
+    poly = F[0]
+    for f in F[1:-1]:
+        poly = np.bincount(left + right, weights=poly[left] * f[right], minlength=poly.size)
+    coeff = float(poly @ F[-1][::-1]) if sc.n > 1 else float(poly[-1])
+    numer = [q for sj in s for q in range(1, sj + 1)]
+    a_total = float(a.sum())
+    return coeff * math.prod(q / (a_total + r) for r, q in enumerate(numer))
+
+
+wide_entry = st.floats(1e-3, 1e4)
+
+
+@given(st.integers(2, 12), st.integers(2, 4), st.integers(1, DEFAULT_ORDER_CAP),
+       st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_table_expansion_equals_box_reference(n, k, total, own_weights, data):
+    mat = data.draw(st.lists(st.lists(wide_entry, min_size=k, max_size=k),
+                             min_size=n, max_size=n))
+    sc = theorem_scenario(mat)
+    if own_weights:  # weight concentrations that are not the row sums
+        w = data.draw(st.lists(wide_entry, min_size=n, max_size=n))
+        sc = WeightedAverageScenario(w, sc.x_alphas, sc.target_alpha)
+    for s in compositions(total, k):
+        assert rwa_moment_expansion(sc, MomentIndex(s)) == _box_expansion(sc, s)
+
+
+@pytest.mark.parametrize("reading", ["symmetric", "asymmetric"])
+def test_table_expansion_equals_box_reference_on_variant(reading):
+    sc = variant_scenario((0.5, 1.5, 3.0), reading)
+    for total in range(1, DEFAULT_ORDER_CAP + 1):
+        for s in compositions(total, sc.k):
+            assert rwa_moment_expansion(sc, MomentIndex(s)) == _box_expansion(sc, s)
+
+
+def test_box_path_above_the_pair_bound():
+    # k = 6 at total 8 has C(8 + 12, 12) = 125,970 cell pairs, too many for
+    # a table, so each index is expanded on its own box.
+    assert math.comb(8 + 12, 12) > moments._MAX_PAIRS
+    assert moments._simplex(6, 8) is None
+    sc = theorem_scenario(np.linspace(0.25, 4.0, 18).reshape(3, 6))
+    for s in [(8, 0, 0, 0, 0, 0), (1, 1, 1, 1, 2, 2), (0, 3, 0, 2, 0, 3), (2, 1, 0, 0, 4, 1)]:
+        assert rwa_moment_expansion(sc, MomentIndex(s)) == _box_expansion(sc, s)
+
+
+@pytest.mark.parametrize("k, top", [(2, 8), (3, 5), (4, 3), (5, 8), (10, 2), (30, 1)])
+def test_simplex_pairs_and_targets(k, top):
+    cs, index = moments._simplex(k, top)
+    cells = cs.cells.T
+    assert [tuple(c) for c in cells.tolist()] == [c[:k] for c in compositions(top, k + 1)]
+    assert len(cs.left) == math.comb(top + 2 * k, 2 * k)
+    assert np.all(np.diff(cs.left) >= 0)
+    assert np.all(cs.degree[cs.left] + cs.degree[cs.right] <= top)
+    sums = cells[cs.left] + cells[cs.right]
+    assert [index[tuple(c)] for c in sums.tolist()] == cs.target.tolist()
+    # every pair appears once
+    assert len(set(zip(cs.left.tolist(), cs.right.tolist()))) == len(cs.left)
+
+
+def test_cached_tables_are_read_only():
+    sc = theorem_scenario([[1.0, 2.0, 0.5], [3.0, 0.25, 1.5]])
+    rwa_moment_expansion(sc, MomentIndex((1, 2, 0)))
+    cs, _ = moments._simplex(3, 3)
+    table = moments._moment_table(sc.w_alpha, sc.x_alphas, 3)
+    box = moments._box((1, 2, 0))
+    for arr in (*cs, table, *box):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def _exact_rising(x, m):
+    out = Fraction(1)
+    for r in range(m):
+        out *= x + r
+    return out
+
+
+@pytest.mark.parametrize("e", [1e-3, 0.5, 1.0, 1e4, 1e6, 1e12, 1e50, 1e100])
+def test_closed_form_matches_exact_moments(e):
+    # prod_j (c_j)_{s_j} / (C)_S in exact rationals, at entries where
+    # gammaln(x + m) - gammaln(x) cancels
+    for mat in ([[e, 2 * e], [3 * e, e]], [[e, 0.5 * e, 3 * e], [2 * e, e, 0.25 * e]]):
+        sc = theorem_scenario(mat)
+        col = [sum(Fraction(row[j]) for row in mat) for j in range(sc.k)]
+        for total in range(DEFAULT_ORDER_CAP + 1):
+            for s in compositions(total, sc.k):
+                want = math.prod(_exact_rising(c, sj) for c, sj in zip(col, s))
+                want /= _exact_rising(sum(col), total)
+                got = rwa_moment_closed_form(sc, MomentIndex(s))
+                assert abs(Fraction(got) - want) <= 1e-12 * want, (s, got, float(want))
+
+
+@pytest.mark.parametrize("e", [1e-3, 0.5, 1e4, 1e6, 1e12, 1e100])
+def test_dirmult_pmf_matches_exact(e):
+    alpha = (e, 2 * e, 0.5 * e)
+    trials = 7
+    p = DirMultParams(DirichletParams(alpha), trials)
+    support = list(compositions(trials, 3))
+    got = np.exp(dirmult_log_pmf_batch(p, np.asarray(support)))
+    exact_alpha = [Fraction(a) for a in alpha]
+    for counts, g in zip(support, got):
+        want = Fraction(math.factorial(trials))
+        for a, c in zip(exact_alpha, counts):
+            want *= _exact_rising(a, c) / math.factorial(c)
+        want /= _exact_rising(sum(exact_alpha), trials)
+        assert abs(Fraction(float(g)) - want) <= 1e-12 * want, (counts, float(g), float(want))
 
 
 def test_expansion_examples():
