@@ -222,7 +222,7 @@ def _product(w_alpha: tuple, x_alphas: tuple, cs: _Cells, top: int) -> np.ndarra
     return poly
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=16)
 def _moment_table(w_alpha: tuple, x_alphas: tuple, top: int) -> np.ndarray:
     """prod_i F_i(t) on the simplex |h| <= top: one coefficient for every
     moment index of total order top."""
@@ -268,7 +268,7 @@ def _log_rising(x, m: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=16)
 def _column_log_rising(x_alphas: tuple):
     """log (c_j)_h for the column sums c_j of x and log (C)_h for their total
     C, h = 0..DEFAULT_ORDER_CAP, as lists."""
