@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -210,6 +212,30 @@ def test_cached_tables_are_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
+
+
+def test_tables_shared_by_threads():
+    # More scenarios than the caches hold and more threads than cores, with
+    # frequent thread switches: every thread must still read its own
+    # scenario's coefficients.
+    scenarios = [theorem_scenario([[0.25 * (i + 1), 1.0, 2.0], [3.5, 0.5, 0.125 * (i + 1)]])
+                 for i in range(24)]
+    indices = [MomentIndex(s) for total in range(1, 6) for s in compositions(total, 3)]
+
+    def expand(sc):
+        return [rwa_moment_expansion(sc, idx) for idx in indices]
+
+    want = [[_box_expansion(sc, idx.s) for idx in indices] for sc in scenarios]
+    moments._moment_table.cache_clear()
+    moments._simplex.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(expand, scenarios * 3, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want * 3
 
 
 def _exact_rising(x, m):
