@@ -159,7 +159,7 @@ def _simplex(k: int, top: int):
     if math.comb(top + 2 * k, 2 * k) > _MAX_PAIRS:
         return None
     # Lexicographic compositions of top into k + 1 parts, less the slack part.
-    cells = np.asarray(list(compositions(top, k + 1)), dtype=np.intp)[:, :k].T.copy()
+    cells = np.asarray(list(compositions(top, k + 1)), dtype=np.intp)[:, :k].T
     degree = cells.sum(axis=0)
     by_degree = np.argsort(degree, kind="stable")
     upto = np.searchsorted(degree[by_degree], np.arange(top + 1), side="right")
