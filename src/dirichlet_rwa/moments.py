@@ -20,9 +20,10 @@ pairs of cells whose sum stays in the simplex.  Where that is more than
 box prod_j [0, s_j], as many cells as before and at most 2^16 pairs at the
 order cap.  So no array of cell pairs exceeds 2^16 entries.
 
-The closed forms, the moment of the target Dirichlet and the
-Dirichlet-multinomial pmf, sum log rising factorials and share no code with
-the expansion.
+The closed forms, the moment of the claimed Dirichlet law and the
+Dirichlet-multinomial pmf, read the one cached table of log rising
+factorials behind distributions.dirichlet_mixed_moment, and share no code
+with the expansion.
 """
 from __future__ import annotations
 
@@ -33,9 +34,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
-from .distributions import DirichletParams, dirichlet_mixed_moment
+from .distributions import DEFAULT_ORDER_CAP, DirichletParams, _log_moment, _log_rising_table
 from .rwa import WeightedAverageScenario
 
 __all__ = [
@@ -50,10 +50,9 @@ __all__ = [
     "kerov_tsilevich_check",
 ]
 
-# Total-order cap on moment indices.  It bounds a box prod_j [0, s_j] to
-# at most 2^8 cells, so _box's table of cell pairs stays at most 2^8 x 2^8 =
-# _MAX_PAIRS; a simplex table is built only up to the same number of pairs.
-DEFAULT_ORDER_CAP = 8
+# DEFAULT_ORDER_CAP = 8 bounds a box prod_j [0, s_j] to 2^8 cells, so _box's
+# table of cell pairs stays within 2^8 x 2^8 = _MAX_PAIRS; a simplex table is
+# built only up to the same number of pairs.
 
 # Trial cap for explicit enumeration of the Dirichlet-multinomial support.
 DIRMULT_TRIALS_CAP = 64
@@ -99,10 +98,6 @@ def compositions(total: int, parts: int):
     slots = total + parts - 1
     for bars in itertools.combinations(range(slots), parts - 1):
         yield tuple([b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,))])
-
-
-def _log_multinomial(total: int, parts) -> float:
-    return math.lgamma(total + 1) - sum(math.lgamma(h + 1) for h in parts)
 
 
 # Pair-count bound of the cell sets.  It is the size of _box's table of
@@ -255,40 +250,15 @@ def rwa_moment_expansion(sc: WeightedAverageScenario, s: MomentIndex) -> float:
     return coeff * math.prod(q / (a_total + r) for r, q in enumerate(numer))
 
 
-def _log_rising(x, m: int) -> np.ndarray:
-    """log (x)_h = sum_{r < h} log(x + r) for h = 0..m along a new last axis.
-
-    Summing the logs of the factors keeps its relative precision at large
-    x, where gammaln(x + h) - gammaln(x) cancels: the difference's rounding
-    error, about eps * x * log(x), is 6e-3 at x = 1e12, and a moment
-    computed from it carries that as a relative error.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape + (m + 1,))
-    np.cumsum(np.log(x[..., None] + np.arange(m)), axis=-1, out=out[..., 1:])
-    return out
-
-
-@functools.lru_cache(maxsize=16)
-def _column_log_rising(x_alphas: tuple):
-    """log (c_j)_h for the column sums c_j of x and log (C)_h for their total
-    C, h = 0..DEFAULT_ORDER_CAP, as lists."""
-    a = np.asarray(x_alphas)
-    return (_log_rising(a.sum(axis=0), DEFAULT_ORDER_CAP).tolist(),
-            _log_rising(a.sum(), DEFAULT_ORDER_CAP).tolist())
-
-
 def rwa_moment_closed_form(sc: WeightedAverageScenario, s: MomentIndex) -> float:
-    """Mixed moment of z from the closed form: the Dirichlet of the column
-    sums c_j of x_alphas, prod_j (c_j)_{s_j} / (C)_S with C = sum_j c_j,
-    evaluated in log space from log rising factorials (independent
-    arithmetic from both the expansion and dirichlet_mixed_moment's code
-    path)."""
+    """Mixed moment of z from the closed form of its claimed law
+    Dirichlet(c), c = sc.target_alpha, which theorem_scenario sets to the
+    column sums of x_alphas: prod_j (c_j)_{s_j} / (C)_S with C = sum_j c_j.
+    It is dirichlet_mixed_moment without the argument checks, which
+    MomentIndex has made, read from the same cached table."""
     if s.k != sc.k:
         raise ValueError("moment index length does not match scenario dimension")
-    col_logs, total_logs = _column_log_rising(sc.x_alphas)
-    log_m = sum(logs[sj] for logs, sj in zip(col_logs, s.s)) - total_logs[s.total]
-    return math.exp(log_m)
+    return math.exp(_log_moment(sc.target_alpha, s.s))
 
 
 @dataclass(frozen=True)
@@ -310,18 +280,19 @@ def dirmult_log_pmf_batch(p: DirMultParams, counts: np.ndarray) -> np.ndarray:
 
         log n!/prod_j c_j! + sum_j log (alpha_j)_{c_j} - log (A)_n,
 
-    with the rising factorials read from tables of log rising factorials of
-    this alpha."""
-    alpha = p.alpha.as_array()
+    the log multinomial coefficient (log h! = log (1)_h, the table of alpha =
+    (1,)) plus the log Dirichlet moment, read from the table of alpha."""
+    alpha = p.alpha.alpha
     c = np.asarray(counts, dtype=np.intp)
     n = p.trials
-    # log (alpha_j)_h in row j, log (A)_h in the last row
-    logs = _log_rising(np.append(alpha, alpha.sum()), n)
+    top = max(n, DEFAULT_ORDER_CAP)
+    logs = _log_rising_table(alpha, top)
+    log_fact = _log_rising_table((1.0,), top)[0]
     return (
-        math.lgamma(n + 1)
-        - gammaln(c + 1.0).sum(axis=1)
+        log_fact[n]
+        - log_fact[c].sum(axis=1)
+        + logs[np.arange(len(alpha)), c].sum(axis=1)
         - logs[-1, n]
-        + logs[np.arange(alpha.size), c].sum(axis=1)
     )
 
 
@@ -348,8 +319,9 @@ def kerov_tsilevich_check(alpha, t, order: int = 12):
     """Moment-series check of E[(1 - t'x)^{-A}] = prod_i (1 - t_i)^{-alpha_i}
     for x ~ Dirichlet(alpha), A = sum(alpha).
 
-    The left side is expanded as sum_m (A)_m/m! E[(t'x)^m] with the inner
-    moments exact via dirichlet_mixed_moment, truncated at `order`.  Returns
+    The left side is expanded as sum_m (A)_m/m! E[(t'x)^m], truncated at
+    `order`.  By the multinomial theorem E[(t'x)^m] = sum_c P(c) prod_j
+    t_j^{c_j}, P the Dirichlet-multinomial pmf of m trials.  Returns
     (series, product, tail_bound); |series - product| <= tail_bound + eps is
     the success criterion.  The tail bound is exact for the dominating series
     with |t'x| <= max|t_i|: it is the full geometric-type sum minus its own
@@ -366,12 +338,10 @@ def kerov_tsilevich_check(alpha, t, order: int = 12):
     log_poch = 0.0  # log (A)_m / m!
     for m in range(1, order + 1):
         log_poch += math.log(a_total + m - 1) - math.log(m)
-        # E[(t'x)^m] = sum over compositions of m of multinomial * prod t^h * E[prod x^h]
-        inner = []
-        for h in compositions(m, p.k):
-            coef = math.exp(_log_multinomial(m, h))
-            inner.append(coef * np.prod(t ** np.asarray(h)) * dirichlet_mixed_moment(p, h))
-        series_terms.append(math.exp(log_poch) * math.fsum(inner))
+        support = _dirmult_support(m, p.k)
+        pmf = np.exp(dirmult_log_pmf_batch(DirMultParams(p, m), support))
+        inner = math.fsum(pmf * np.prod(t ** support, axis=1))
+        series_terms.append(math.exp(log_poch) * inner)
     series = math.fsum(series_terms)
     # If this overflows, so does the larger (1 - tau)**-A below, which raises.
     with np.errstate(over="ignore"):

@@ -144,7 +144,8 @@ def resolve_variant_reading(alpha, max_order: int = 3, rtol: float = 1e-9):
                 s = MomentIndex((s1, s2))
                 lhs = rwa_moment_expansion(sc, s)
                 rhs = dirichlet_mixed_moment(target, s.s)
-                if abs(lhs - rhs) > rtol * abs(rhs):
+                # written so that a NaN on either side is a mismatch
+                if not (abs(lhs - rhs) <= rtol * abs(rhs)):
                     ok = False
                     break
             if not ok:

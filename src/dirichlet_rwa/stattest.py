@@ -4,16 +4,14 @@ Three complementary checks back the distributional claims: moment z-tests
 with CLT standard errors against exact Dirichlet moments, one-sample KS tests
 of each marginal against its Beta CDF, and an energy-distance permutation
 test between two sample batches.  Thresholds are chosen so that, with frozen
-seeds, failures indicate bugs rather than noise.
+seeds, failures indicate bugs rather than noise.  The KS and energy tests
+import scipy when called, so the rest of the package runs on numpy alone.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.linalg.blas import dtrmm
-from scipy.spatial.distance import cdist
-from scipy.special import betainc
 
 from .distributions import DirichletParams, dirichlet_mixed_moment
 
@@ -101,6 +99,8 @@ def ks_marginal(values: np.ndarray, target: DirichletParams, coordinate: int) ->
     compared is the grid-minus-CDF difference a full evaluation computes, so
     the statistic is the same double.
     """
+    from scipy.special import betainc
+
     n, k = values.shape
     if not (0 <= coordinate < k):
         raise ValueError(f"coordinate {coordinate} out of range for k={k}")
@@ -153,6 +153,9 @@ def _permutation_labels(base: np.ndarray, seed: int) -> np.ndarray:
 def _energy_statistics(a: np.ndarray, b: np.ndarray, seed: int):
     """The observed energy statistic of a and b, and the array of the
     statistics of the ENERGY_PERMUTATIONS label shuffles."""
+    from scipy.linalg.blas import dtrmm
+    from scipy.spatial.distance import cdist
+
     if a.shape[1] != b.shape[1]:
         raise ValueError("batches must have the same dimension")
     va = _subsample(a, ENERGY_SUBSAMPLE)

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import os
@@ -511,6 +512,48 @@ def test_exact_route_holds_at_large_entries(tmp_path, entry):
     assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
     moments = json.loads((tmp_path / "reports" / "moments.json").read_text())
     assert max(t["max_rel_error"] for t in moments["tests"]) < 1e-13
+
+
+def test_variant_at_large_alpha_passes(tmp_path, capsys):
+    # the variant oracle's target moment must not cancel at such alphas,
+    # which would quarantine a true variant scenario
+    cfg = small_config(tmp_path / "reports", scenarios=[
+        {"id": "variant", "kind": "variant", "seed": 3, "alpha": [1e6, 2e6],
+         "n_samples": 20000},
+    ])
+    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+    report = json.loads((tmp_path / "reports" / "variant.json").read_text())
+    assert report["tests"][0] == {"kind": "variant-resolution", "reading": "symmetric",
+                                  "pass": True}
+
+
+def test_exact_route_and_export_import_no_scipy(tmp_path, monkeypatch):
+    # The exact kinds, verify-moments, stieltjes and sample need numpy only;
+    # scipy loads with the KS and energy tests of the sampled battery.  The
+    # config is the exact-identities benchmark workload at seed 7.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    config = write_config(tmp_path, workloads.exact_identities(7).config)
+    commands = [
+        ["run", "--config", str(config), "--out", str(tmp_path / "reports")],
+        ["verify-moments", "--max-order", "3", "--seed", "1"],
+        ["stieltjes", "--n", "3", "--out", str(tmp_path / "resid.csv")],
+        ["sample", "--alphas", "1,2;3,4", "--n-samples", "100", "--seed", "1",
+         "--out", str(tmp_path / "z.csv")],
+    ]
+    script = (
+        "import sys\n"
+        "from dirichlet_rwa.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded[:3]\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_moment_expansion_overflow_exits_2(tmp_path):

@@ -248,16 +248,21 @@ def _exact_rising(x, m):
 @pytest.mark.parametrize("e", [1e-3, 0.5, 1.0, 1e4, 1e6, 1e12, 1e50, 1e100])
 def test_closed_form_matches_exact_moments(e):
     # prod_j (c_j)_{s_j} / (C)_S in exact rationals, at entries where
-    # gammaln(x + m) - gammaln(x) cancels
+    # gammaln(x + m) - gammaln(x) cancels.  dirichlet_mixed_moment is checked
+    # up to total order 12, the Kerov-Tsilevich order, above the index cap.
     for mat in ([[e, 2 * e], [3 * e, e]], [[e, 0.5 * e, 3 * e], [2 * e, e, 0.25 * e]]):
         sc = theorem_scenario(mat)
         col = [sum(Fraction(row[j]) for row in mat) for j in range(sc.k)]
-        for total in range(DEFAULT_ORDER_CAP + 1):
+        target = DirichletParams(sc.target_alpha)
+        for total in range(12 + 1):
             for s in compositions(total, sc.k):
                 want = math.prod(_exact_rising(c, sj) for c, sj in zip(col, s))
                 want /= _exact_rising(sum(col), total)
-                got = rwa_moment_closed_form(sc, MomentIndex(s))
-                assert abs(Fraction(got) - want) <= 1e-12 * want, (s, got, float(want))
+                got = [dirichlet_mixed_moment(target, s)]
+                if total <= DEFAULT_ORDER_CAP:
+                    got.append(rwa_moment_closed_form(sc, MomentIndex(s)))
+                for g in got:
+                    assert abs(Fraction(g) - want) <= 1e-12 * want, (s, g, float(want))
 
 
 @pytest.mark.parametrize("e", [1e-3, 0.5, 1e4, 1e6, 1e12, 1e100])
@@ -374,6 +379,14 @@ def test_dirmult_trials_cap():
 def test_kerov_tsilevich_identity(alpha, t):
     series, product, tail = kerov_tsilevich_check(alpha, t, order=12)
     assert abs(series - product) <= tail + 1e-6
+    # Reference, term by term in exact rationals: (A)_m cancels from each
+    # order, leaving sum over |h| <= 12 of prod_j (alpha_j)_{h_j} t_j^{h_j} / h_j!.
+    want = Fraction(0)
+    for m in range(13):
+        for h in compositions(m, len(alpha)):
+            want += math.prod(_exact_rising(Fraction(a), hj) * Fraction(tj) ** hj
+                              / math.factorial(hj) for a, tj, hj in zip(alpha, t, h))
+    assert abs(Fraction(series) - want) <= 1e-14 * abs(want)
 
 
 def test_kerov_tsilevich_quadrature_cross_check():

@@ -198,6 +198,11 @@ def test_variant_reading_resolution():
     sc = variant_scenario((1.0, 2.0, 3.0), "symmetric")
     assert sc.target_alpha == (6.5, 6.5)
     assert resolve_variant_reading((0.7, 1.3)) == "symmetric"
+    # the target moment must not cancel at large concentrations
+    for scale in (1e6, 1e12):
+        assert resolve_variant_reading((scale, 2 * scale)) == "symmetric"
+    # the expansion overflows to NaN here, which must not read as a match
+    assert resolve_variant_reading((1e200, 2e200)) is None
 
 
 def test_variant_asymmetric_reading_fails_oracle():
