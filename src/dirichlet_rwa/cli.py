@@ -5,7 +5,7 @@ Subcommands:
   sample          draw weighted-average samples to CSV
   verify-theorem  statistical suite for one alpha matrix
   verify-moments  expansion vs closed-form moment equality over a fixture grid
-  stieltjes       derivative-identity residuals, CSV output
+  stieltjes       one-scenario `run` of the derivative identity, CSV of its points
 
 Exit codes: 0 all checks passed, 1 at least one statistical/numerical check
 failed, 2 configuration or I/O error, a non-finite number or a non-converging quadrature.
@@ -21,11 +21,10 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ScenarioConfig, load_config, parse_config
-from .runner import (STIELTJES_TOL_EXACT, STIELTJES_TOL_NUMERIC, run_config, run_scenario,
-                     write_report)
+from .runner import run_config, run_scenario, write_report
 from .rwa import sample_rwa_direct_batch, theorem_scenario
 from .distributions import RngStream
-from .stieltjes import QuadratureError, equation1_check, equation3_terms
+from .stieltjes import QuadratureError, equation3_terms
 
 
 def _parse_matrix(text: str) -> list:
@@ -122,25 +121,24 @@ def _cmd_verify_moments(args) -> int:
 
 
 def _cmd_stieltjes(args) -> int:
-    grid = [float(z) for z in args.grid.split(",")]
-    lhs, rhs, r3 = equation3_terms(args.n, grid)
-    r1 = equation1_check(args.n, grid)
+    # The one-scenario `run` of this order and grid: the points, bounds and
+    # verdict are the runner's, and the CSV lists the points it checked.
+    sc = _scenario("stieltjes", "stieltjes", 0, orders=[args.n],
+                   grid=[float(z) for z in args.grid.split(",")])
+    report = run_scenario(sc, config_hash="adhoc")
+    grid = next(t["grid"] for t in report["tests"] if t.get("form") == "transform")
+    lhs, rhs, resid = equation3_terms(args.n, grid)
     lines = ["n,z,lhs,rhs,residual"]
-    for z, left, right, resid in zip(grid, lhs, rhs, r3):
-        lines.append(
-            f"{args.n},{_fmt(z)},{_fmt(left.real)},{_fmt(right.real)},{_fmt(float(resid))}"
-        )
+    for z, left, right, r in zip(grid, lhs, rhs, resid):
+        lines.append(f"{args.n},{_fmt(z)},{_fmt(left.real)},{_fmt(right.real)},{_fmt(float(r))}")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8", newline="\n")
         print(f"wrote residual table to {args.out}")
     else:
         sys.stdout.write(text)
-    tol = STIELTJES_TOL_EXACT if args.n <= 3 else STIELTJES_TOL_NUMERIC
-    worst = max(float(np.max(r3)), float(np.max(r1)))
-    print(f"max residual (transform form): {float(np.max(r3)):.3e}")
-    print(f"max residual (integral form):  {float(np.max(r1)):.3e}")
-    return 0 if worst < tol else 1
+    _print_summary(report)
+    return 0 if report["overall_pass"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "DirichletParams",
     "RngStream",
-    "SIMPLEX_SUM_TOL",
     "sample_dirichlet_batch",
     "dirichlet_mixed_moment",
     "DEFAULT_ORDER_CAP",
@@ -28,10 +27,6 @@ __all__ = [
 # Total-order cap on moment indices (moments.MomentIndex); a table of log
 # rising factorials is at least this deep.
 DEFAULT_ORDER_CAP = 8
-
-# Tolerance on |sum(coords) - 1| of a sampled row; 1e-12 covers 64-bit
-# accumulation error for dimensions up to ~64.
-SIMPLEX_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -91,7 +86,7 @@ class RngStream:
 
 
 def sample_dirichlet_batch(p: DirichletParams, n: int, rng: RngStream) -> np.ndarray:
-    """(n, k) array of Dirichlet draws; rows sum to 1 within SIMPLEX_SUM_TOL."""
+    """(n, k) array of Dirichlet draws, one per row."""
     return rng.generator().dirichlet(p.as_array(), size=n)
 
 

@@ -50,10 +50,6 @@ __all__ = [
     "kerov_tsilevich_check",
 ]
 
-# DEFAULT_ORDER_CAP = 8 bounds a box prod_j [0, s_j] to 2^8 cells, so _box's
-# table of cell pairs stays within 2^8 x 2^8 = _MAX_PAIRS; a simplex table is
-# built only up to the same number of pairs.
-
 # Trial cap for explicit enumeration of the Dirichlet-multinomial support.
 DIRMULT_TRIALS_CAP = 64
 
@@ -100,8 +96,9 @@ def compositions(total: int, parts: int):
         yield tuple([b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,))])
 
 
-# Pair-count bound of the cell sets.  It is the size of _box's table of
-# cell pairs at the order cap, 2^8 x 2^8.
+# Pair-count bound of the cell sets: DEFAULT_ORDER_CAP = 8 bounds a box
+# prod_j [0, s_j] to 2^8 cells, so _box's table of cell pairs to 2^8 x 2^8;
+# a simplex table is built only up to the same number of pairs.
 _MAX_PAIRS = 2 ** 16
 
 
@@ -178,17 +175,27 @@ def _simplex(k: int, top: int):
     return _Cells(*_read_only(cells, degree, left, right, target)), index
 
 
-def _rising_ratios(top: np.ndarray, bottom, m: int) -> np.ndarray:
-    """(top)_h / (bottom)_h for h = 0..m along a new last axis."""
+def _rising_ratios(top: np.ndarray, bottom, m: int, e: int = 0) -> np.ndarray:
+    """(top)_h / (bottom)_h * 2^(-e h) for h = 0..m along a new last axis."""
     r = np.arange(m)
     out = np.ones(top.shape + (m + 1,))
-    out[..., 1:] = (top[..., None] + r) / (np.asarray(bottom)[..., None] + r)
+    out[..., 1:] = np.ldexp((top[..., None] + r) / (np.asarray(bottom)[..., None] + r), -e)
     return np.cumprod(out, axis=-1, out=out)
 
 
+@functools.lru_cache(maxsize=64)
+def _scale_exponent(x_alphas: tuple) -> int:
+    """e with 2^(e-1) <= the largest entry < 2^e if that is above 1, else 0.
+    (alpha_ij)_h/h! would pass the largest double at entries of 1e39 and
+    order 8; the product tables are those of prod_i F_i(t / 2^e), in which it
+    is below 1.  A coefficient of total S is so 2^(-eS) times the unscaled
+    one, exactly: a power of two rounds nothing short of the subnormals."""
+    return max(math.frexp(max(map(max, x_alphas)))[1], 0)
+
+
 def _product(w_alpha: tuple, x_alphas: tuple, cs: _Cells, top: int) -> np.ndarray:
-    """Coefficients of prod_i F_i(t) on the cells of cs, whose totals are at
-    most top, read-only.
+    """Coefficients of prod_i F_i(t / 2^e) on the cells of cs, whose totals
+    are at most top, read-only; e is _scale_exponent(x_alphas).
 
     Each factor is multiplied in by one bincount, which adds the products
     poly[h] * f[c - h] into cell c in ascending order of h.  Every
@@ -197,30 +204,26 @@ def _product(w_alpha: tuple, x_alphas: tuple, cs: _Cells, top: int) -> np.ndarra
     """
     a = np.asarray(w_alpha)
     x = np.asarray(x_alphas)
-    # (alpha_ij)_h/h! grows like alpha_ij^h and overflows to inf for large
-    # entries; the moment then comes out non-finite, which the report check
-    # refuses, so numpy's warnings would only add noise.
-    with np.errstate(over="ignore", invalid="ignore"):
-        # F_i over the cells: (a_i)_{|h|}/(b_i)_{|h|} * prod_j (alpha_ij)_{h_j}/h_j!
-        per_row = _rising_ratios(a, x.sum(axis=1), top)
-        per_cell = _rising_ratios(x, 1.0, top)
-        coords = np.arange(x.shape[1])[:, None]
-        poly = None
-        for row, cell_row in zip(per_row, per_cell):
-            f = row[cs.degree] * np.prod(cell_row[coords, cs.cells], axis=0)
-            if poly is None:
-                poly = f
-            else:
-                poly = np.bincount(cs.target, weights=poly[cs.left] * f[cs.right],
-                                   minlength=f.size)
+    # F_i over the cells: (a_i)_{|h|}/(b_i)_{|h|} * prod_j (alpha_ij)_{h_j}/h_j! 2^(-e h_j)
+    per_row = _rising_ratios(a, x.sum(axis=1), top)
+    per_cell = _rising_ratios(x, 1.0, top, _scale_exponent(x_alphas))
+    coords = np.arange(x.shape[1])[:, None]
+    poly = None
+    for row, cell_row in zip(per_row, per_cell):
+        f = row[cs.degree] * np.prod(cell_row[coords, cs.cells], axis=0)
+        if poly is None:
+            poly = f
+        else:
+            poly = np.bincount(cs.target, weights=poly[cs.left] * f[cs.right],
+                               minlength=f.size)
     poly.flags.writeable = False
     return poly
 
 
 @functools.lru_cache(maxsize=16)
 def _moment_table(w_alpha: tuple, x_alphas: tuple, top: int) -> np.ndarray:
-    """prod_i F_i(t) on the simplex |h| <= top: one coefficient for every
-    moment index of total order top."""
+    """prod_i F_i(t / 2^e) on the simplex |h| <= top: one coefficient for
+    every moment index of total order top."""
     return _product(w_alpha, x_alphas, _simplex(len(x_alphas[0]), top)[0], top)
 
 
@@ -244,10 +247,12 @@ def rwa_moment_expansion(sc: WeightedAverageScenario, s: MomentIndex) -> float:
         coeff = float(_product(sc.w_alpha, sc.x_alphas, _box(s.s), total)[-1])
     else:
         coeff = float(_moment_table(sc.w_alpha, sc.x_alphas, total)[simplex[1][s.s]])
-    # prod_j s_j! / (A)_S, one factor pair at a time
+    # prod_j s_j! / (A)_S, each factor q / ((A + r) / 2^e) restoring one 2^e
+    # of the table's scale (2^-e is a double for every e, 2^1024 is not)
     numer = [q for sj in s.s for q in range(1, sj + 1)]
     a_total = float(np.asarray(sc.w_alpha).sum())
-    return coeff * math.prod(q / (a_total + r) for r, q in enumerate(numer))
+    scale = 2.0 ** -_scale_exponent(sc.x_alphas)
+    return coeff * math.prod(q / ((a_total + r) * scale) for r, q in enumerate(numer))
 
 
 def rwa_moment_closed_form(sc: WeightedAverageScenario, s: MomentIndex) -> float:

@@ -124,32 +124,30 @@ def variant_scenario(alpha, reading: str = "symmetric") -> WeightedAverageScenar
     return WeightedAverageScenario(a, x, target)
 
 
-def resolve_variant_reading(alpha, max_order: int = 3, rtol: float = 1e-9):
+# A variant reading must match every mixed moment of the claimed target up
+# to this total order, each within this relative error.
+VARIANT_MAX_ORDER, VARIANT_RTOL = 3, 1e-9
+
+
+def resolve_variant_reading(alpha):
     """Decide which expansion of the variant's scalar notation is consistent,
     by exact moment comparison against the claimed target.
 
     Returns the name of the verified reading, or None if neither matches all
-    mixed moments of total order <= max_order within rtol.
+    mixed moments of total order <= VARIANT_MAX_ORDER within VARIANT_RTOL.
     """
-    from .moments import MomentIndex, rwa_moment_expansion
+    from .moments import MomentIndex, compositions, rwa_moment_expansion
 
+    indices = [MomentIndex(s) for total in range(1, VARIANT_MAX_ORDER + 1)
+               for s in compositions(total, 2)]
     for reading in ("symmetric", "asymmetric"):
         sc = variant_scenario(alpha, reading)
         target = DirichletParams(sc.target_alpha)
-        ok = True
-        for s1 in range(max_order + 1):
-            for s2 in range(max_order + 1 - s1):
-                if s1 == s2 == 0:
-                    continue
-                s = MomentIndex((s1, s2))
-                lhs = rwa_moment_expansion(sc, s)
-                rhs = dirichlet_mixed_moment(target, s.s)
-                # written so that a NaN on either side is a mismatch
-                if not (abs(lhs - rhs) <= rtol * abs(rhs)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+
+        def matches(s):  # written so that a NaN on either side is a mismatch
+            rhs = dirichlet_mixed_moment(target, s.s)
+            return abs(rwa_moment_expansion(sc, s) - rhs) <= VARIANT_RTOL * abs(rhs)
+
+        if all(map(matches, indices)):
             return reading
     return None

@@ -8,10 +8,13 @@ from scipy.special import gammaln
 from dirichlet_rwa.distributions import (
     DirichletParams,
     RngStream,
-    SIMPLEX_SUM_TOL,
     dirichlet_mixed_moment,
     sample_dirichlet_batch,
 )
+
+# Tolerance on |sum(coords) - 1| of a sampled row; 1e-12 covers 64-bit
+# accumulation error for dimensions up to ~64.
+SIMPLEX_SUM_TOL = 1e-12
 
 positive = st.floats(min_value=0.05, max_value=50, allow_nan=False)
 
