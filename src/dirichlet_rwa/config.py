@@ -125,8 +125,9 @@ def _check_values(kind: str, p: dict) -> None:
     if kind == "theorem":
         sc = theorem_scenario(_rows(p["alphas"], "alphas"))
         if p["target_override"] is not None:
-            WeightedAverageScenario(sc.w_alpha, sc.x_alphas,
-                                    _numbers(p["target_override"], "target_override"))
+            sc = WeightedAverageScenario(sc.w_alpha, sc.x_alphas,
+                                         _numbers(p["target_override"], "target_override"))
+        DirichletParams(sc.target_alpha)  # its grand total must be finite too
     elif kind == "variant":
         variant_scenario(_numbers(p["alpha"], "alpha"))
     elif kind == "moments":
@@ -134,7 +135,7 @@ def _check_values(kind: str, p: dict) -> None:
         entries = _numbers(p["entries"], "entries")
         for n, k in _rows(p["sizes"], "sizes"):
             for e in entries:
-                theorem_scenario(np.full((n, k), e))
+                DirichletParams(theorem_scenario(np.full((n, k), e)).target_alpha)
     elif kind == "dirmult":
         if p["max_trials"] > DIRMULT_TRIALS_CAP:
             raise ValueError(f"max_trials exceeds the cap of {DIRMULT_TRIALS_CAP}")

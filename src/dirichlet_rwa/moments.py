@@ -12,13 +12,17 @@ composition tables summed one factor at a time.  The result must agree with
 the closed-form moment of the target Dirichlet; that equality is the
 computable core this module exists to check.
 
-One table per scenario and total order S holds prod_i F_i(t) on the simplex
-of cells |h| <= S, so every index of that order reads its coefficient from
-it.  Each factor is multiplied in by one bincount over the C(S + 2k, 2k)
-pairs of cells whose sum stays in the simplex.  Where that is more than
-2^16 pairs (k = 6 at S = 8, for one), the index is expanded alone on its
-box prod_j [0, s_j], as many cells as before and at most 2^16 pairs at the
-order cap.  So no array of cell pairs exceeds 2^16 entries.
+One table per scenario holds the finished moment of every cell of the
+simplex |h| <= S, for the highest total order S asked of that scenario so
+far: prod_i F_i(t) on the simplex, each coefficient times its prod_j s_j! /
+(A)_S.  Every index of total order <= S reads its moment from it, bit for
+bit what a table of its own order would give; an index of higher order
+builds the table of its order, which replaces the old one.  Each factor is
+multiplied in by one bincount over the C(S + 2k, 2k) pairs of cells whose
+sum stays in the simplex.  Where that is more than 2^16 pairs (k = 6 at
+S = 8, for one), the index is expanded alone on its box prod_j [0, s_j], at
+most 2^16 pairs at the order cap.  So no array of cell pairs exceeds 2^16
+entries.
 
 The closed forms, the moment of the claimed Dirichlet law and the
 Dirichlet-multinomial pmf, read the one cached table of log rising
@@ -30,6 +34,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -220,39 +226,93 @@ def _product(w_alpha: tuple, x_alphas: tuple, cs: _Cells, top: int) -> np.ndarra
     return poly
 
 
-@functools.lru_cache(maxsize=16)
-def _moment_table(w_alpha: tuple, x_alphas: tuple, top: int) -> np.ndarray:
-    """prod_i F_i(t / 2^e) on the simplex |h| <= top: one coefficient for
-    every moment index of total order top."""
-    return _product(w_alpha, x_alphas, _simplex(len(x_alphas[0]), top)[0], top)
+def _finished(sc: WeightedAverageScenario, coeff: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """The moments of the cells s (the columns of cells) from their
+    coefficients of prod_i F_i(t / 2^e): coeff * prod_j s_j! / (A)_S * 2^(eS).
+
+    The factors q / ((A + r) / 2^e), r = 0..S-1 with q running through
+    1..s_1, 1..s_2, ..., restore one 2^e each (2^-e is a double for every e,
+    2^1024 is not).  They are multiplied in ascending r from 1.0, as
+    math.prod over them would, so every cell gets the same bits alone or in
+    a table."""
+    a_total = float(np.asarray(sc.w_alpha).sum())
+    scale = 2.0 ** -_scale_exponent(sc.x_alphas)
+    ends = np.cumsum(cells, axis=0)  # ends[j] = s_1 + ... + s_{j+1}
+    out = np.ones(coeff.shape)
+    for r in range(int(ends[-1].max(initial=0))):
+        q = r + 1 - np.where(ends <= r, ends, 0).max(axis=0)
+        live = ends[-1] > r
+        out[live] *= q[live] / ((a_total + r) * scale)
+    return coeff * out
+
+
+class _Table(NamedTuple):
+    """Finished moments of one scenario on the simplex |h| <= top; index
+    maps a cell to its position."""
+
+    top: int
+    index: dict
+    moment: np.ndarray
+
+
+class _MomentTables:
+    """Bounded LRU map from a scenario (w_alpha, x_alphas) to its _Table of
+    the highest total order asked so far, shared by threads."""
+
+    def __init__(self, maxsize: int):
+        self._maxsize = maxsize
+        self._tables = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, sc: WeightedAverageScenario, total: int):
+        """A table of sc at least total deep, or None if the simplex of
+        total has more than _MAX_PAIRS pairs."""
+        key = (sc.w_alpha, sc.x_alphas)
+        with self._lock:
+            table = self._tables.get(key)
+            if table is None or table.top < total:
+                simplex = _simplex(sc.k, total)
+                if simplex is None:
+                    return None
+                cs, index = simplex
+                moment = _finished(sc, _product(sc.w_alpha, sc.x_alphas, cs, total), cs.cells)
+                moment.flags.writeable = False
+                table = self._tables[key] = _Table(total, index, moment)
+            self._tables.move_to_end(key)
+            if len(self._tables) > self._maxsize:
+                self._tables.popitem(last=False)
+            return table
+
+    def clear(self) -> None:
+        with self._lock:
+            self._tables.clear()
+
+
+_moment_tables = _MomentTables(maxsize=16)
 
 
 def rwa_moment_expansion(sc: WeightedAverageScenario, s: MomentIndex) -> float:
     """E[prod_j z_j^{s_j}] as the coefficient [t^s] of prod_i F_i(t) (see the
     module docstring).
 
-    The coefficient is read from the scenario's cached table for the total
-    order of s; where that simplex has too many pairs, it comes from the
-    product over the box prod_j [0, s_j] of this one index.  Every term is
-    positive, so nothing cancels.  Only the weight concentrations and the
+    The moment is read from the scenario's cached table, which covers every
+    index of total order up to the highest asked of the scenario so far, so
+    asking for the highest order first builds one table per scenario; where
+    the simplex of s's order has too many pairs, the coefficient comes from
+    the product over the box prod_j [0, s_j] of this one index.  Every term
+    is positive, so nothing cancels.  Only the weight concentrations and the
     rows of x enter; the column sums never do, which keeps this oracle
     independent of rwa_moment_closed_form and valid for scenarios whose
     weight concentrations are not the row sums.
     """
     if s.k != sc.k:
         raise ValueError(f"moment index length {s.k} != scenario dimension {sc.k}")
-    total = s.total
-    simplex = _simplex(s.k, total)
-    if simplex is None:
-        coeff = float(_product(sc.w_alpha, sc.x_alphas, _box(s.s), total)[-1])
-    else:
-        coeff = float(_moment_table(sc.w_alpha, sc.x_alphas, total)[simplex[1][s.s]])
-    # prod_j s_j! / (A)_S, each factor q / ((A + r) / 2^e) restoring one 2^e
-    # of the table's scale (2^-e is a double for every e, 2^1024 is not)
-    numer = [q for sj in s.s for q in range(1, sj + 1)]
-    a_total = float(np.asarray(sc.w_alpha).sum())
-    scale = 2.0 ** -_scale_exponent(sc.x_alphas)
-    return coeff * math.prod(q / ((a_total + r) * scale) for r, q in enumerate(numer))
+    table = _moment_tables.get(sc, s.total)
+    if table is not None:
+        return float(table.moment[table.index[s.s]])
+    box = _box(s.s)
+    coeff = _product(sc.w_alpha, sc.x_alphas, box, s.total)[-1:]
+    return float(_finished(sc, coeff, box.cells[:, -1:])[0])
 
 
 def rwa_moment_closed_form(sc: WeightedAverageScenario, s: MomentIndex) -> float:
@@ -279,35 +339,41 @@ class DirMultParams:
             raise ValueError("trials must be >= 0")
 
 
+def _log_multinomial(n: int, c: np.ndarray) -> np.ndarray:
+    """log n!/prod_j c_j! per row of c (log h! = log (1)_h, the table of
+    alpha = (1,))."""
+    log_fact = _log_rising_table((1.0,), max(n, DEFAULT_ORDER_CAP))[0]
+    return log_fact[n] - log_fact[c].sum(axis=1)
+
+
+def _log_pmf(p: DirMultParams, c: np.ndarray, log_multinomial: np.ndarray) -> np.ndarray:
+    """The log pmf of p at the rows of c from their log multinomial
+    coefficients: the log Dirichlet moment, read from the table of alpha,
+    added on."""
+    alpha = p.alpha.alpha
+    n = p.trials
+    logs = _log_rising_table(alpha, max(n, DEFAULT_ORDER_CAP))
+    return log_multinomial + logs[np.arange(len(alpha)), c].sum(axis=1) - logs[-1, n]
+
+
 def dirmult_log_pmf_batch(p: DirMultParams, counts: np.ndarray) -> np.ndarray:
     """Vectorized log pmf over an (m, k) array of count vectors of p.trials
     trials:
 
         log n!/prod_j c_j! + sum_j log (alpha_j)_{c_j} - log (A)_n,
 
-    the log multinomial coefficient (log h! = log (1)_h, the table of alpha =
-    (1,)) plus the log Dirichlet moment, read from the table of alpha."""
-    alpha = p.alpha.alpha
+    the log multinomial coefficient plus the log Dirichlet moment."""
     c = np.asarray(counts, dtype=np.intp)
-    n = p.trials
-    top = max(n, DEFAULT_ORDER_CAP)
-    logs = _log_rising_table(alpha, top)
-    log_fact = _log_rising_table((1.0,), top)[0]
-    return (
-        log_fact[n]
-        - log_fact[c].sum(axis=1)
-        + logs[np.arange(len(alpha)), c].sum(axis=1)
-        - logs[-1, n]
-    )
+    return _log_pmf(p, c, _log_multinomial(p.trials, c))
 
 
 @functools.lru_cache(maxsize=64)
-def _dirmult_support(trials: int, cells: int) -> np.ndarray:
-    """All count vectors of the support, one per row, read-only.  It depends
-    only on the trial and cell counts, so a grid of alphas shares it."""
+def _dirmult_support(trials: int, cells: int):
+    """All count vectors of the support, one per row, and their log
+    multinomial coefficients, read-only.  They depend only on the trial and
+    cell counts, so a grid of alphas shares them."""
     support = np.asarray(list(compositions(trials, cells)), dtype=np.intp)
-    support.flags.writeable = False
-    return support
+    return _read_only(support, _log_multinomial(trials, support))
 
 
 def dirmult_normalization_check(p: DirMultParams) -> float:
@@ -316,8 +382,8 @@ def dirmult_normalization_check(p: DirMultParams) -> float:
         raise OrderCapExceeded(
             f"trials={p.trials} exceeds the enumeration cap of {DIRMULT_TRIALS_CAP}"
         )
-    support = _dirmult_support(p.trials, p.alpha.k)
-    return float(math.fsum(np.exp(dirmult_log_pmf_batch(p, support))))
+    support, log_multinomial = _dirmult_support(p.trials, p.alpha.k)
+    return math.fsum(np.exp(_log_pmf(p, support, log_multinomial)).tolist())
 
 
 def kerov_tsilevich_check(alpha, t, order: int = 12):
@@ -343,8 +409,8 @@ def kerov_tsilevich_check(alpha, t, order: int = 12):
     log_poch = 0.0  # log (A)_m / m!
     for m in range(1, order + 1):
         log_poch += math.log(a_total + m - 1) - math.log(m)
-        support = _dirmult_support(m, p.k)
-        pmf = np.exp(dirmult_log_pmf_batch(DirMultParams(p, m), support))
+        support, log_multinomial = _dirmult_support(m, p.k)
+        pmf = np.exp(_log_pmf(DirMultParams(p, m), support, log_multinomial))
         inner = math.fsum(pmf * np.prod(t ** support, axis=1))
         series_terms.append(math.exp(log_poch) * inner)
     series = math.fsum(series_terms)

@@ -138,7 +138,8 @@ def resolve_variant_reading(alpha):
     """
     from .moments import MomentIndex, compositions, rwa_moment_expansion
 
-    indices = [MomentIndex(s) for total in range(1, VARIANT_MAX_ORDER + 1)
+    # highest order first, so that each reading builds one moment table
+    indices = [MomentIndex(s) for total in range(VARIANT_MAX_ORDER, 0, -1)
                for s in compositions(total, 2)]
     for reading in ("symmetric", "asymmetric"):
         sc = variant_scenario(alpha, reading)

@@ -499,6 +499,27 @@ def test_overflowing_input_prints_only_its_error_line(tmp_path, command):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+@pytest.mark.parametrize("kind", ["moments", "theorem"])
+def test_overflowing_grand_total_refused_by_the_validator(tmp_path, kind):
+    # Every row and column sum of 4e307 on 3 x 3 is finite, the grand total
+    # is not.  The theorem scenario follows one that would run first.
+    if kind == "moments":
+        scenarios = [{"id": "huge", "kind": "moments", "seed": 1, "sizes": [[3, 3]],
+                      "entries": [4e307]}]
+    else:
+        scenarios = [{"id": "s", "kind": "stieltjes", "seed": 1},
+                     {"id": "huge", "kind": "theorem", "seed": 1, "alphas": [[4e307] * 3] * 3,
+                      "n_samples": 10}]
+    out = tmp_path / "reports"
+    cfg = small_config(out, scenarios=scenarios)
+    proc = cli_process(["run", "--config", str(write_config(tmp_path, cfg))])
+    assert proc.returncode == 2
+    where = f"scenarios[{len(scenarios) - 1}]: "
+    assert proc.stderr.startswith("error: " + where), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert not out.exists()
+
+
 def test_overflow_in_a_command_exits_2(tmp_path, capsys, monkeypatch):
     def overflow(*args, **kwargs):
         raise OverflowError("(34, 'Numerical result out of range')")

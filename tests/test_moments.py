@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirichlet_rwa.distributions import DirichletParams, dirichlet_mixed_moment
+from dirichlet_rwa.distributions import DirichletParams, _log_rising_table, dirichlet_mixed_moment
 from dirichlet_rwa.moments import (
     DEFAULT_ORDER_CAP,
     DirMultParams,
@@ -202,13 +202,75 @@ def test_simplex_pairs_and_targets(k, top):
     assert len(set(zip(cs.left.tolist(), cs.right.tolist()))) == len(cs.left)
 
 
+def _three_readings(sc, indices):
+    """The expansion of every index read in ascending order, in descending
+    order and alone on cleared caches, each list in the order of indices."""
+    moments._moment_tables.clear()
+    ascending = [rwa_moment_expansion(sc, idx) for idx in indices]
+    moments._moment_tables.clear()
+    descending = [rwa_moment_expansion(sc, idx) for idx in reversed(indices)][::-1]
+    alone = []
+    for idx in indices:
+        moments._moment_tables.clear()
+        alone.append(rwa_moment_expansion(sc, idx))
+    return ascending, descending, alone
+
+
+@given(st.integers(2, 6), st.integers(2, 4), st.integers(1, DEFAULT_ORDER_CAP), st.data())
+@settings(max_examples=40, deadline=None)
+def test_one_table_reads_every_lower_order(n, k, top, data):
+    # A table of order top answers every lower order with the bits of the
+    # table of that order, whichever order the indices come in.
+    mat = data.draw(st.lists(st.lists(wide_entry, min_size=k, max_size=k),
+                             min_size=n, max_size=n))
+    sc = theorem_scenario(mat)
+    indices = [MomentIndex(s) for total in range(1, top + 1) for s in compositions(total, k)]
+    ascending, descending, alone = _three_readings(sc, indices)
+    assert ascending == descending == alone
+
+
+def test_one_table_reads_beside_the_box_path():
+    # k = 6: orders up to 7 come from tables, order 8 from the box of each
+    # index, so the order-8 indices leave a deep table in place or find none.
+    sc = theorem_scenario(np.linspace(0.25, 4.0, 18).reshape(3, 6))
+    indices = [MomentIndex(s) for total in range(1, DEFAULT_ORDER_CAP + 1)
+               for s in itertools.islice(compositions(total, 6), 0, None, 23)]
+    assert {idx.total for idx in indices} == set(range(1, DEFAULT_ORDER_CAP + 1))
+    ascending, descending, alone = _three_readings(sc, indices)
+    assert ascending == descending == alone
+    assert ascending == [_box_expansion(sc, idx.s) for idx in indices]
+
+
+def test_run_moments_builds_one_table_per_matrix(monkeypatch):
+    from dirichlet_rwa import runner
+    from dirichlet_rwa.config import ScenarioConfig
+
+    built = []
+    product = moments._product
+
+    def counting_product(w_alpha, x_alphas, cs, top):
+        built.append((w_alpha, x_alphas))
+        return product(w_alpha, x_alphas, cs, top)
+
+    monkeypatch.setattr(moments, "_product", counting_product)
+    moments._moment_tables.clear()
+    sc = ScenarioConfig("m", "moments", 1, {"max_total_order": 5, "sizes": [[2, 2], [2, 3]],
+                                            "entries": [0.5, 2.0]})
+    tests, _ = runner._run_moments(sc)
+    assert all(t["pass"] for t in tests)
+    # exhaustive grids: 2^4 matrices of 2 x 2, 2^6 of 2 x 3
+    assert len(built) == 2 ** 4 + 2 ** 6
+    assert len(set(built)) == len(built)
+
+
 def test_cached_tables_are_read_only():
     sc = theorem_scenario([[1.0, 2.0, 0.5], [3.0, 0.25, 1.5]])
     rwa_moment_expansion(sc, MomentIndex((1, 2, 0)))
     cs, _ = moments._simplex(3, 3)
-    table = moments._moment_table(sc.w_alpha, sc.x_alphas, 3)
+    table = moments._moment_tables.get(sc, 3).moment
     box = moments._box((1, 2, 0))
-    for arr in (*cs, table, *box):
+    support = moments._dirmult_support(3, 3)
+    for arr in (*cs, table, *box, *support):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
@@ -217,25 +279,33 @@ def test_cached_tables_are_read_only():
 def test_tables_shared_by_threads():
     # More scenarios than the caches hold and more threads than cores, with
     # frequent thread switches: every thread must still read its own
-    # scenario's coefficients.
+    # scenario's moments.  Tasks read a scenario's indices in ascending,
+    # descending or interleaved order, so some threads replace its table
+    # with a deeper one while others read it.
     scenarios = [theorem_scenario([[0.25 * (i + 1), 1.0, 2.0], [3.5, 0.5, 0.125 * (i + 1)]])
                  for i in range(24)]
     indices = [MomentIndex(s) for total in range(1, 6) for s in compositions(total, 3)]
+    ascending = list(range(len(indices)))
+    zigzag = [i for pair in zip(ascending, reversed(ascending)) for i in pair][:len(indices)]
+    orders = [ascending, ascending[::-1], zigzag]
+    tasks = [(sc, order) for order in orders for sc in scenarios]
 
-    def expand(sc):
-        return [rwa_moment_expansion(sc, idx) for idx in indices]
+    def expand(task):
+        sc, order = task
+        got = {i: rwa_moment_expansion(sc, indices[i]) for i in order}
+        return [got[i] for i in range(len(indices))]
 
     want = [[_box_expansion(sc, idx.s) for idx in indices] for sc in scenarios]
-    moments._moment_table.cache_clear()
+    moments._moment_tables.clear()
     moments._simplex.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(expand, scenarios * 3, timeout=120))
+            got = list(pool.map(expand, tasks, timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    assert got == want * 3
+    assert got == want * len(orders)
 
 
 def _exact_rising(x, m):
@@ -365,6 +435,28 @@ def test_dirmult_normalization_examples():
             DirMultParams(DirichletParams(alpha), trials)
         )
         assert abs(total - 1.0) <= 1e-10
+
+
+def _parent_normalization(p):
+    """Reference: the normalization sum as fsum over the pmf array, with the
+    log pmf written out in full."""
+    alpha, n = p.alpha.alpha, p.trials
+    c = np.asarray(list(compositions(n, len(alpha))), dtype=np.intp)
+    top = max(n, DEFAULT_ORDER_CAP)
+    logs = _log_rising_table(alpha, top)
+    log_fact = _log_rising_table((1.0,), top)[0]
+    log_pmf = (log_fact[n] - log_fact[c].sum(axis=1)
+               + logs[np.arange(len(alpha)), c].sum(axis=1) - logs[-1, n])
+    return float(math.fsum(np.exp(log_pmf)))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_dirmult_normalization_bitwise_reference(k):
+    rng = np.random.default_rng(k)
+    for trials in range(21):
+        for alpha in (np.full(k, 0.5), np.exp(rng.uniform(np.log(1e-3), np.log(1e4), k))):
+            p = DirMultParams(DirichletParams(alpha), trials)
+            assert dirmult_normalization_check(p) == _parent_normalization(p), (alpha, trials)
 
 
 def test_dirmult_trials_cap():
