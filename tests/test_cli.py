@@ -1,9 +1,11 @@
 import importlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -396,6 +398,80 @@ def test_chunked_csv_empty_is_header_only():
     assert chunked_csv(np.empty((0, 4))) == reference_csv(np.empty((0, 4))) == "z_1,z_2,z_3,z_4\n"
 
 
+def test_decade_thresholds_round_up_from_their_powers_of_ten():
+    # The kernel takes v >= 1e-4 and reads floor(log10 v) off v >= 1e-3, 1e-2,
+    # 1e-1: exact because each threshold double lies above its power of ten
+    # and the one before it below.  That one lies more than half a unit of its
+    # 17th digit below, so the 17-digit rounding never carries into the next
+    # decade.
+    for k in range(1, 5):
+        t, below = Fraction(10.0 ** -k), Fraction(np.nextafter(10.0 ** -k, 0))
+        assert below < Fraction(1, 10**k) <= t
+        assert (Fraction(1, 10**k) - below) * 10 ** (17 + k) > Fraction(1, 2)
+
+
+def halfway_values():
+    """Every v in [1e-4, 1) whose 17-digit rounding is an exact tie: v * 10**p
+    is an odd multiple of 1/2 for p = 16 - floor(log10 v), so v = q / 2**(p + 1)
+    with q odd."""
+    values = []
+    for p in range(17, 21):
+        scale = 2 ** (p + 1)
+        q_lo = -(-scale // 10 ** (p - 16))  # v >= 10**(16 - p)
+        q_hi = -(-scale // 10 ** (p - 17))  # v < 10**(17 - p)
+        values.append(np.arange(q_lo | 1, q_hi, 2) / float(scale))
+    return np.concatenate(values)
+
+
+def ulps_around(x, before, after):
+    bits = np.array([x]).view(np.int64)[0]
+    return (bits + np.arange(-before, after + 1)).view(np.float64)
+
+
+def test_csv_kernel_matches_reference_on_halfway_values():
+    v = halfway_values()
+    assert len(v) == 147_221
+    assert all(Fraction(x) * 10 ** (16 - math.floor(math.log10(x))) % 1 == Fraction(1, 2)
+               for x in v[::997])
+    z = v.reshape(-1, 1)
+    assert_same_lines(chunked_csv(z), reference_csv(z))
+
+
+def test_csv_kernel_matches_reference_around_decades():
+    v = np.concatenate([ulps_around(x, 3000, 3000) for x in (1e-3, 1e-2, 0.1, 1.0)]
+                       + [ulps_around(1e-4, 0, 6000)])
+    z = v.reshape(-1, 5)
+    assert_same_lines(chunked_csv(z), reference_csv(z))
+
+
+def test_csv_kernel_matches_reference_on_log_uniform_values():
+    z = 10.0 ** np.random.default_rng(17).uniform(-4, 0, size=(250_000, 4))
+    assert_same_lines(chunked_csv(z), reference_csv(z))
+
+
+@pytest.mark.parametrize("value", AWKWARD, ids=repr)
+def test_csv_kernel_blocks_with_one_awkward_value(value):
+    rows = cli.CSV_BLOCK_ROWS
+    z = np.random.default_rng(rows).uniform(1e-4, 1, size=(2 * rows, 3))
+    flat = z.reshape(-1)
+    for i in (0, rows * 3 - 1, rows + 1, 2 * rows * 3 - 1):
+        flat[i] = value
+    assert_same_lines(chunked_csv(z), reference_csv(z))
+
+
+def test_sample_csv_bytes_match_reference_on_readme_matrix(tmp_path):
+    # 0.5,0.5;0.5,0.5 puts about 1 value in 10,000 below 1e-4, so some blocks
+    # mix the kernel's text with %.17g's and some hold the kernel's alone
+    out = tmp_path / "z.csv"
+    argv = ["sample", "--alphas", "0.5,0.5;0.5,0.5", "--n-samples", "200000", "--seed", "1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    z = einsum_sample_batch(theorem_scenario([[0.5, 0.5], [0.5, 0.5]]), 200_000, RngStream(1, 1))
+    outside = [((block < 1e-4) | (block >= 1)).any()
+               for block in np.array_split(z, range(cli.CSV_BLOCK_ROWS, len(z), cli.CSV_BLOCK_ROWS))]
+    assert any(outside) and not all(outside)
+    assert_same_lines(out.read_text(), reference_csv(z))
+
+
 def test_sample_csv_bytes_match_reference(tmp_path):
     out = tmp_path / "z.csv"
     argv = ["sample", "--alphas", "1,2;3,4;5,6", "--n-samples", "1000", "--seed", "5"]
@@ -443,6 +519,41 @@ def test_sample_non_finite_concentrations_exit_2(tmp_path, capsys, alphas):
                  "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+# 10**15 draws ask numpy for petabytes, beyond the address space: the
+# allocation fails at once, with nothing touched
+TOO_MANY_DRAWS = 10**15
+
+
+def test_sample_too_many_draws_exits_2_and_leaves_no_csv(tmp_path, capsys):
+    out = tmp_path / "z.csv"
+    argv = ["sample", "--alphas", "1,2;3,4", "--n-samples", str(TOO_MANY_DRAWS), "--seed", "5"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_run_too_many_draws_exits_2_and_writes_no_report(tmp_path, capsys):
+    cfg = small_config(tmp_path / "reports")
+    cfg["scenarios"][0]["n_samples"] = TOO_MANY_DRAWS
+    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sample", "--alphas", "1,2;3", "--seed", "1", "--out", "z.csv"], "--alphas"),
+    (["verify-theorem", "--alphas", "1,2;3,x", "--seed", "1"], "--alphas"),
+    (["stieltjes", "--n", "3", "--grid", ""], "--grid"),
+    (["stieltjes", "--n", "3", "--grid", "2,,3"], "--grid"),
+])
+def test_parse_errors_name_the_flag(tmp_path, capsys, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad {flag} "), err
+    assert not (tmp_path / "z.csv").exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])
