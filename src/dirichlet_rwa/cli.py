@@ -68,8 +68,16 @@ CSV_BLOCK_ROWS = 2048
 # One value's field in the sample CSV: its text right-aligned behind NUL bytes
 # in the first 24 bytes, then a word of 8 bytes for the separator.
 _FIELD = np.dtype("V32")
-# The field of a value that _exact_fields does not cover: a %.17g directive.
-_DEFERRED = np.void(b"%.17g".rjust(24, b"\0").ljust(32, b"\0"))
+
+
+def _text_field(text: bytes) -> np.void:
+    return np.void(text.rjust(24, b"\0").ljust(32, b"\0"))
+
+
+# The fields of the values that _exact_fields does not cover, at 0 for a
+# %.17g directive, at 1 for exactly 1.0 and at 2 for +0.0, which "%.17g"
+# prints as "1" and "0".
+_OTHER_FIELDS = np.array([_text_field(b"%.17g"), _text_field(b"1"), _text_field(b"0")])
 # Dekker's exact product splits each factor into two halves of 26 bits with
 # Veltkamp's constant.
 _SPLIT = 2.0**27 + 1
@@ -152,10 +160,11 @@ def _write_csv_rows(fh, z: np.ndarray) -> None:
     """Write the rows of z as CSV lines, each value as "%.17g" (the bytes of
     _fmt), one block of CSV_BLOCK_ROWS rows at a time.
 
-    The values in [1e-4, 1) take their text from _exact_fields; every other
-    value (0, 1, a tiny or subnormal value, anything >= 1) takes a %.17g
-    directive, which one % call over the block fills in.  Each field gets its
-    "," or "\\n", and dropping the NUL bytes joins the fields into lines."""
+    The values in [1e-4, 1) take their text from _exact_fields, and 1.0 and
+    +0.0 a constant field; every other value (-0.0, a tiny or subnormal
+    value, anything > 1) takes a %.17g directive, which one % call over the
+    block fills in.  Each field gets its "," or "\\n", and dropping the NUL
+    bytes joins the fields into lines."""
     k = z.shape[1]
     ends = np.frombuffer(b",".ljust(8, b"\0") * (k - 1) + b"\n".ljust(8, b"\0"), np.uint64)
     for start in range(0, len(z), CSV_BLOCK_ROWS):
@@ -163,10 +172,12 @@ def _write_csv_rows(fh, z: np.ndarray) -> None:
         exact = (v >= 1e-4) & (v < 1.0)
         fields = np.empty(len(v), _FIELD)
         fields[exact] = _exact_fields(v[exact])
-        fields[~exact] = _DEFERRED
+        other = v[~exact]
+        kind = (other == 1.0) + 2 * ((other == 0.0) & ~np.signbit(other))
+        fields[~exact] = _OTHER_FIELDS[kind]
         fields.view(np.uint64).reshape(-1, k, 4)[:, :, 3] = ends
         text = fields.tobytes().translate(None, b"\0").decode("ascii")
-        deferred = v[~exact]
+        deferred = other[kind == 0]
         fh.write(text % tuple(deferred.tolist()) if len(deferred) else text)
 
 

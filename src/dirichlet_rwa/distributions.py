@@ -3,9 +3,10 @@ seeded random streams.
 
 Everything downstream (weighted-average sampling, moment identities, the
 statistical test battery) is built on top of this module.  The sampler is
-numpy's Generator.dirichlet on the stream's generator: normalized gammas, or
-Beta stick-breaking when every concentration is below 0.1, so that tiny ones
-do not underflow.  Every exact Dirichlet moment of the package is read
+numpy's Generator.dirichlet on a generator that the caller builds from an
+RngStream and may draw from over several calls: normalized gammas, or Beta
+stick-breaking when every concentration is below 0.1, so that tiny ones do
+not underflow.  Every exact Dirichlet moment of the package is read
 from one cached table of log rising factorials per alpha.
 """
 from __future__ import annotations
@@ -85,9 +86,11 @@ class RngStream:
         return RngStream(self.seed, (self.stream_id * 1_000_003 + 1 + i) % 2**64)
 
 
-def sample_dirichlet_batch(p: DirichletParams, n: int, rng: RngStream) -> np.ndarray:
-    """(n, k) array of Dirichlet draws, one per row."""
-    return rng.generator().dirichlet(p.as_array(), size=n)
+def sample_dirichlet_batch(p: DirichletParams, n: int, gen: np.random.Generator) -> np.ndarray:
+    """(n, k) array of Dirichlet draws, one per row, from gen.  numpy draws
+    the rows one after another, so rows drawn from one generator over
+    several calls are the rows of one call of the summed size."""
+    return gen.dirichlet(p.as_array(), size=n)
 
 
 @functools.lru_cache(maxsize=256)

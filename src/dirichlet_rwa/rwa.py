@@ -5,14 +5,19 @@ vectors and the weight vector w is an independent Dirichlet point.  For the
 main construction (theorem_scenario) the weight concentrations are the row
 sums of the alpha matrix and the law of z is Dirichlet of the column sums.
 There is one sampler, sample_rwa_direct_batch: every Dirichlet vector in it,
-weights included, is a row of one sample_dirichlet_batch call.  The test
-battery draws its second replicate from the same sampler on another stream,
-so comparing the two replicates checks the sampler against itself, not
-against a second algorithm.
+weights included, is a row that sample_dirichlet_batch draws from its
+substream's one generator, block by block.  The test battery draws its
+second replicate from the same sampler on another stream, so comparing the
+two replicates checks the sampler against itself, not against a second
+algorithm.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -81,20 +86,44 @@ def theorem_scenario(alphas) -> WeightedAverageScenario:
     return WeightedAverageScenario(w_alpha, a, target_alpha)
 
 
+# Rows per block of the sampler.  Larger blocks cost fewer calls into numpy
+# but keep more memory in the worker threads' malloc arenas.
+SAMPLE_BLOCK_ROWS = 16_384
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
 def sample_rwa_direct_batch(sc: WeightedAverageScenario, n_samples: int,
                             rng: RngStream) -> np.ndarray:
     """(n_samples, k) array of z draws: w ~ Dirichlet(w_alpha) on substream 0,
     x_j ~ Dirichlet(row j) on substream 1 + j, z = sum_j w_j x_j.
 
-    z is accumulated in place, one summand at a time for j = 0..n-1, so
-    memory is O(n_samples * (n + k)): no (n_samples, n, k) tensor of all the
-    x_j is held, and the sums are bitwise those of einsum over one."""
-    w = sample_dirichlet_batch(DirichletParams(sc.w_alpha), n_samples, rng.child(0))
+    The substreams are drawn in blocks of SAMPLE_BLOCK_ROWS rows.  A block's
+    1 + n draws run on min(CPUs, 1 + n) threads, or on the calling thread
+    for a batch of at most one block.  Each substream's generator serves one
+    task at a time, in block order, so its rows are those of one call over
+    all n_samples.  The calling thread sums each block into z one summand at
+    a time for j = 0..n-1, so memory is z plus one block per substream and
+    the sums are bitwise those of einsum over an (n_samples, n, k) tensor of
+    all the x_j, whatever the CPU count."""
     z = np.zeros((n_samples, sc.k))
-    for j, row in enumerate(sc.x_alphas):
-        x = sample_dirichlet_batch(DirichletParams(row), n_samples, rng.child(1 + j))
-        x *= w[:, j, None]
-        z += x
+    params = [DirichletParams(sc.w_alpha)] + [DirichletParams(row) for row in sc.x_alphas]
+    gens = [rng.child(i).generator() for i in range(1 + sc.n)]
+    workers = min(_cpus(), len(params)) if n_samples > SAMPLE_BLOCK_ROWS else 1
+    with (ThreadPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
+        draw = pool.map if pool else map
+        for start in range(0, n_samples, SAMPLE_BLOCK_ROWS):
+            out = z[start:start + SAMPLE_BLOCK_ROWS]
+            w, *xs = draw(sample_dirichlet_batch, params, repeat(len(out)), gens)
+            for j, x in enumerate(xs):
+                x *= w[:, j, None]
+                out += x
     return z
 
 

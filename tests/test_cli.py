@@ -472,6 +472,23 @@ def test_sample_csv_bytes_match_reference_on_readme_matrix(tmp_path):
     assert_same_lines(out.read_text(), reference_csv(z))
 
 
+def test_sample_csv_bytes_match_reference_on_tiny_matrix(tmp_path):
+    # 1e-3,1e-3;1e-3,1e-3 puts about three values in four at exactly 0 or 1,
+    # which take constant fields; -0.0 keeps its %.17g directive and "-0"
+    out = tmp_path / "z.csv"
+    argv = ["sample", "--alphas", "1e-3,1e-3;1e-3,1e-3", "--n-samples", "200000", "--seed", "3"]
+    assert main(argv + ["--out", str(out)]) == 0
+    z = einsum_sample_batch(theorem_scenario([[1e-3, 1e-3], [1e-3, 1e-3]]), 200_000,
+                            RngStream(3, 1))
+    assert np.mean((z == 0) | (z == 1)) > 0.5
+    assert_same_lines(out.read_text(), reference_csv(z))
+    r = 3 * cli.CSV_BLOCK_ROWS + 5
+    z[r, 1] = -0.0
+    text = chunked_csv(z)
+    assert text.splitlines()[1 + r].split(",")[1] == "-0"
+    assert_same_lines(text, reference_csv(z))
+
+
 def test_sample_csv_bytes_match_reference(tmp_path):
     out = tmp_path / "z.csv"
     argv = ["sample", "--alphas", "1,2;3,4;5,6", "--n-samples", "1000", "--seed", "5"]

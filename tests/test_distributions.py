@@ -73,14 +73,25 @@ def test_sampler_matches_normalized_gammas(alpha):
     # differ in the last bit.
     n, rng = 20_000, RngStream(24, 0)
     y = rng.generator().gamma(alpha, size=(n, len(alpha)))
-    x = sample_dirichlet_batch(DirichletParams(alpha), n, rng)
+    x = sample_dirichlet_batch(DirichletParams(alpha), n, rng.generator())
     np.testing.assert_array_max_ulp(x, y / y.sum(axis=1, keepdims=True), maxulp=1)
+
+
+@pytest.mark.parametrize("alpha", [(2.0, 3.0, 5.0), (1e-3, 1e-3, 1e-3), (0.05, 0.5, 1e-3)],
+                         ids=["gamma", "stick-breaking", "mixed"])
+def test_rows_over_several_calls_are_the_rows_of_one_call(alpha):
+    # the sampler draws each substream block by block from one generator
+    p, sizes = DirichletParams(alpha), [1, 7, 2048, 65_536]
+    gen = RngStream(26, 0).generator()
+    parts = np.concatenate([sample_dirichlet_batch(p, n, gen) for n in sizes])
+    whole = sample_dirichlet_batch(p, sum(sizes), RngStream(26, 0).generator())
+    assert np.array_equal(parts, whole)
 
 
 def test_all_small_alphas_sample_the_simplex():
     # Every concentration below 0.1: numpy breaks the stick with Beta draws.
     n = 10**5
-    x = sample_dirichlet_batch(DirichletParams((0.05, 0.05)), n, RngStream(25, 0))
+    x = sample_dirichlet_batch(DirichletParams((0.05, 0.05)), n, RngStream(25, 0).generator())
     assert np.all(x >= 0) and not np.isnan(x).any()
     assert np.max(np.abs(x.sum(axis=1) - 1.0)) <= SIMPLEX_SUM_TOL
     se = x[:, 0].std(ddof=1) / math.sqrt(n)
@@ -89,7 +100,7 @@ def test_all_small_alphas_sample_the_simplex():
 
 def test_dirichlet_uniform_marginal_ks():
     n = 10**5
-    x = sample_dirichlet_batch(DirichletParams((1, 1)), n, RngStream(21, 0))
+    x = sample_dirichlet_batch(DirichletParams((1, 1)), n, RngStream(21, 0).generator())
     u = np.sort(x[:, 0])
     grid = np.arange(1, n + 1) / n
     stat = max(np.max(grid - u), np.max(u - grid + 1.0 / n))
@@ -98,7 +109,7 @@ def test_dirichlet_uniform_marginal_ks():
 
 def test_dirichlet_arcsine_moments():
     n = 10**5
-    x = sample_dirichlet_batch(DirichletParams((0.5, 0.5)), n, RngStream(22, 0))[:, 0]
+    x = sample_dirichlet_batch(DirichletParams((0.5, 0.5)), n, RngStream(22, 0).generator())[:, 0]
     for order, exact in ((1, 0.5), (2, 0.375)):
         v = x**order
         se = v.std(ddof=1) / math.sqrt(n)
@@ -107,7 +118,7 @@ def test_dirichlet_arcsine_moments():
 
 def test_dirichlet_mean_vector():
     n = 2 * 10**5
-    x = sample_dirichlet_batch(DirichletParams((2, 3, 5)), n, RngStream(23, 0))
+    x = sample_dirichlet_batch(DirichletParams((2, 3, 5)), n, RngStream(23, 0).generator())
     for c, exact in enumerate((0.2, 0.3, 0.5)):
         se = x[:, c].std(ddof=1) / math.sqrt(n)
         assert abs(x[:, c].mean() - exact) < 5 * se
@@ -119,7 +130,7 @@ def test_simplex_invariants_bulk():
     for i in range(50):
         k = int(rng.integers(2, 6))
         alpha = rng.uniform(0.2, 8.0, size=k)
-        x = sample_dirichlet_batch(DirichletParams(alpha), 20_000, RngStream(30, i))
+        x = sample_dirichlet_batch(DirichletParams(alpha), 20_000, RngStream(30, i).generator())
         assert np.all(x >= 0)
         assert np.max(np.abs(x.sum(axis=1) - 1.0)) <= SIMPLEX_SUM_TOL
 

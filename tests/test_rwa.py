@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from dirichlet_rwa.distributions import (
     dirichlet_mixed_moment,
     sample_dirichlet_batch,
 )
+from dirichlet_rwa import rwa
 from dirichlet_rwa.moments import MomentIndex, rwa_moment_expansion
 from dirichlet_rwa.runner import sample_rwa_gamma_path_batch
 from dirichlet_rwa.rwa import (
@@ -20,6 +23,9 @@ from dirichlet_rwa.rwa import (
 )
 
 VAN_ASSCHE = [[0.5, 0.5], [0.5, 0.5]]
+# the 8 x 4 shape of the sample export, entries in [1, 4]
+EXPORT_ALPHAS = np.random.default_rng(7).uniform(1.0, 4.0, size=(8, 4))
+B = rwa.SAMPLE_BLOCK_ROWS
 
 positive = st.floats(min_value=0.1, max_value=20, allow_nan=False)
 
@@ -79,9 +85,9 @@ def test_single_draw_recombines():
     sc = theorem_scenario([[1, 2], [3, 4]])
     rng = RngStream(42, 0)
     z = sample_rwa_direct_batch(sc, 1, rng)[0]
-    w = sample_dirichlet_batch(DirichletParams(sc.w_alpha), 1, rng.child(0))[0]
+    w = sample_dirichlet_batch(DirichletParams(sc.w_alpha), 1, rng.child(0).generator())[0]
     xs = [
-        sample_dirichlet_batch(DirichletParams(row), 1, rng.child(1 + j))[0]
+        sample_dirichlet_batch(DirichletParams(row), 1, rng.child(1 + j).generator())[0]
         for j, row in enumerate(sc.x_alphas)
     ]
     recombined = sum(wj * xj for wj, xj in zip(w, xs))
@@ -90,13 +96,14 @@ def test_single_draw_recombines():
 
 def einsum_sample_batch(sc, n_samples, rng):
     """Reference: the sampler as it was before z was accumulated in place,
-    with all x_j held in one (n_samples, n, k) tensor and summed by einsum."""
-    w = sample_dirichlet_batch(DirichletParams(sc.w_alpha), n_samples, rng.child(0))
+    block by block: each substream drawn in one call, all x_j held in one
+    (n_samples, n, k) tensor and summed by einsum."""
+    w = sample_dirichlet_batch(DirichletParams(sc.w_alpha), n_samples, rng.child(0).generator())
     x_alphas = np.asarray(sc.x_alphas)
     xs = np.empty((n_samples, sc.n, sc.k))
     for j in range(sc.n):
         xs[:, j, :] = sample_dirichlet_batch(
-            DirichletParams(x_alphas[j]), n_samples, rng.child(1 + j)
+            DirichletParams(x_alphas[j]), n_samples, rng.child(1 + j).generator()
         )
     return np.einsum("ij,ijk->ik", w, xs)
 
@@ -116,14 +123,53 @@ def test_in_place_sum_is_bitwise_the_einsum(alphas, seed):
 
 
 def test_in_place_sum_is_bitwise_the_einsum_export_shape():
-    # the 8 x 4 shape of the sample export, entries in [1, 4]
-    alphas = np.random.default_rng(7).uniform(1.0, 4.0, size=(8, 4))
-    assert_sampler_matches_einsum(alphas, 100_000, 7)
+    assert_sampler_matches_einsum(EXPORT_ALPHAS, 100_000, 7)
 
 
 def test_in_place_sum_is_bitwise_the_einsum_stick_breaking():
-    # every concentration below 0.1: numpy breaks the stick with Beta draws
-    assert_sampler_matches_einsum(np.full((3, 3), 1e-3), 20_000, 1)
+    # every concentration below 0.1: numpy breaks the stick with Beta draws,
+    # here over three blocks, the last of one row
+    assert_sampler_matches_einsum(np.full((3, 3), 1e-3), 2 * B + 1, 1)
+
+
+@pytest.mark.parametrize("n_samples", [B - 1, B, B + 1, 2 * B + 1],
+                         ids=["block-1", "block", "block+1", "2block+1"])
+def test_blocked_sum_is_bitwise_the_einsum_around_blocks(n_samples):
+    # up to one block is drawn on the calling thread, more on the pool; a
+    # last block of one row must continue every substream where it stopped
+    assert_sampler_matches_einsum(EXPORT_ALPHAS, n_samples, 7)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8, 16])
+def test_blocked_sum_independent_of_cpu_count(cpus, monkeypatch):
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(rwa.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(rwa, "ThreadPoolExecutor", RecordingPool)
+    sc = theorem_scenario(EXPORT_ALPHAS)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads swap often, so a shared generator would show
+    try:
+        z = sample_rwa_direct_batch(sc, 3 * B + 5, RngStream(4242, 1))
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(z, einsum_sample_batch(sc, 3 * B + 5, RngStream(4242, 1)))
+    # one thread per CPU, at most one per substream; one CPU needs no pool
+    assert pools == ([] if cpus == 1 else [min(cpus, 1 + sc.n)])
+
+
+def test_one_block_is_drawn_without_a_pool(monkeypatch):
+    def no_pool(workers):
+        raise AssertionError("a pool was started for one block")
+
+    monkeypatch.setattr(rwa, "ThreadPoolExecutor", no_pool)
+    z = sample_rwa_direct_batch(theorem_scenario(EXPORT_ALPHAS), B, RngStream(7, 1))
+    assert z.shape == (B, 4)
 
 
 def test_batch_on_simplex():

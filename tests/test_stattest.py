@@ -16,7 +16,7 @@ from dirichlet_rwa.stattest import (ENERGY_LEVEL, ENERGY_PERMUTATIONS, ENERGY_SU
 
 
 def batch(alpha, n, seed, stream=0):
-    return sample_dirichlet_batch(DirichletParams(alpha), n, RngStream(seed, stream))
+    return sample_dirichlet_batch(DirichletParams(alpha), n, RngStream(seed, stream).generator())
 
 
 def test_moment_ztest_null_passes():
