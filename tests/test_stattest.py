@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from dirichlet_rwa import runner, stattest
 from dirichlet_rwa.config import ScenarioConfig
 from dirichlet_rwa.distributions import (DirichletParams, RngStream, dirichlet_mixed_moment,
                                          sample_dirichlet_batch)
-from dirichlet_rwa.stattest import (ENERGY_LEVEL, ENERGY_PERMUTATIONS, ENERGY_SUBSAMPLE, KS_BLOCK,
-                                    Z_THRESHOLD, energy_two_sample, ks_marginal, ks_threshold,
-                                    moment_ztest)
+from dirichlet_rwa.stattest import (ENERGY_BLOCK_ROWS, ENERGY_LEVEL, ENERGY_PERMUTATIONS,
+                                    ENERGY_SUBSAMPLE, KS_BLOCK, Z_THRESHOLD, energy_two_sample,
+                                    ks_marginal, ks_threshold, moment_ztest)
 
 
 def batch(alpha, n, seed, stream=0):
@@ -118,7 +119,8 @@ def test_energy_seed_recorded():
 
 
 # References: the tests as they were computed before the CDF pruning, the
-# pow-free orders, the single permutation call and the triangular product.
+# pow-free orders, the single permutation call and the blocked triangular
+# products.
 # The records and labels of the library must equal theirs bit for bit.  The
 # permutation statistics, summed in another order, agree to rounding, so an
 # energy record may differ only where rounding decides a permutation that
@@ -422,6 +424,56 @@ def test_energy_full_subsample_equals_gemm(shift):
     record = energy_two_sample(a, b, seed=13)
     assert record == gemm_energy_two_sample(a, b, seed=13)
     assert (record["permutation_p"] == 1 / (ENERGY_PERMUTATIONS + 1)) == shift
+
+
+# below one block, one block and one row either side, two blocks and a row,
+# and the full pooled subsample
+@pytest.mark.parametrize("n", [ENERGY_BLOCK_ROWS - 1, ENERGY_BLOCK_ROWS, ENERGY_BLOCK_ROWS + 1,
+                               2 * ENERGY_BLOCK_ROWS + 1, 2 * ENERGY_SUBSAMPLE])
+def test_energy_blocks_equal_gemm_around_block_boundaries(n):
+    a = batch((1, 2, 3), (n + 1) // 2, 118, stream=0)
+    b = batch((1.1, 2, 3), n // 2, 118, stream=1)
+    observed, stats = stattest._energy_statistics(a, b, 19)
+    ref_observed, ref_stats = gemm_energy_statistics(a, b, 19)
+    bound = energy_rounding_bound(a, b)
+    assert observed == ref_observed
+    assert np.all(np.abs(stats - ref_stats) <= bound)
+    assert not np.any(np.abs(ref_stats - ref_observed) <= bound)  # no ties
+    assert energy_two_sample(a, b, 19) == gemm_energy_two_sample(a, b, 19)
+
+
+@pytest.mark.parametrize("ma, mb, seed", [(4, 1, 2), (3, 3, 0)])
+def test_energy_counts_every_repeat_of_the_observed_partition(ma, mb, seed):
+    # At a few rows, many shuffles repeat the observed partition (or, when
+    # ma == mb, its mirror image) and have the observed statistic exactly;
+    # on these seeds the rounding of a product put some of them below it.
+    rng = np.random.default_rng(seed)
+    a, b = rng.dirichlet((1, 2, 3), ma), rng.dirichlet((1, 2, 3), mb)
+    labels = stacked_permutation_labels(ma, mb, seed)
+    kept = labels[:ma].sum(axis=0)
+    repeats = (kept == ma) | ((ma == mb) & (kept == 0))
+    ref_observed, ref_stats = gemm_energy_statistics(a, b, seed)
+    others = ref_stats[~repeats]
+    assert repeats.any()
+    assert not np.any(np.abs(others - ref_observed) <= energy_rounding_bound(a, b))
+    count = np.sum(repeats) + np.sum(others > ref_observed)
+    record = energy_two_sample(a, b, seed)
+    assert record["permutation_p"] == (1 + count) / (ENERGY_PERMUTATIONS + 1)
+
+
+def test_energy_statistics_never_hold_the_distance_matrix():
+    # tracemalloc sees numpy's buffers; D of the full subsample alone would
+    # take (2 * ENERGY_SUBSAMPLE)^2 doubles
+    a = batch((1, 2, 3), ENERGY_SUBSAMPLE, 119, stream=0)
+    b = batch((1, 2, 3), ENERGY_SUBSAMPLE, 119, stream=1)
+    stattest._energy_statistics(a[:2], b[:2], 0)  # load scipy outside the trace
+    tracemalloc.start()
+    try:
+        stattest._energy_statistics(a, b, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (2 * ENERGY_SUBSAMPLE) ** 2 * 8
 
 
 def test_moment_and_ks_called_once_per_check(monkeypatch):
