@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import DirichletParams
-from .moments import DIRMULT_TRIALS_CAP, MomentIndex, kerov_tsilevich_check
+from .moments import DIRMULT_TRIALS_CAP, MomentIndex, _check_pairs, kerov_tsilevich_check
 from .rwa import WeightedAverageScenario, theorem_scenario, variant_scenario
 from .stieltjes import _check_grid
 
@@ -131,9 +131,10 @@ def _check_values(kind: str, p: dict) -> None:
     elif kind == "variant":
         variant_scenario(_numbers(p["alpha"], "alpha"))
     elif kind == "moments":
-        MomentIndex([p["max_total_order"]])  # the order cap
+        top = MomentIndex([p["max_total_order"]]).total  # the order cap
         entries = _numbers(p["entries"], "entries")
         for n, k in _rows(p["sizes"], "sizes"):
+            _check_pairs(int(k), top)  # the cost cap of a moment table
             for e in entries:
                 DirichletParams(theorem_scenario(np.full((n, k), e)).target_alpha)
     elif kind == "dirmult":

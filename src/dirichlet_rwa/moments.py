@@ -12,17 +12,14 @@ composition tables summed one factor at a time.  The result must agree with
 the closed-form moment of the target Dirichlet; that equality is the
 computable core this module exists to check.
 
-One table per scenario holds the finished moment of every cell of the
-simplex |h| <= S, for the highest total order S asked of that scenario so
-far: prod_i F_i(t) on the simplex, each coefficient times its prod_j s_j! /
-(A)_S.  Every index of total order <= S reads its moment from it, bit for
-bit what a table of its own order would give; an index of higher order
-builds the table of its order, which replaces the old one.  Each factor is
-multiplied in by one bincount over the C(S + 2k, 2k) pairs of cells whose
-sum stays in the simplex.  Where that is more than 2^16 pairs (k = 6 at
-S = 8, for one), the index is expanded alone on its box prod_j [0, s_j], at
-most 2^16 pairs at the order cap.  So no array of cell pairs exceeds 2^16
-entries.
+One table per scenario and depth S holds the finished moment of every cell
+of the simplex |h| <= S: prod_i F_i(t) on the simplex, each coefficient
+times its prod_j s_j! / (A)_S.  The caller states the depth it will read,
+so a run builds one table per matrix, and every index of total order <= S
+reads its moment from it, bit for bit what a table of its own order would
+give.  Each factor is multiplied in by one bincount over the C(S + 2k, 2k)
+pairs of cells whose sum stays in the simplex; _check_pairs caps that number
+at _MAX_PAIRS, and the validator refuses a config above it.
 
 The closed forms, the moment of the claimed Dirichlet law and the
 Dirichlet-multinomial pmf, read the one cached table of log rising
@@ -34,8 +31,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -102,15 +97,23 @@ def compositions(total: int, parts: int):
         yield tuple([b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,))])
 
 
-# Pair-count bound of the cell sets: DEFAULT_ORDER_CAP = 8 bounds a box
-# prod_j [0, s_j] to 2^8 cells, so _box's table of cell pairs to 2^8 x 2^8;
-# a simplex table is built only up to the same number of pairs.
-_MAX_PAIRS = 2 ** 16
+# Cost cap of a moment table: the simplex of k = 10 at order 8 has 3,108,105
+# pairs and peaks near 250 MB; k = 12 at order 8 (10.5M pairs) reached 726 MB.
+_MAX_PAIRS = 2 ** 22
+
+
+def _check_pairs(k: int, top: int) -> None:
+    """Raise ValueError if the simplex of cells |h| <= top in k coordinates
+    has more than _MAX_PAIRS pairs of cells."""
+    pairs = math.comb(top + 2 * k, 2 * k)
+    if pairs > _MAX_PAIRS:
+        raise ValueError(f"a moment table of k = {k} at order {top} has {pairs:,} cell "
+                         f"pairs, more than the cap of {_MAX_PAIRS:,}")
 
 
 class _Cells(NamedTuple):
-    """A downward-closed set of cells h (if h is in the set, so is every
-    g <= h) and the pairs of cells whose sum stays in it.
+    """The simplex of cells |h| <= top and the pairs of cells whose sum
+    stays in it.
 
     cells[j] is coordinate j of every cell and degree its total |h|.  The
     pairs (left, right) are grouped by left in ascending order, and target
@@ -130,23 +133,10 @@ def _read_only(*arrays):
     return arrays
 
 
-@functools.lru_cache(maxsize=256)
-def _box(s: tuple) -> _Cells:
-    """The box prod_j [0, s_j], flattened in C order, so s is the last cell.
-    Flat indices add without carry inside the box, so a pair's sum is cell
-    left + right."""
-    cells = np.indices(tuple(sj + 1 for sj in s)).reshape(len(s), -1)
-    fits = np.ones((cells.shape[1],) * 2, dtype=bool)
-    for sj, cj in zip(s, cells):
-        fits &= cj[:, None] + cj[None, :] <= sj
-    left, right = np.nonzero(fits)
-    return _Cells(*_read_only(cells, cells.sum(axis=0), left, right, left + right))
-
-
 @functools.lru_cache(maxsize=64)
 def _simplex(k: int, top: int):
     """The simplex of cells |h| <= top in lexicographic order and a dict from
-    each cell to its index, or None if it has more than _MAX_PAIRS pairs.
+    each cell to its index.
 
     There are C(top + 2k, 2k) pairs, the length-2k vectors of total <= top.
     The pairs are built in O(pairs) memory: each left cell h takes as right
@@ -154,8 +144,7 @@ def _simplex(k: int, top: int):
     <= top - |h|.  The index of a pair's sum is its lexicographic rank,
     summed one coordinate at a time from a table of cell counts.
     """
-    if math.comb(top + 2 * k, 2 * k) > _MAX_PAIRS:
-        return None
+    _check_pairs(k, top)
     # Lexicographic compositions of top into k + 1 parts, less the slack part.
     cells = np.asarray(list(compositions(top, k + 1)), dtype=np.intp)[:, :k].T
     degree = cells.sum(axis=0)
@@ -200,13 +189,13 @@ def _scale_exponent(x_alphas: tuple) -> int:
 
 
 def _product(w_alpha: tuple, x_alphas: tuple, cs: _Cells, top: int) -> np.ndarray:
-    """Coefficients of prod_i F_i(t / 2^e) on the cells of cs, whose totals
-    are at most top, read-only; e is _scale_exponent(x_alphas).
+    """Coefficients of prod_i F_i(t / 2^e) on the simplex cs of cells
+    |h| <= top; e is _scale_exponent(x_alphas).
 
     Each factor is multiplied in by one bincount, which adds the products
     poly[h] * f[c - h] into cell c in ascending order of h.  Every
-    coefficient is so the same sum in the same order whatever the cell set,
-    so the simplex and the box give the same bits for a shared cell.
+    coefficient is so the same sum in the same order whatever the depth, so
+    simplices of every depth give the same bits for a shared cell.
     """
     a = np.asarray(w_alpha)
     x = np.asarray(x_alphas)
@@ -222,21 +211,21 @@ def _product(w_alpha: tuple, x_alphas: tuple, cs: _Cells, top: int) -> np.ndarra
         else:
             poly = np.bincount(cs.target, weights=poly[cs.left] * f[cs.right],
                                minlength=f.size)
-    poly.flags.writeable = False
     return poly
 
 
-def _finished(sc: WeightedAverageScenario, coeff: np.ndarray, cells: np.ndarray) -> np.ndarray:
+def _finished(w_alpha: tuple, x_alphas: tuple, coeff: np.ndarray,
+              cells: np.ndarray) -> np.ndarray:
     """The moments of the cells s (the columns of cells) from their
     coefficients of prod_i F_i(t / 2^e): coeff * prod_j s_j! / (A)_S * 2^(eS).
 
     The factors q / ((A + r) / 2^e), r = 0..S-1 with q running through
     1..s_1, 1..s_2, ..., restore one 2^e each (2^-e is a double for every e,
     2^1024 is not).  They are multiplied in ascending r from 1.0, as
-    math.prod over them would, so every cell gets the same bits alone or in
-    a table."""
-    a_total = float(np.asarray(sc.w_alpha).sum())
-    scale = 2.0 ** -_scale_exponent(sc.x_alphas)
+    math.prod over them would, so a cell gets the same bits in a table of
+    any depth."""
+    a_total = float(np.asarray(w_alpha).sum())
+    scale = 2.0 ** -_scale_exponent(x_alphas)
     ends = np.cumsum(cells, axis=0)  # ends[j] = s_1 + ... + s_{j+1}
     out = np.ones(coeff.shape)
     for r in range(int(ends[-1].max(initial=0))):
@@ -246,73 +235,31 @@ def _finished(sc: WeightedAverageScenario, coeff: np.ndarray, cells: np.ndarray)
     return coeff * out
 
 
-class _Table(NamedTuple):
-    """Finished moments of one scenario on the simplex |h| <= top; index
-    maps a cell to its position."""
-
-    top: int
-    index: dict
-    moment: np.ndarray
-
-
-class _MomentTables:
-    """Bounded LRU map from a scenario (w_alpha, x_alphas) to its _Table of
-    the highest total order asked so far, shared by threads."""
-
-    def __init__(self, maxsize: int):
-        self._maxsize = maxsize
-        self._tables = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, sc: WeightedAverageScenario, total: int):
-        """A table of sc at least total deep, or None if the simplex of
-        total has more than _MAX_PAIRS pairs."""
-        key = (sc.w_alpha, sc.x_alphas)
-        with self._lock:
-            table = self._tables.get(key)
-            if table is None or table.top < total:
-                simplex = _simplex(sc.k, total)
-                if simplex is None:
-                    return None
-                cs, index = simplex
-                moment = _finished(sc, _product(sc.w_alpha, sc.x_alphas, cs, total), cs.cells)
-                moment.flags.writeable = False
-                table = self._tables[key] = _Table(total, index, moment)
-            self._tables.move_to_end(key)
-            if len(self._tables) > self._maxsize:
-                self._tables.popitem(last=False)
-            return table
-
-    def clear(self) -> None:
-        with self._lock:
-            self._tables.clear()
+@functools.lru_cache(maxsize=16)
+def _moment_table(w_alpha: tuple, x_alphas: tuple, top: int):
+    """A dict from each cell of the simplex |h| <= top to its index, and the
+    finished moments of the cells, read-only."""
+    cs, index = _simplex(len(x_alphas[0]), top)
+    moment = _finished(w_alpha, x_alphas, _product(w_alpha, x_alphas, cs, top), cs.cells)
+    return index, _read_only(moment)[0]
 
 
-_moment_tables = _MomentTables(maxsize=16)
-
-
-def rwa_moment_expansion(sc: WeightedAverageScenario, s: MomentIndex) -> float:
+def rwa_moment_expansion(sc: WeightedAverageScenario, s: MomentIndex, top: int = 0) -> float:
     """E[prod_j z_j^{s_j}] as the coefficient [t^s] of prod_i F_i(t) (see the
     module docstring).
 
-    The moment is read from the scenario's cached table, which covers every
-    index of total order up to the highest asked of the scenario so far, so
-    asking for the highest order first builds one table per scenario; where
-    the simplex of s's order has too many pairs, the coefficient comes from
-    the product over the box prod_j [0, s_j] of this one index.  Every term
-    is positive, so nothing cancels.  Only the weight concentrations and the
-    rows of x enter; the column sums never do, which keeps this oracle
-    independent of rwa_moment_closed_form and valid for scenarios whose
-    weight concentrations are not the row sums.
+    The moment is read from the scenario's cached table of depth
+    max(top, s.total), so a caller that passes the highest order it will ask
+    builds one table per scenario.  Every term is positive, so nothing
+    cancels.  Only the weight concentrations and the rows of x enter; the
+    column sums never do, which keeps this oracle independent of
+    rwa_moment_closed_form and valid for scenarios whose weight
+    concentrations are not the row sums.
     """
     if s.k != sc.k:
         raise ValueError(f"moment index length {s.k} != scenario dimension {sc.k}")
-    table = _moment_tables.get(sc, s.total)
-    if table is not None:
-        return float(table.moment[table.index[s.s]])
-    box = _box(s.s)
-    coeff = _product(sc.w_alpha, sc.x_alphas, box, s.total)[-1:]
-    return float(_finished(sc, coeff, box.cells[:, -1:])[0])
+    index, moment = _moment_table(sc.w_alpha, sc.x_alphas, max(top, s.total))
+    return float(moment[index[s.s]])
 
 
 def rwa_moment_closed_form(sc: WeightedAverageScenario, s: MomentIndex) -> float:

@@ -167,8 +167,7 @@ def resolve_variant_reading(alpha):
     """
     from .moments import MomentIndex, compositions, rwa_moment_expansion
 
-    # highest order first, so that each reading builds one moment table
-    indices = [MomentIndex(s) for total in range(VARIANT_MAX_ORDER, 0, -1)
+    indices = [MomentIndex(s) for total in range(1, VARIANT_MAX_ORDER + 1)
                for s in compositions(total, 2)]
     for reading in ("symmetric", "asymmetric"):
         sc = variant_scenario(alpha, reading)
@@ -176,7 +175,8 @@ def resolve_variant_reading(alpha):
 
         def matches(s):  # written so that a NaN on either side is a mismatch
             rhs = dirichlet_mixed_moment(target, s.s)
-            return abs(rwa_moment_expansion(sc, s) - rhs) <= VARIANT_RTOL * abs(rhs)
+            lhs = rwa_moment_expansion(sc, s, VARIANT_MAX_ORDER)
+            return abs(lhs - rhs) <= VARIANT_RTOL * abs(rhs)
 
         if all(map(matches, indices)):
             return reading

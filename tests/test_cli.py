@@ -745,18 +745,28 @@ def test_moment_expansion_overflow_exits_2(tmp_path, capsys, monkeypatch):
         assert moments["tests"][0]["max_rel_error"] < 1e-13
     capsys.readouterr()
 
+    def exits_2(cfg):
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "'moments'" in err
+        assert not (tmp_path / "reports").exists()
+
+    # a closed form that underflowed to 0, as the (2, 0) moment does here,
+    # leaves no relative error to judge
+    for entries in ([1.0, 1e300], [1e39, 4e307]):
+        exits_2(small_config(tmp_path / "reports", scenarios=[
+            {"id": "moments", "kind": "moments", "seed": 1, "sizes": [[2, 2]],
+             "entries": entries, "max_total_order": 2},
+        ]))
+
     # a NaN expansion, as one that overflowed would give, must not read as
     # an error of 0
-    def expansion(sc, s):
-        return float("nan") if s.s == (1, 1) else rwa_moment_expansion(sc, s)
+    def expansion(sc, s, top=0):
+        return float("nan") if s.s == (1, 1) else rwa_moment_expansion(sc, s, top)
 
     monkeypatch.setattr("dirichlet_rwa.runner.rwa_moment_expansion", expansion)
-    cfg = large_entry_config(tmp_path / "reports", 2.0)
-    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "'moments'" in err
-    assert not (tmp_path / "reports").exists()
+    exits_2(large_entry_config(tmp_path / "reports", 2.0))
 
 
 def test_dirmult_nan_error_exits_2(tmp_path, capsys, monkeypatch):

@@ -34,6 +34,7 @@ BAD_VALUES = {
     "stieltjes-order-1": {"kind": "stieltjes", "orders": [1]},
     "stieltjes-empty-numeric-grid": {"kind": "stieltjes", "orders": [4], "grid": [1.5]},
     "moments-one-row": {"kind": "moments", "sizes": [[1, 2]]},
+    "moments-pair-cap": {"kind": "moments", "sizes": [[2, 11]], "max_total_order": 8},
     # json reads NaN, Infinity and 1e400 as floats; none is a valid number
     "stieltjes-nan-grid": {"kind": "stieltjes", "grid": [float("nan")]},
     "stieltjes-infinite-grid": {"kind": "stieltjes", "grid": [2.0, float("inf")]},

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dirichlet_rwa.distributions import DirichletParams, _log_rising_table, dirichlet_mixed_moment
 from dirichlet_rwa.moments import (
@@ -178,14 +178,18 @@ def test_table_expansion_equals_box_reference_on_variant(reading):
             assert rwa_moment_expansion(sc, MomentIndex(s)) == _box_expansion(sc, s)
 
 
-def test_box_path_above_the_pair_bound():
-    # k = 6 at total 8 has C(8 + 12, 12) = 125,970 cell pairs, too many for
-    # a table, so each index is expanded on its own box.
-    assert math.comb(8 + 12, 12) > moments._MAX_PAIRS
-    assert moments._simplex(6, 8) is None
+def test_k6_order8_table_and_the_pair_cap():
+    # k = 6 at total 8 has C(8 + 12, 12) = 125,970 cell pairs, all in one
+    # table, whose moments are those of each index's own box
+    cs, _ = moments._simplex(6, 8)
+    assert len(cs.left) == math.comb(8 + 12, 12) <= moments._MAX_PAIRS
     sc = theorem_scenario(np.linspace(0.25, 4.0, 18).reshape(3, 6))
     for s in [(8, 0, 0, 0, 0, 0), (1, 1, 1, 1, 2, 2), (0, 3, 0, 2, 0, 3), (2, 1, 0, 0, 4, 1)]:
-        assert rwa_moment_expansion(sc, MomentIndex(s)) == _box_expansion(sc, s)
+        assert rwa_moment_expansion(sc, MomentIndex(s), 8) == _box_expansion(sc, s)
+    # the cap of 2^22 pairs admits k = 10 at order 8 and refuses k = 11
+    moments._check_pairs(10, 8)
+    with pytest.raises(ValueError, match="5,852,925 cell pairs, more than the cap of 4,194,304"):
+        moments._simplex(11, 8)
 
 
 @pytest.mark.parametrize("k, top", [(2, 8), (3, 5), (4, 3), (5, 8), (10, 2), (30, 1)])
@@ -203,42 +207,36 @@ def test_simplex_pairs_and_targets(k, top):
 
 
 def _three_readings(sc, indices):
-    """The expansion of every index read in ascending order, in descending
-    order and alone on cleared caches, each list in the order of indices."""
-    moments._moment_tables.clear()
-    ascending = [rwa_moment_expansion(sc, idx) for idx in indices]
-    moments._moment_tables.clear()
-    descending = [rwa_moment_expansion(sc, idx) for idx in reversed(indices)][::-1]
-    alone = []
-    for idx in indices:
-        moments._moment_tables.clear()
-        alone.append(rwa_moment_expansion(sc, idx))
+    """The expansion of every index read in ascending and in descending
+    order from one table as deep as the deepest index, and from the table
+    of its own order, on cleared caches, each list in the order of indices."""
+    top = max(idx.total for idx in indices)
+    moments._moment_table.cache_clear()
+    ascending = [rwa_moment_expansion(sc, idx, top) for idx in indices]
+    moments._moment_table.cache_clear()
+    descending = [rwa_moment_expansion(sc, idx, top) for idx in reversed(indices)][::-1]
+    moments._moment_table.cache_clear()
+    alone = [rwa_moment_expansion(sc, idx) for idx in indices]
     return ascending, descending, alone
 
 
-@given(st.integers(2, 6), st.integers(2, 4), st.integers(1, DEFAULT_ORDER_CAP), st.data())
+@st.composite
+def _matrices(draw, max_n, max_k):
+    n, k = draw(st.integers(2, max_n)), draw(st.integers(2, max_k))
+    return draw(st.lists(st.lists(wide_entry, min_size=k, max_size=k), min_size=n, max_size=n))
+
+
+@given(_matrices(6, 4), st.integers(1, DEFAULT_ORDER_CAP))
+# k = 6 at order 8: one table of 125,970 cell pairs
+@example(np.linspace(0.25, 4.0, 18).reshape(3, 6).tolist(), DEFAULT_ORDER_CAP)
 @settings(max_examples=40, deadline=None)
-def test_one_table_reads_every_lower_order(n, k, top, data):
+def test_one_table_reads_every_lower_order(mat, top):
     # A table of order top answers every lower order with the bits of the
     # table of that order, whichever order the indices come in.
-    mat = data.draw(st.lists(st.lists(wide_entry, min_size=k, max_size=k),
-                             min_size=n, max_size=n))
     sc = theorem_scenario(mat)
-    indices = [MomentIndex(s) for total in range(1, top + 1) for s in compositions(total, k)]
+    indices = [MomentIndex(s) for total in range(1, top + 1) for s in compositions(total, sc.k)]
     ascending, descending, alone = _three_readings(sc, indices)
     assert ascending == descending == alone
-
-
-def test_one_table_reads_beside_the_box_path():
-    # k = 6: orders up to 7 come from tables, order 8 from the box of each
-    # index, so the order-8 indices leave a deep table in place or find none.
-    sc = theorem_scenario(np.linspace(0.25, 4.0, 18).reshape(3, 6))
-    indices = [MomentIndex(s) for total in range(1, DEFAULT_ORDER_CAP + 1)
-               for s in itertools.islice(compositions(total, 6), 0, None, 23)]
-    assert {idx.total for idx in indices} == set(range(1, DEFAULT_ORDER_CAP + 1))
-    ascending, descending, alone = _three_readings(sc, indices)
-    assert ascending == descending == alone
-    assert ascending == [_box_expansion(sc, idx.s) for idx in indices]
 
 
 def test_run_moments_builds_one_table_per_matrix(monkeypatch):
@@ -253,7 +251,7 @@ def test_run_moments_builds_one_table_per_matrix(monkeypatch):
         return product(w_alpha, x_alphas, cs, top)
 
     monkeypatch.setattr(moments, "_product", counting_product)
-    moments._moment_tables.clear()
+    moments._moment_table.cache_clear()
     sc = ScenarioConfig("m", "moments", 1, {"max_total_order": 5, "sizes": [[2, 2], [2, 3]],
                                             "entries": [0.5, 2.0]})
     tests, _ = runner._run_moments(sc)
@@ -267,10 +265,9 @@ def test_cached_tables_are_read_only():
     sc = theorem_scenario([[1.0, 2.0, 0.5], [3.0, 0.25, 1.5]])
     rwa_moment_expansion(sc, MomentIndex((1, 2, 0)))
     cs, _ = moments._simplex(3, 3)
-    table = moments._moment_tables.get(sc, 3).moment
-    box = moments._box((1, 2, 0))
+    _, table = moments._moment_table(sc.w_alpha, sc.x_alphas, 3)
     support = moments._dirmult_support(3, 3)
-    for arr in (*cs, table, *box, *support):
+    for arr in (*cs, table, *support):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
@@ -280,23 +277,24 @@ def test_tables_shared_by_threads():
     # More scenarios than the caches hold and more threads than cores, with
     # frequent thread switches: every thread must still read its own
     # scenario's moments.  Tasks read a scenario's indices in ascending,
-    # descending or interleaved order, so some threads replace its table
-    # with a deeper one while others read it.
+    # descending or interleaved order, from one table of order 5 or from
+    # the tables of each index's own order, so threads build, read and
+    # evict the same tables at once.
     scenarios = [theorem_scenario([[0.25 * (i + 1), 1.0, 2.0], [3.5, 0.5, 0.125 * (i + 1)]])
                  for i in range(24)]
     indices = [MomentIndex(s) for total in range(1, 6) for s in compositions(total, 3)]
     ascending = list(range(len(indices)))
     zigzag = [i for pair in zip(ascending, reversed(ascending)) for i in pair][:len(indices)]
     orders = [ascending, ascending[::-1], zigzag]
-    tasks = [(sc, order) for order in orders for sc in scenarios]
+    tasks = [(sc, order, top) for top in (0, 5) for order in orders for sc in scenarios]
 
     def expand(task):
-        sc, order = task
-        got = {i: rwa_moment_expansion(sc, indices[i]) for i in order}
+        sc, order, top = task
+        got = {i: rwa_moment_expansion(sc, indices[i], top) for i in order}
         return [got[i] for i in range(len(indices))]
 
     want = [[_box_expansion(sc, idx.s) for idx in indices] for sc in scenarios]
-    moments._moment_tables.clear()
+    moments._moment_table.cache_clear()
     moments._simplex.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -305,7 +303,7 @@ def test_tables_shared_by_threads():
             got = list(pool.map(expand, tasks, timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    assert got == want * len(orders)
+    assert got == want * len(orders) * 2
 
 
 def _exact_rising(x, m):

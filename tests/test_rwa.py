@@ -250,7 +250,7 @@ def test_variant_reading_resolution(monkeypatch):
         assert resolve_variant_reading((scale, 2 * scale)) == "symmetric"
     # a NaN expansion must not read as a match
     monkeypatch.setattr("dirichlet_rwa.moments.rwa_moment_expansion",
-                        lambda sc, s: float("nan"))
+                        lambda sc, s, top=0: float("nan"))
     assert resolve_variant_reading((1.0, 2.0)) is None
 
 
