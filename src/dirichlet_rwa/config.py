@@ -110,9 +110,10 @@ def _count(v, key: str, low: int) -> None:
         raise ValueError(f"{key} must be an integer >= {low}, got {v!r}")
 
 
-# Least value of each integer key; one draw leaves the standard errors
-# undefined, and smaller values of the others would check nothing.
-_COUNT_MIN = {"n_samples": 2, "max_total_order": 1, "n_random": 1, "max_trials": 0,
+# Least value of each integer key; 4 draws give the energy test two blocks of
+# two rows, fewer leave its standard error undefined, and smaller values of
+# the others would check nothing.
+_COUNT_MIN = {"n_samples": 4, "max_total_order": 1, "n_random": 1, "max_trials": 0,
               "max_k": 2}
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "compositions",
     "rwa_moment_expansion",
     "rwa_moment_closed_form",
-    "dirmult_log_pmf_batch",
     "dirmult_normalization_check",
     "kerov_tsilevich_check",
 ]
@@ -301,17 +300,6 @@ def _log_pmf(p: DirMultParams, c: np.ndarray, log_multinomial: np.ndarray) -> np
     n = p.trials
     logs = _log_rising_table(alpha, max(n, DEFAULT_ORDER_CAP))
     return log_multinomial + logs[np.arange(len(alpha)), c].sum(axis=1) - logs[-1, n]
-
-
-def dirmult_log_pmf_batch(p: DirMultParams, counts: np.ndarray) -> np.ndarray:
-    """Vectorized log pmf over an (m, k) array of count vectors of p.trials
-    trials:
-
-        log n!/prod_j c_j! + sum_j log (alpha_j)_{c_j} - log (A)_n,
-
-    the log multinomial coefficient plus the log Dirichlet moment."""
-    c = np.asarray(counts, dtype=np.intp)
-    return _log_pmf(p, c, _log_multinomial(p.trials, c))
 
 
 @functools.lru_cache(maxsize=64)

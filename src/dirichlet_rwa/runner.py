@@ -79,7 +79,7 @@ def _statistical_suite(scenario, target: DirichletParams, seed: int, n_samples: 
             tests.append({**moment_ztest(batch, target, s), "path": path})
         for c in range(scenario.k):
             tests.append({**ks_marginal(batch, target, c), "path": path})
-    rec = energy_two_sample(direct, gamma, seed=seed)
+    rec = energy_two_sample(direct, gamma)
     rec["path"] = "direct-vs-gamma"
     tests.append(rec)
     return tests

@@ -2,10 +2,11 @@
 
 Three complementary checks back the distributional claims: moment z-tests
 with CLT standard errors against exact Dirichlet moments, one-sample KS tests
-of each marginal against its Beta CDF, and an energy-distance permutation
-test between two sample batches.  Thresholds are chosen so that, with frozen
-seeds, failures indicate bugs rather than noise.  The KS and energy tests
-import scipy when called, so the rest of the package runs on numpy alone.
+of each marginal against its Beta CDF, and a block energy-distance test
+between two sample batches that reads every draw.  Thresholds are chosen so
+that, with frozen seeds, failures indicate bugs rather than noise.  The KS and
+energy tests import scipy when called, so the rest of the package runs on
+numpy alone.
 """
 from __future__ import annotations
 
@@ -23,31 +24,20 @@ __all__ = [
     "Z_THRESHOLD",
     "KS_LEVEL",
     "ENERGY_LEVEL",
-    "ENERGY_SUBSAMPLE",
-    "ENERGY_PERMUTATIONS",
+    "ENERGY_BLOCK",
 ]
 
 Z_THRESHOLD = 5.0
 KS_LEVEL = 0.001
 ENERGY_LEVEL = 0.001
-# The permutation p-value is at least 1/(P+1); P = 1999 lets it fall below
-# ENERGY_LEVEL, which P < 999 would not.
-ENERGY_PERMUTATIONS = 1999
+# Rows of each sample per block of the energy test: 800 blocks at 200k draws.
+ENERGY_BLOCK = 250
 
 # Block length of ks_marginal's CDF pruning, and how far below the largest
 # deviation seen a block's bound may lie and still be evaluated in full: the
 # margin covers ulp-level non-monotonicity of betainc.
 KS_BLOCK = 64
 KS_MARGIN = 1e-12
-
-# Rows per sample kept by the energy statistic: the pooled distance matrix
-# has fewer than 10^7 entries, so its upper triangle times the shuffled labels
-# takes fewer than 10^10 multiply-adds.
-ENERGY_SUBSAMPLE = 1581
-# Pooled rows per block of that matrix, which is never held whole: at the full
-# subsample a block and its product with the labels take 6.5 and 4 MB, where
-# the matrix would take 80 MB.
-ENERGY_BLOCK_ROWS = 256
 
 
 def moment_ztest(values: np.ndarray, target: DirichletParams, s) -> dict:
@@ -136,94 +126,37 @@ def ks_marginal(values: np.ndarray, target: DirichletParams, coordinate: int) ->
             "threshold": thr, "pass": stat <= thr}
 
 
-def _subsample(values: np.ndarray, m: int) -> np.ndarray:
-    if values.shape[0] <= m:
-        return values
-    idx = np.linspace(0, values.shape[0] - 1, m).round().astype(int)
-    return values[idx]
+def energy_two_sample(a: np.ndarray, b: np.ndarray) -> dict:
+    """Block energy two-sample test over every draw of the (N, k) samples a
+    and b (the B-test of Zaremba, Gretton & Blaschko 2013, with the distance
+    kernel).
 
-
-def _permutation_labels(base: np.ndarray, seed: int) -> np.ndarray:
-    """ENERGY_PERMUTATIONS shuffles of the 0/1 float labels base, one per
-    column.  One rng.permuted call shuffles every row of a tiled copy in
-    place, with the draws that successive rng.permutation calls make.  The
-    (n, P) result is the transposed view of that block: it is F-contiguous,
-    the layout BLAS reads without a copy."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    labels = np.tile(base, (ENERGY_PERMUTATIONS, 1))
-    rng.permuted(labels, axis=1, out=labels)
-    return labels.T
-
-
-def _energy_statistics(a: np.ndarray, b: np.ndarray, seed: int):
-    """The observed energy statistic of a and b, and the array of the
-    statistics of the ENERGY_PERMUTATIONS label shuffles."""
-    from scipy.spatial.distance import cdist
+    Block i pairs rows iB..(i+1)B-1 of a and b, B = min(ENERGY_BLOCK, n // 2)
+    for the smaller sample size n; rows past the last whole block are unused.
+    Each block gives the unbiased energy statistic
+    h_i = 2 mean|x - y| - mean_{pairs}|x - x'| - mean_{pairs}|y - y'|, whose
+    mean is 0 under the null.  The one-sided z = mean(h) / (sd(h)/sqrt(blocks))
+    is judged against Student's t on blocks - 1 degrees of freedom.
+    """
+    from scipy.spatial.distance import cdist, pdist
+    from scipy.special import stdtr
 
     if a.shape[1] != b.shape[1]:
         raise ValueError("batches must have the same dimension")
-    va = _subsample(a, ENERGY_SUBSAMPLE)
-    vb = _subsample(b, ENERGY_SUBSAMPLE)
-    ma, mb = va.shape[0], vb.shape[0]
-    n = ma + mb
-    pooled = np.vstack([va, vb])
-    base = np.zeros(n)
-    base[:ma] = 1.0
-    perms = _permutation_labels(base, seed)
-
-    rowsum = np.empty(n)
-    dg = np.empty(n)
-    s_aa = np.zeros(ENERGY_PERMUTATIONS)
-    for start in range(0, n, ENERGY_BLOCK_ROWS):
-        rows = slice(start, min(start + ENERGY_BLOCK_ROWS, n))
-        block = cdist(pooled[rows], pooled)
-        rowsum[rows] = block.sum(axis=1)
-        dg[rows] = block @ base
-        # D is bitwise symmetric ((x-y)^2 == (y-x)^2) with a zero diagonal,
-        # so g'Dg = 2 g'Ug for its strict upper triangle U: each block adds
-        # its rows of U, the trapezoid right of the diagonal.
-        upper = block[:, start:]
-        upper[np.tril_indices(upper.shape[0])] = 0.0
-        s_aa += np.einsum("ip,ip->p", perms[rows], upper @ perms[start:])
-    s_aa *= 2.0
-    total = float(rowsum.sum())
-
-    def statistic(s_aa, u):
-        # s_aa sums D over the pairs within the first sample, u over its rows
-        s_ab = u - s_aa
-        s_bb = total - 2 * u + s_aa
-        return 2 * s_ab / (ma * mb) - s_aa / (ma * ma) - s_bb / (mb * mb)
-
-    if ma == mb and np.array_equal(va, vb):
-        observed = 0.0  # identical inputs: the four distance blocks coincide
-    else:
-        observed = statistic(float(base @ dg), float(rowsum @ base))
-    stats = statistic(s_aa, rowsum @ perms)
-    # A shuffle that repeats the observed partition, or its mirror image when
-    # ma == mb, has the observed statistic; the labels say which do, exactly
-    # (a sum of 0/1 floats), where the rounding of two products would not.
-    kept = perms[:ma].sum(axis=0)
-    stats[(kept == ma) | ((ma == mb) & (kept == 0))] = observed
-    return observed, stats
-
-
-def energy_two_sample(a: np.ndarray, b: np.ndarray, seed: int = 0) -> dict:
-    """Energy-distance two-sample test with a permutation p-value.
-
-    The V-statistic 2*mean(D_ab) - mean(D_aa) - mean(D_bb) is computed on
-    deterministic subsamples of at most ENERGY_SUBSAMPLE rows of the (N, k)
-    samples a and b; permutations reuse their pooled distance matrix D,
-    which is computed ENERGY_BLOCK_ROWS rows at a time and never held whole.
-    The observed statistic takes D's row sums and its product with the
-    observed labels row by row, and is exactly zero for identical inputs.
-    Each block multiplies its rows of the strict upper triangle of D by all
-    label shuffles at once; the permutation statistics differ from full
-    products only in their last bits.  A shuffle that repeats the observed
-    partition (or its mirror image, for equal subsample sizes) counts as at
-    least the observed statistic, whatever the rounding.
-    """
-    observed, stats = _energy_statistics(a, b, seed)
-    p_value = float((1 + np.sum(stats >= observed)) / (ENERGY_PERMUTATIONS + 1))
-    return {"kind": "energy", "statistic": float(observed), "permutation_p": p_value,
-            "n_permutations": ENERGY_PERMUTATIONS, "seed": seed,
-            "pass": p_value > ENERGY_LEVEL}
+    n = min(a.shape[0], b.shape[0])
+    rows = min(ENERGY_BLOCK, n // 2)
+    if rows < 2:
+        raise ValueError("the energy test needs at least 4 rows per batch")
+    blocks = n // rows
+    h = np.empty(blocks)
+    for i in range(blocks):
+        x, y = a[i * rows:(i + 1) * rows], b[i * rows:(i + 1) * rows]
+        h[i] = 2 * cdist(x, y).mean() - pdist(x).mean() - pdist(y).mean()
+    statistic = float(h.mean())
+    se = float(h.std(ddof=1)) / math.sqrt(blocks)
+    if se == 0:
+        raise ValueError("degenerate batches: every block has the same energy statistic")
+    z = statistic / se
+    p_value = float(stdtr(blocks - 1, -z))
+    return {"kind": "energy", "statistic": statistic, "z": z, "p_value": p_value,
+            "block_rows": rows, "blocks": blocks, "pass": p_value > ENERGY_LEVEL}

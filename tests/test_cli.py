@@ -17,7 +17,8 @@ from dirichlet_rwa.config import ConfigError, ScenarioConfig, load_config, parse
 from dirichlet_rwa.distributions import RngStream
 from dirichlet_rwa.moments import rwa_moment_expansion
 from dirichlet_rwa.runner import run_scenario, write_report
-from dirichlet_rwa.rwa import theorem_scenario
+from dirichlet_rwa.rwa import sample_rwa_direct_batch, theorem_scenario
+from dirichlet_rwa.stattest import energy_two_sample
 from test_distributions import SIMPLEX_SUM_TOL
 from test_rwa import einsum_sample_batch
 
@@ -310,18 +311,18 @@ def test_bad_scenario_id_exits_2(tmp_path, capsys, sid):
 def test_verify_theorem_rejects_one_sample_exit2(tmp_path, capsys):
     argv = ["verify-theorem", "--alphas", "1,2;3,4", "--n-samples", "1", "--seed", "1"]
     assert main(argv + ["--out", str(tmp_path)]) == 2
-    assert "n_samples must be an integer >= 2" in capsys.readouterr().err
+    assert "n_samples must be an integer >= 4" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.json"))
 
 
 @pytest.mark.parametrize("kind", ["theorem", "variant"])
-@pytest.mark.parametrize("n_samples", [1, 0, -5, 2.5, True, "1000", None])
+@pytest.mark.parametrize("n_samples", [1, 0, -5, 2.5, True, "1000", None, 3])
 def test_run_rejects_bad_n_samples_exit2(tmp_path, capsys, kind, n_samples):
     sc = {"id": "s", "kind": kind, "seed": 1, "n_samples": n_samples}
     sc.update({"alphas": [[1, 2], [3, 4]]} if kind == "theorem" else {"alpha": [1, 2]})
     cfg = {"format_version": 1, "output_dir": str(tmp_path / "r"), "scenarios": [sc]}
     assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
-    assert "n_samples must be an integer >= 2" in capsys.readouterr().err
+    assert "n_samples must be an integer >= 4" in capsys.readouterr().err
 
 
 def test_integral_float_n_samples_accepted():
@@ -330,14 +331,32 @@ def test_integral_float_n_samples_accepted():
     assert parse_config(cfg).scenarios[0].params["n_samples"] == 2e4
 
 
+def test_verify_theorem_runs_at_n_samples_minimum(tmp_path):
+    # two energy blocks of two rows
+    argv = ["verify-theorem", "--alphas", "1,2;3,4", "--n-samples", "4", "--seed", "1"]
+    assert main(argv + ["--out", str(tmp_path)]) in (0, 1)
+    (path,) = tmp_path.glob("*.json")
+
+    def non_finite(literal):
+        raise AssertionError(f"report holds {literal}")
+
+    report = json.loads(path.read_text(), parse_constant=non_finite)
+    (energy,) = [t for t in report["tests"] if t["kind"] == "energy"]
+    assert (energy["block_rows"], energy["blocks"]) == (2, 2)
+
+
 def test_battery_replicates_come_from_distinct_streams():
-    # Both replicates use one sampler; drawn from the same stream they would
-    # be identical and the energy statistic would be exactly 0.0.
+    # Both replicates use one sampler, on streams (seed, 1) and (seed, 2);
+    # drawn from one stream they would be identical, and the energy record
+    # would be that of a replicate against itself.
     params = {"alphas": [[1, 2], [3, 4]], "n_samples": 2000}
     report = run_scenario(ScenarioConfig("replicates", "theorem", 3, params), "adhoc")
     (energy,) = [t for t in report["tests"] if t["path"] == "direct-vs-gamma"]
     assert energy["kind"] == "energy"
-    assert energy["statistic"] != 0.0
+    scenario = theorem_scenario(params["alphas"])
+    direct, gamma = (sample_rwa_direct_batch(scenario, 2000, RngStream(3, i)) for i in (1, 2))
+    assert energy == {**energy_two_sample(direct, gamma), "path": "direct-vs-gamma"}
+    assert energy != {**energy_two_sample(direct, direct), "path": "direct-vs-gamma"}
 
 
 def test_run_prints_one_verdict_line_per_scenario(tmp_path, capsys):

@@ -15,7 +15,6 @@ from dirichlet_rwa.moments import (
     MomentIndex,
     OrderCapExceeded,
     compositions,
-    dirmult_log_pmf_batch,
     dirmult_normalization_check,
     kerov_tsilevich_check,
     rwa_moment_closed_form,
@@ -333,13 +332,20 @@ def test_closed_form_matches_exact_moments(e):
                     assert abs(Fraction(g) - want) <= 1e-12 * want, (s, g, float(want))
 
 
+def support_pmf(p):
+    """The support of p and its pmf there, by the path that
+    dirmult_normalization_check and kerov_tsilevich_check read."""
+    support, log_multinomial = moments._dirmult_support(p.trials, p.alpha.k)
+    return support.tolist(), np.exp(moments._log_pmf(p, support, log_multinomial))
+
+
 @pytest.mark.parametrize("e", [1e-3, 0.5, 1e4, 1e6, 1e12, 1e100])
 def test_dirmult_pmf_matches_exact(e):
     alpha = (e, 2 * e, 0.5 * e)
     trials = 7
     p = DirMultParams(DirichletParams(alpha), trials)
-    support = list(compositions(trials, 3))
-    got = np.exp(dirmult_log_pmf_batch(p, np.asarray(support)))
+    support, got = support_pmf(p)
+    assert support == [list(c) for c in compositions(trials, 3)]
     exact_alpha = [Fraction(a) for a in alpha]
     for counts, g in zip(support, got):
         want = Fraction(math.factorial(trials))
@@ -419,8 +425,8 @@ def test_weighted_average_moment_dimension_mismatch():
 
 def test_dirmult_pmf_examples():
     def pmf(alpha, trials, counts):
-        p = DirMultParams(DirichletParams(alpha), trials)
-        return float(np.exp(dirmult_log_pmf_batch(p, np.asarray([counts]))[0]))
+        support, got = support_pmf(DirMultParams(DirichletParams(alpha), trials))
+        return float(got[support.index(list(counts))])
 
     assert pmf((1, 1), 1, (1, 0)) == pytest.approx(0.5)
     assert pmf((1, 1), 2, (1, 1)) == pytest.approx(1 / 3)

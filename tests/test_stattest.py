@@ -1,19 +1,16 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.spatial.distance import cdist
 from scipy.special import betainc
 
 from dirichlet_rwa import runner, stattest
 from dirichlet_rwa.config import ScenarioConfig
 from dirichlet_rwa.distributions import (DirichletParams, RngStream, dirichlet_mixed_moment,
                                          sample_dirichlet_batch)
-from dirichlet_rwa.stattest import (ENERGY_BLOCK_ROWS, ENERGY_LEVEL, ENERGY_PERMUTATIONS,
-                                    ENERGY_SUBSAMPLE, KS_BLOCK, Z_THRESHOLD, energy_two_sample,
-                                    ks_marginal, ks_threshold, moment_ztest)
+from dirichlet_rwa.stattest import (ENERGY_BLOCK, ENERGY_LEVEL, KS_BLOCK, Z_THRESHOLD,
+                                    energy_two_sample, ks_marginal, ks_threshold, moment_ztest)
 
 
 def batch(alpha, n, seed, stream=0):
@@ -86,22 +83,25 @@ def test_ks_threshold_scaling():
 def test_energy_same_law_passes():
     a = batch((2, 3, 5), 20_000, 108, stream=0)
     b = batch((2, 3, 5), 20_000, 108, stream=1)
-    r = energy_two_sample(a, b, seed=1)
+    r = energy_two_sample(a, b)
     assert r["pass"]
-    assert 0 < r["permutation_p"] <= 1
+    assert 0 < r["p_value"] <= 1
+    assert (r["block_rows"], r["blocks"]) == (ENERGY_BLOCK, 20_000 // ENERGY_BLOCK)
 
 
 def test_energy_different_law_fails():
     a = batch((1, 1, 1), 20_000, 109, stream=0)
     b = batch((3, 1, 1), 20_000, 109, stream=1)
-    r = energy_two_sample(a, b, seed=2)
+    r = energy_two_sample(a, b)
     assert not r["pass"]
 
 
-def test_energy_identical_arrays_zero():
+def test_energy_identical_arrays_pass():
+    # every block pairs a row with itself, so the cross mean is below the
+    # within means and the statistic is negative
     a = batch((2, 2), 5_000, 110)
-    r = energy_two_sample(a, a, seed=3)
-    assert r["statistic"] == 0.0
+    r = energy_two_sample(a, a)
+    assert r["statistic"] < 0 and r["pass"]
 
 
 def test_energy_dimension_mismatch():
@@ -111,20 +111,77 @@ def test_energy_dimension_mismatch():
         energy_two_sample(a, b)
 
 
-def test_energy_seed_recorded():
-    a = batch((1, 1), 2_000, 113, stream=0)
-    b = batch((1, 1), 2_000, 113, stream=1)
-    r = energy_two_sample(a, b, seed=42)
-    assert r["seed"] == 42 and r["n_permutations"] == ENERGY_PERMUTATIONS
+def test_energy_needs_two_blocks_of_two_rows():
+    a = batch((1, 1), 3, 113, stream=0)
+    b = batch((1, 1), 100, 113, stream=1)
+    with pytest.raises(ValueError, match="at least 4 rows"):
+        energy_two_sample(a, b)
 
 
-# References: the tests as they were computed before the CDF pruning, the
-# pow-free orders, the single permutation call and the blocked triangular
-# products.
-# The records and labels of the library must equal theirs bit for bit.  The
-# permutation statistics, summed in another order, agree to rounding, so an
-# energy record may differ only where rounding decides a permutation that
-# ties with the observed statistic.
+def test_energy_degenerate_blocks_raise():
+    # tiny concentrations put whole blocks on one vertex; equal block
+    # statistics leave z undefined
+    a = np.tile([1.0, 0.0], (5, 1))
+    b = a.copy()
+    b[4] = (0.0, 1.0)  # past the last block
+    with pytest.raises(ValueError, match="degenerate"):
+        energy_two_sample(a, b)
+
+
+def loop_block_statistics(a, b):
+    """Reference: each block's energy statistic from explicit loops over its
+    pairs of rows."""
+    n = min(len(a), len(b))
+    rows = min(ENERGY_BLOCK, n // 2)
+    h = []
+    for start in range(0, n - rows + 1, rows):
+        x, y = a[start:start + rows], b[start:start + rows]
+        cross = sum(math.dist(u, v) for u in x for v in y) / rows**2
+        pairs = rows * (rows - 1) / 2
+        within_x = sum(math.dist(x[i], x[j]) for i in range(rows) for j in range(i)) / pairs
+        within_y = sum(math.dist(y[i], y[j]) for i in range(rows) for j in range(i)) / pairs
+        h.append(2 * cross - within_x - within_y)
+    return h
+
+
+# two blocks of two rows; leftover rows; unequal sizes; two full blocks and a
+# partial third
+@pytest.mark.parametrize("ma, mb", [(4, 4), (7, 7), (9, 6), (40, 33),
+                                    (2 * ENERGY_BLOCK + 113, 2 * ENERGY_BLOCK + 120)])
+def test_energy_statistic_equals_explicit_loop(ma, mb):
+    rng = np.random.default_rng(ma * 1000 + mb)
+    a, b = rng.dirichlet((1, 2, 3), ma), rng.dirichlet((1.5, 2, 3), mb)
+    h = loop_block_statistics(a, b)
+    r = energy_two_sample(a, b)
+    assert r["blocks"] == len(h) and r["block_rows"] == min(ENERGY_BLOCK, min(ma, mb) // 2)
+    assert r["statistic"] == pytest.approx(sum(h) / len(h), rel=1e-12)
+    z = np.mean(h) / (np.std(h, ddof=1) / math.sqrt(len(h)))
+    assert r["z"] == pytest.approx(z, rel=1e-9)
+
+
+def test_energy_null_false_alarms_and_z_spread(monkeypatch):
+    # 100 blocks of 10 rows per pair keep 200 pairs cheap; each block's
+    # statistic has mean 0 under the null at any block length
+    monkeypatch.setattr(stattest, "ENERGY_BLOCK", 10)
+    records = [energy_two_sample(batch((2, 3, 5), 1000, seed, stream=0),
+                                 batch((2, 3, 5), 1000, seed, stream=1))
+               for seed in range(200)]
+    assert {r["blocks"] for r in records} == {100}
+    assert min(r["p_value"] for r in records) > ENERGY_LEVEL
+    assert 0.8 <= np.std([r["z"] for r in records], ddof=1) <= 1.2
+
+
+def test_energy_detects_a_small_shift_at_full_size():
+    # one concentration 4% high
+    a = batch((5, 7, 9), 200_000, 120, stream=0)
+    b = batch((5.2, 7, 9), 200_000, 120, stream=1)
+    r = energy_two_sample(a, b)
+    assert r["blocks"] == 200_000 // ENERGY_BLOCK
+    assert not r["pass"] and r["z"] > 0
+
+
+# References: the tests as they were computed before the CDF pruning and the
+# pow-free orders.  The records of the library must equal theirs bit for bit.
 
 def full_ks_marginal(values, target, coordinate):
     """Reference: the KS record with the Beta CDF evaluated at every point."""
@@ -159,77 +216,6 @@ def pow_moment_ztest(values, target, s):
         z = (emp - exact) / se
     return {"kind": "moment", "index": list(s), "empirical": emp, "exact": exact,
             "std_error": se, "z_score": z, "pass": abs(z) <= Z_THRESHOLD}
-
-
-def stacked_permutation_labels(ma, mb, seed):
-    """Reference: one rng.permutation call per permutation, stacked as columns."""
-    mask = np.zeros(ma + mb, dtype=bool)
-    mask[:ma] = True
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    return np.stack([rng.permutation(mask) for _ in range(ENERGY_PERMUTATIONS)],
-                    axis=1).astype(float)
-
-
-def gemm_energy_statistics(a, b, seed):
-    """Reference: the observed statistic and those of the permutations, the
-    latter from one full GEMM over C-ordered labels."""
-    va = stattest._subsample(a, ENERGY_SUBSAMPLE)
-    vb = stattest._subsample(b, ENERGY_SUBSAMPLE)
-    ma, mb = va.shape[0], vb.shape[0]
-    pooled = np.vstack([va, vb])
-    dmat = cdist(pooled, pooled)
-
-    rowsum = dmat.sum(axis=1)
-    total = float(rowsum.sum())
-
-    def statistic(g):
-        s_aa = float(g @ (dmat @ g))
-        u = float(rowsum @ g)
-        s_ab = u - s_aa
-        s_bb = total - 2 * u + s_aa
-        return 2 * s_ab / (ma * mb) - s_aa / (ma * ma) - s_bb / (mb * mb)
-
-    base = np.zeros(ma + mb)
-    base[:ma] = 1.0
-    if ma == mb and np.array_equal(va, vb):
-        observed = 0.0
-    else:
-        observed = statistic(base)
-
-    perms = np.ascontiguousarray(stattest._permutation_labels(base, seed))
-    dg = dmat @ perms
-    s_aa = np.einsum("ip,ip->p", perms, dg)
-    u = rowsum @ perms
-    s_ab = u - s_aa
-    s_bb = total - 2 * u + s_aa
-    stats = 2 * s_ab / (ma * mb) - s_aa / (ma * ma) - s_bb / (mb * mb)
-    return observed, stats
-
-
-def gemm_energy_two_sample(a, b, seed=0):
-    """Reference: the energy record with the permutation statistics of the
-    full GEMM."""
-    observed, stats = gemm_energy_statistics(a, b, seed)
-    p_value = float((1 + np.sum(stats >= observed)) / (ENERGY_PERMUTATIONS + 1))
-    return {"kind": "energy", "statistic": float(observed), "permutation_p": p_value,
-            "n_permutations": ENERGY_PERMUTATIONS, "seed": seed,
-            "pass": p_value > ENERGY_LEVEL}
-
-
-def pooled_distances(a, b):
-    """Subsample sizes ma, mb and the sum of the pooled distance matrix."""
-    va = stattest._subsample(a, ENERGY_SUBSAMPLE)
-    vb = stattest._subsample(b, ENERGY_SUBSAMPLE)
-    pooled = np.vstack([va, vb])
-    return va.shape[0], vb.shape[0], float(cdist(pooled, pooled).sum())
-
-
-def energy_rounding_bound(a, b):
-    """Bound on the rounding error of one permutation statistic: each of its
-    sums adds at most n non-negative distances, whose total the statistic
-    cancels down with weights up to (1/ma + 1/mb)^2."""
-    ma, mb, total = pooled_distances(a, b)
-    return 4 * (ma + mb) * np.finfo(float).eps * total * (1 / ma + 1 / mb) ** 2
 
 
 concentration = st.sampled_from([1e-3, 0.05, 0.5, 1.0, 2.0, 7.5, 40.0])
@@ -322,158 +308,6 @@ def test_moment_orders_0_to_3_equal_pow_product(s):
     values = batch((0.5, 1, 2, 3), 100_000, 115)
     target = DirichletParams((0.5, 1, 2, 3))
     assert moment_ztest(values, target, s) == pow_moment_ztest(values, target, s)
-
-
-@pytest.mark.parametrize("seed", [7, 11, 12345678901234567])
-def test_permutation_labels_equal_stacked_permutations(seed):
-    base = np.zeros((2 * stattest.ENERGY_SUBSAMPLE))
-    base[:(2 * stattest.ENERGY_SUBSAMPLE) // 2] = 1.0
-    expected = stacked_permutation_labels((2 * stattest.ENERGY_SUBSAMPLE) // 2,
-                                          (2 * stattest.ENERGY_SUBSAMPLE) - (2 * stattest.ENERGY_SUBSAMPLE) // 2, seed)
-    assert np.array_equal(stattest._permutation_labels(base, seed), expected)
-
-
-@given(st.integers(1, 300), st.integers(1, 300), st.integers(0, 2**64 - 1))
-@settings(max_examples=40, deadline=None)
-def test_permutation_labels_equal_stacked_permutations_any_sizes(ma, mb, seed):
-    base = np.zeros(ma + mb)
-    base[:ma] = 1.0
-    assert np.array_equal(stattest._permutation_labels(base, seed),
-                          stacked_permutation_labels(ma, mb, seed))
-
-
-def test_permutation_labels_are_the_shuffled_block_in_blas_layout(monkeypatch):
-    # the labels reach BLAS as the transposed view of the shuffled block: no copy
-    shuffled = []
-    default_rng = np.random.default_rng
-
-    class RecordingRng:
-        def __init__(self, seed):
-            self.rng = default_rng(seed)
-
-        def permuted(self, x, axis, out):
-            shuffled.append(out)
-            return self.rng.permuted(x, axis=axis, out=out)
-
-    monkeypatch.setattr(np.random, "default_rng", RecordingRng)
-    base = np.zeros(2 * ENERGY_SUBSAMPLE)
-    base[:ENERGY_SUBSAMPLE] = 1.0
-    labels = stattest._permutation_labels(base, 7)
-    assert labels.shape == (base.size, ENERGY_PERMUTATIONS)
-    assert labels.flags.f_contiguous
-    assert len(shuffled) == 1 and np.shares_memory(labels, shuffled[0])
-
-
-@st.composite
-def energy_batches(draw):
-    k = draw(st.integers(2, 4))
-    sizes = st.integers(1, 300)
-    ma, mb = draw(sizes), draw(sizes)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    a = rng.dirichlet(draw(st.lists(concentration, min_size=k, max_size=k)), ma)
-    b = rng.dirichlet(draw(st.lists(concentration, min_size=k, max_size=k)), mb)
-    return a, b, draw(st.integers(0, 2**64 - 1))
-
-
-@given(energy_batches())
-@settings(max_examples=60, deadline=None)
-def test_energy_record_equals_gemm_any_sizes(batches):
-    a, b, seed = batches
-    observed, stats = stattest._energy_statistics(a, b, seed)
-    ref_observed, ref_stats = gemm_energy_statistics(a, b, seed)
-    bound = energy_rounding_bound(a, b)
-    assert observed == ref_observed
-    assert np.all(np.abs(stats - ref_stats) <= bound)
-    record, ref = energy_two_sample(a, b, seed), gemm_energy_two_sample(a, b, seed)
-    # Permutations that repeat the observed partition (frequent at a few
-    # rows) equal the observed statistic up to rounding, and the rounding of
-    # either product decides which side of it they fall on.
-    ties = int(np.sum(np.abs(ref_stats - ref_observed) <= bound))
-    if ties == 0:
-        assert record == ref
-    else:
-        flipped = abs(record["permutation_p"] - ref["permutation_p"]) * (ENERGY_PERMUTATIONS + 1)
-        assert round(flipped) <= ties
-        assert {**record, "permutation_p": None, "pass": None} == {
-            **ref, "permutation_p": None, "pass": None}
-
-
-@pytest.mark.parametrize("change", ["identical", "one-row"])
-def test_energy_record_equals_gemm_near_identical_inputs(change):
-    a = batch((2, 3, 5), 5_000, 116)
-    b = a.copy()
-    if change == "one-row":
-        b[1234] = (0.2, 0.3, 0.5)
-    record = energy_two_sample(a, b, seed=9)
-    assert record == gemm_energy_two_sample(a, b, seed=9)
-    assert (record["statistic"] == 0.0) == (change == "identical")
-
-
-@pytest.mark.parametrize("shift", [False, True])
-def test_energy_full_subsample_equals_gemm(shift):
-    a = batch((1, 2, 3), 200_000, 117, stream=0)
-    b = batch((1.2, 2, 3) if shift else (1, 2, 3), 200_000, 117, stream=1)
-    observed, stats = stattest._energy_statistics(a, b, 13)
-    ref_observed, ref_stats = gemm_energy_statistics(a, b, 13)
-    assert observed == ref_observed
-    # The statistic cancels means of distances about a thousandfold, so the
-    # two sums agree relative to the mean pooled distance, not to each value.
-    ma, mb, total = pooled_distances(a, b)
-    mean_distance = total / (ma + mb) ** 2
-    np.testing.assert_allclose(stats, ref_stats, rtol=0, atol=1e-12 * mean_distance)
-    record = energy_two_sample(a, b, seed=13)
-    assert record == gemm_energy_two_sample(a, b, seed=13)
-    assert (record["permutation_p"] == 1 / (ENERGY_PERMUTATIONS + 1)) == shift
-
-
-# below one block, one block and one row either side, two blocks and a row,
-# and the full pooled subsample
-@pytest.mark.parametrize("n", [ENERGY_BLOCK_ROWS - 1, ENERGY_BLOCK_ROWS, ENERGY_BLOCK_ROWS + 1,
-                               2 * ENERGY_BLOCK_ROWS + 1, 2 * ENERGY_SUBSAMPLE])
-def test_energy_blocks_equal_gemm_around_block_boundaries(n):
-    a = batch((1, 2, 3), (n + 1) // 2, 118, stream=0)
-    b = batch((1.1, 2, 3), n // 2, 118, stream=1)
-    observed, stats = stattest._energy_statistics(a, b, 19)
-    ref_observed, ref_stats = gemm_energy_statistics(a, b, 19)
-    bound = energy_rounding_bound(a, b)
-    assert observed == ref_observed
-    assert np.all(np.abs(stats - ref_stats) <= bound)
-    assert not np.any(np.abs(ref_stats - ref_observed) <= bound)  # no ties
-    assert energy_two_sample(a, b, 19) == gemm_energy_two_sample(a, b, 19)
-
-
-@pytest.mark.parametrize("ma, mb, seed", [(4, 1, 2), (3, 3, 0)])
-def test_energy_counts_every_repeat_of_the_observed_partition(ma, mb, seed):
-    # At a few rows, many shuffles repeat the observed partition (or, when
-    # ma == mb, its mirror image) and have the observed statistic exactly;
-    # on these seeds the rounding of a product put some of them below it.
-    rng = np.random.default_rng(seed)
-    a, b = rng.dirichlet((1, 2, 3), ma), rng.dirichlet((1, 2, 3), mb)
-    labels = stacked_permutation_labels(ma, mb, seed)
-    kept = labels[:ma].sum(axis=0)
-    repeats = (kept == ma) | ((ma == mb) & (kept == 0))
-    ref_observed, ref_stats = gemm_energy_statistics(a, b, seed)
-    others = ref_stats[~repeats]
-    assert repeats.any()
-    assert not np.any(np.abs(others - ref_observed) <= energy_rounding_bound(a, b))
-    count = np.sum(repeats) + np.sum(others > ref_observed)
-    record = energy_two_sample(a, b, seed)
-    assert record["permutation_p"] == (1 + count) / (ENERGY_PERMUTATIONS + 1)
-
-
-def test_energy_statistics_never_hold_the_distance_matrix():
-    # tracemalloc sees numpy's buffers; D of the full subsample alone would
-    # take (2 * ENERGY_SUBSAMPLE)^2 doubles
-    a = batch((1, 2, 3), ENERGY_SUBSAMPLE, 119, stream=0)
-    b = batch((1, 2, 3), ENERGY_SUBSAMPLE, 119, stream=1)
-    stattest._energy_statistics(a[:2], b[:2], 0)  # load scipy outside the trace
-    tracemalloc.start()
-    try:
-        stattest._energy_statistics(a, b, 1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < (2 * ENERGY_SUBSAMPLE) ** 2 * 8
 
 
 def test_moment_and_ks_called_once_per_check(monkeypatch):
