@@ -246,11 +246,10 @@ def _cmd_verify_moments(args) -> int:
 
 
 def _cmd_stieltjes(args) -> int:
-    # The one-scenario `run` of this order and grid: the points, bounds and
-    # verdict are the runner's, and the CSV lists the points it checked.
-    sc = _scenario("stieltjes", "stieltjes", 0, orders=[args.n], grid=_parse_grid(args.grid))
+    # The one-scenario `run` of this order and grid; the CSV lists every point.
+    grid = _parse_grid(args.grid)
+    sc = _scenario("stieltjes", "stieltjes", 0, orders=[args.n], grid=grid)
     report = run_scenario(sc, config_hash="adhoc")
-    grid = next(t["grid"] for t in report["tests"] if t.get("form") == "transform")
     lhs, rhs, resid = equation3_terms(args.n, grid)
     lines = ["n,z,lhs,rhs,residual"]
     for z, left, right, r in zip(grid, lhs, rhs, resid):

@@ -47,13 +47,11 @@ __all__ = ["run_scenario", "run_config", "write_report", "moment_indices"]
 # The second replicate reuses the one sampler; its own name keeps per-path traces.
 sample_rwa_gamma_path_batch = sample_rwa_direct_batch
 
-# Fixed bounds of the checks.  Stieltjes orders above 3 are held to the
-# looser bound and checked on the grid points >= 2 only.
+# Fixed bounds of the checks.
 MAX_MOMENT_ORDER = 3
 MOMENTS_RTOL = 1e-9
 DIRMULT_TOL = 1e-10
-STIELTJES_TOL_EXACT = 1e-8
-STIELTJES_TOL_NUMERIC = 1e-6
+STIELTJES_RTOL = 1e-8
 KT_TOL = 1e-6
 
 
@@ -193,19 +191,17 @@ def _run_stieltjes(sc: ScenarioConfig):
     grid = [float(z) for z in sc.params["grid"]]
     tests = []
     for n in (int(n) for n in sc.params["orders"]):
-        tol = STIELTJES_TOL_EXACT if n <= 3 else STIELTJES_TOL_NUMERIC
-        g = grid if n <= 3 else [z for z in grid if z >= 2.0]
         for form, check in (("transform", equation3_residual), ("integral", equation1_check)):
-            resid = check(n, g)
+            resid = check(n, grid)
             tests.append(
                 {
                     "kind": "derivative-identity",
                     "form": form,
                     "n": n,
-                    "grid": g,
+                    "grid": grid,
                     "residuals": [float(v) for v in resid],
-                    "tol": tol,
-                    "pass": bool(np.max(resid) < tol),
+                    "rtol": STIELTJES_RTOL,
+                    "pass": bool(np.max(resid) <= STIELTJES_RTOL),
                 }
             )
         p = PowerSemicircleParams(n)

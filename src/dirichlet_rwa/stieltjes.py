@@ -29,8 +29,9 @@ __all__ = [
     "GRID_STANDOFF",
 ]
 
-# Grid points must stay at least this far to the right of the support edge,
-# leaving room for contour disks.
+# Grid points must exceed 1 + GRID_STANDOFF, the domain configs are validated
+# against.  The contour needs no room (its radius scales with z - 1), but high
+# orders are refused near the support: at z = 1.2501, every n >= 11.
 GRID_STANDOFF = 0.25
 
 
@@ -71,29 +72,27 @@ def _gauss_legendre_nodes(order: int):
 
 
 # Tolerances and largest node counts: Gauss-Legendre orders double from 16 and
-# trapezoid node counts from 32, or from above the order.  The contour's absolute floor is 64 times the
-# round-off of its trapezoid sum, eps * order!/r^order * max|f|; it applies
-# only while it is at most _CONTOUR_MAX_ROUNDOFF of the estimate, since past
-# that successive sums agree on round-off noise rather than on the derivative.
+# trapezoid node counts from 32, or from above the order.  A contour point is
+# refused if the round-off of its sum exceeds _CONTOUR_MAX_ROUNDOFF of its
+# value.  The identity's radius is _CONTOUR_RADIUS times the distance z - 1 to
+# the support (Bornemann 2011), which keeps that round-off small far from it.
 _GL_ATOL, _GL_RTOL, _GL_MAX_ORDER = 1e-12, 1e-13, 2048
-_CONTOUR_RTOL, _CONTOUR_MAX_NODES = 1e-9, 8192
-_CONTOUR_ROUNDOFF, _CONTOUR_MAX_ROUNDOFF = 64 * np.finfo(float).eps, 1e-3
+_CONTOUR_RTOL, _CONTOUR_MAX_NODES, _CONTOUR_RADIUS = 1e-9, 8192, 0.75
+_CONTOUR_ROUNDOFF, _CONTOUR_MAX_ROUNDOFF = 64 * np.finfo(float).eps, 1e-8
 
 
-def _node_doubling(estimate, m: int, first: int, last: int, rtol: float,
+def _node_doubling(estimate, m: int, first: int, last: int, atol: float, rtol: float,
                    what: str) -> np.ndarray:
     """Estimates of m points from node counts first, 2*first, ..., last.
 
     estimate(count, todo) returns the estimates of the points todo (an index
-    array) at that node count and their absolute tolerance atol, a scalar or
-    one per point.  Each point keeps the value of the first count at which it
-    agrees with the previous count within max(atol, rtol*|value|); later
-    counts evaluate only the points that have not converged.
+    array) at that node count.  Each point keeps the value of the first count
+    at which it agrees with the previous one within max(atol, rtol*|value|).
     """
     out, todo = np.empty(m, dtype=complex), np.arange(m)
     prev, count, err = None, first, math.inf
     while count <= last:
-        val, atol = estimate(count, todo)
+        val = estimate(count, todo)
         if prev is not None:
             diff = np.abs(val - prev)
             done = diff <= np.maximum(atol, rtol * np.abs(val))
@@ -119,9 +118,9 @@ def _power_semicircle_integral(n: int, z):
         u, weights = _gauss_legendre_nodes(order)
         r, zc = np.sqrt(1.0 - u * u), zf[todo, None]
         vals = 2.0 * u ** (n - 2) / (np.sqrt(zc - r) * np.sqrt(zc + r))
-        return 0.5 * np.sum(weights * vals, axis=1), _GL_ATOL
+        return 0.5 * np.sum(weights * vals, axis=1)
 
-    out = _node_doubling(estimate, zf.size, 16, _GL_MAX_ORDER, _GL_RTOL,
+    out = _node_doubling(estimate, zf.size, 16, _GL_MAX_ORDER, _GL_ATOL, _GL_RTOL,
                          "quadrature did not converge on [0,1]")
     return out.reshape(z.shape)[()]
 
@@ -146,12 +145,10 @@ def cauchy_derivative(f, z, order: int, radius):
     z and radius broadcast together; scalars give a complex, arrays an array.
     f takes an (m, N) ndarray of complex contour nodes, the N nodes of every
     point not yet converged, and returns their values.  Each closed disk must
-    avoid the support [-1, 1].  The rule is spectrally accurate for periodic
-    integrands; N doubles from the first power of two above max(order, 31)
-    until a point's estimates agree to 1e-9, or to the round-off of the sum,
-    64*eps * order!/r^order * max|f| over the nodes, where the derivative is
-    too small for a relative test (far from the support) but still 1e3 times
-    that round-off.
+    avoid the support [-1, 1].  N doubles from the first power of two above
+    max(order, 31) until a point's estimates agree to 1e-9 relative; if the
+    round-off of its sum, 64*eps * order!/r^order * max|f| over the nodes, is
+    then above 1e-8 of its value, its digits are noise: QuadratureError.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -164,21 +161,26 @@ def cauchy_derivative(f, z, order: int, radius):
                            "intersects the support [-1, 1]")
     zf, rf = z.reshape(-1), radius.reshape(-1)
     fact = math.factorial(order)
+    # Python's pow: numpy's array power differs from it in the last bit
+    rpow, noise = np.array([r**order for r in rf.tolist()]), np.empty(zf.size)
 
     def estimate(n_nodes, todo):
         theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
         w = zf[todo, None] + rf[todo, None] * np.exp(1j * theta)
         fw = f(w)
-        # Python's pow: numpy's array power differs from it in the last bit
-        scale = np.array([fact / (n_nodes * r**order) for r in rf[todo].tolist()])
-        val = scale * np.sum(fw * np.exp(-1j * order * theta), axis=1)
-        roundoff = _CONTOUR_ROUNDOFF * n_nodes * scale * np.max(np.abs(fw), axis=1)
-        return val, np.where(roundoff <= _CONTOUR_MAX_ROUNDOFF * np.abs(val), roundoff, 0.0)
+        scale = fact / (n_nodes * rpow[todo])
+        noise[todo] = _CONTOUR_ROUNDOFF * n_nodes * scale * np.max(np.abs(fw), axis=1)
+        return scale * np.sum(fw * np.exp(-1j * order * theta), axis=1)
 
     # Fewer nodes than order + 1 alias lower Taylor coefficients onto this one.
     first = max(32, 2 ** order.bit_length())
-    out = _node_doubling(estimate, zf.size, first, _CONTOUR_MAX_NODES, _CONTOUR_RTOL,
+    out = _node_doubling(estimate, zf.size, first, _CONTOUR_MAX_NODES, 0.0, _CONTOUR_RTOL,
                          "contour derivative did not converge")
+    # a point's noise is that of the node count at which it converged
+    noisy = noise > _CONTOUR_MAX_ROUNDOFF * np.abs(out)
+    if noisy.any():
+        raise QuadratureError(f"contour derivative at z={zf[noisy].tolist()} did not converge "
+                              "above its round-off", float(np.max(noise[noisy])))
     return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
@@ -192,23 +194,28 @@ def _check_grid(z_grid) -> np.ndarray:
 
 def _identity_terms(f, pref: float, n: int, z_grid):
     """Computed left side pref * f^{(n-1)}(z), right side (z^2-1)^{-n/2} and
-    residual |lhs - rhs| at each grid point; the contour radius is
-    min(z - 1 - GRID_STANDOFF, 1)."""
+    relative residual |lhs - rhs|/|rhs| at each grid point."""
     z = _check_grid(z_grid)
-    lhs = pref * cauchy_derivative(f, z, n - 1, np.minimum(z - 1.0 - GRID_STANDOFF, 1.0))
     # principal roots of z-1 and z+1 select the branch with cut [-1, 1]; a
-    # non-finite power is rejected below
-    with np.errstate(over="ignore", invalid="ignore"):
+    # right side that is not a finite normal number has no relative residual
+    # and is refused before the contour's r**order can overflow
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         rhs = (np.sqrt(z - 1.0 + 0j) * np.sqrt(z + 1.0 + 0j)) ** (-n)
-    bad = ~(np.isfinite(lhs) & np.isfinite(rhs))
-    if bad.any():
-        raise ValueError(f"identity terms at z={z[bad].tolist()} are not finite")
+    _refuse(z, np.isfinite(rhs) & (np.abs(rhs) >= np.finfo(float).tiny),
+            "right side is zero, subnormal or not finite")
+    lhs = pref * cauchy_derivative(f, z, n - 1, _CONTOUR_RADIUS * (z - 1.0))
+    _refuse(z, np.isfinite(lhs), "left side is not finite")
     # scalar abs: numpy's array abs of a complex can differ in the last bit
-    return lhs, rhs, np.array([abs(d) for d in lhs - rhs])
+    return lhs, rhs, np.array([abs(d) / abs(r) for d, r in zip(lhs - rhs, rhs)])
+
+
+def _refuse(z, ok, what: str) -> None:
+    if not ok.all():
+        raise ValueError(f"the identity's {what} at z={z[~ok].tolist()}")
 
 
 def equation3_terms(n: int, z_grid):
-    """(lhs, rhs, residual) arrays of the identity
+    """(lhs, rhs, relative residual) arrays of the identity
     (-1)^{n-1}/(n-1)! * d^{n-1}/dz^{n-1} S_Z(z) = (z^2-1)^{-n/2}
     where S_Z is the power-semicircle transform of parameter n; lhs is the
     computed left side."""
@@ -219,12 +226,12 @@ def equation3_terms(n: int, z_grid):
 
 
 def equation3_residual(n: int, z_grid) -> np.ndarray:
-    """|LHS - RHS| of the identity of equation3_terms."""
+    """|LHS - RHS|/|RHS| of the identity of equation3_terms."""
     return equation3_terms(n, z_grid)[2]
 
 
 def equation1_check(n: int, z_grid) -> np.ndarray:
-    """Residual of the integral form of the same identity: the (n-1)-th
+    """Relative residual of the integral form of the same identity: the (n-1)-th
     derivative is applied to the raw integral, with the (n-1)/2 prefactor kept
     outside the derivative."""
     pref = (-1.0) ** (n - 1) / math.factorial(n - 1) * (n - 1) / 2.0

@@ -218,8 +218,24 @@ def test_stieltjes_command_exits_as_run(tmp_path, n, grid):
 def test_stieltjes_csv_lists_the_points_run_checks(tmp_path, capsys):
     out = tmp_path / "resid.csv"
     assert main(["stieltjes", "--n", "6", "--grid", "1.26,2,3", "--out", str(out)]) == 0
-    assert [line.split(",")[1] for line in out.read_text().splitlines()[1:]] == ["2", "3"]
+    assert [line.split(",")[1] for line in out.read_text().splitlines()[1:]] == [
+        "1.26", "2", "3"]
     assert "stieltjes: PASS (3/3 checks)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n, z", [("8", "100"), ("5", "1.5")])
+def test_stieltjes_orders_above_3_are_checked_at_every_point(tmp_path, n, z):
+    assert main(["stieltjes", "--n", n, "--grid", z, "--out", str(tmp_path / "r.csv")]) == 0
+
+
+def test_stieltjes_far_field_left_side_is_relatively_close(tmp_path):
+    # Both sides are about 1e-30 here: an absolute bound would take any left
+    # side, of either sign.
+    out = tmp_path / "resid.csv"
+    assert main(["stieltjes", "--n", "5", "--grid", "1e6", "--out", str(out)]) == 0
+    _, _, lhs, rhs, resid = out.read_text().splitlines()[1].split(",")
+    assert abs(float(lhs) - float(rhs)) <= 1e-8 * abs(float(rhs))
+    assert float(resid) <= 1e-8
 
 
 def test_verify_moments_subcommand(tmp_path):
@@ -606,8 +622,8 @@ def test_run_workers_below_one_exit_2(tmp_path, capsys, monkeypatch, workers):
 @pytest.mark.parametrize("n, z", [("5", "100"), ("6", "100"), ("4", "1000"), ("13", "5"),
                                   ("14", "2,3,5")])
 def test_stieltjes_far_field_converges(tmp_path, n, z):
-    # far from the support the derivative is so small that the round-off of
-    # the contour sum exceeds 1e-9 of it
+    # far from the support the derivative falls like z^-n; a contour radius
+    # that grows with z keeps the round-off of the sum small against it
     out = tmp_path / "resid.csv"
     assert main(["stieltjes", "--n", n, "--grid", z, "--out", str(out)]) == 0
 
@@ -617,6 +633,18 @@ def test_stieltjes_non_finite_terms_exit_2(tmp_path, capsys):
     assert main(["stieltjes", "--n", "3", "--grid", "1e308", "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("z", ["1e200", "1e103"])
+def test_stieltjes_right_side_without_a_relative_residual_exits_2(tmp_path, z):
+    # At n = 3 the right side underflows to 0 at z = 1e200 (where the
+    # contour's radius**2 would overflow) and is subnormal at z = 1e103.
+    out = str(tmp_path / "resid.csv")
+    proc = cli_process(["stieltjes", "--n", "3", "--grid", z, "--out", out])
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: the identity's right side is zero, subnormal or not "
+                           f"finite at z=[{float(z)!r}]\n")
+    assert not Path(out).exists()
 
 
 def cli_process(argv):

@@ -32,7 +32,6 @@ BAD_VALUES = {
     "moments-order-cap": {"kind": "moments", "max_total_order": 9},
     "dirmult-trials-cap": {"kind": "dirmult", "max_trials": 65},
     "stieltjes-order-1": {"kind": "stieltjes", "orders": [1]},
-    "stieltjes-empty-numeric-grid": {"kind": "stieltjes", "orders": [4], "grid": [1.5]},
     "moments-one-row": {"kind": "moments", "sizes": [[1, 2]]},
     "moments-pair-cap": {"kind": "moments", "sizes": [[2, 11]], "max_total_order": 8},
     # json reads NaN, Infinity and 1e400 as floats; none is a valid number
@@ -64,7 +63,8 @@ def test_bad_value_exits_2_before_any_scenario_runs(tmp_path, capsys, bad):
                               "energy_permutations")]
     + [("variant", k) for k in ("max_moment_order", "z_threshold", "ks_level")]
     + [("moments", "rtol"), ("dirmult", "tol"), ("stieltjes", "tol_exact"),
-       ("stieltjes", "tol_numeric"), ("kerov_tsilevich", "order"), ("kerov_tsilevich", "tol")],
+       ("stieltjes", "tol_numeric"), ("stieltjes", "rtol"), ("kerov_tsilevich", "order"),
+       ("kerov_tsilevich", "tol")],
 )
 def test_fixed_bounds_are_not_config_keys(kind, key):
     sc = {"id": "s", "kind": kind, "seed": 1, key: 1}
@@ -88,6 +88,12 @@ def test_entries_are_a_grid_not_an_alpha_vector():
     cfg = config("r", {**DIRMULT, "entries": [1.0]},
                  {"id": "m", "kind": "moments", "seed": 2, "entries": [1.0]})
     assert len(parse_config(cfg).scenarios) == 2
+
+
+def test_stieltjes_order_above_3_runs_below_z_2(tmp_path):
+    # every order is checked at every grid point, so no grid needs a point >= 2
+    sc = {"id": "s", "kind": "stieltjes", "seed": 2, "orders": [4], "grid": [1.5]}
+    assert run(tmp_path, config(tmp_path / "reports", sc)) == 0
 
 
 @pytest.mark.parametrize("entry", ["stieltjes", "run"])

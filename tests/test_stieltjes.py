@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from dirichlet_rwa import stieltjes
+from dirichlet_rwa.config import ScenarioConfig
+from dirichlet_rwa.runner import STIELTJES_RTOL, run_scenario
 from dirichlet_rwa.stieltjes import (
+    _CONTOUR_RADIUS,
     PowerSemicircleParams,
     QuadratureError,
     SupportError,
@@ -178,19 +182,17 @@ def test_cauchy_derivative_disk_hits_support():
 def test_equation3_residuals():
     assert np.max(equation3_residual(2, [1.5, 2, 3, 5])) < 1e-8
     assert np.max(equation3_residual(3, [1.5, 2, 3, 5])) < 1e-8
-    assert np.max(equation3_residual(4, [2, 3])) < 1e-6
+    assert np.max(equation3_residual(4, [1.5, 2, 3])) < 1e-8
 
 
 def test_equation1_residuals():
-    assert np.max(equation1_check(2, [1.5, 2, 3])) < 1e-6
-    assert np.max(equation1_check(3, [1.5, 2, 3])) < 1e-6
+    assert np.max(equation1_check(2, [1.5, 2, 3])) < 1e-8
+    assert np.max(equation1_check(3, [1.5, 2, 3])) < 1e-8
 
 
 def test_equation1_far_field_both_sides_small():
-    z = 1e3
-    resid = equation1_check(2, [z])[0]
-    rhs = 1 / (z * z - 1)
-    assert resid < 1e-5 * rhs + 1e-12
+    # both sides are about 1e-6; the residual is relative to the right side
+    assert equation1_check(2, [1e3])[0] < 1e-8
 
 
 def test_grid_standoff_enforced():
@@ -247,7 +249,8 @@ def _scalar_power_semicircle(n, z):
     return (n - 1) / 2.0 * _scalar_gauss_legendre_01(integrand)
 
 
-def _scalar_cauchy_derivative(ev, z, order, radius, rtol=1e-9, max_nodes=8192):
+def _scalar_cauchy_derivative(ev, z, order, radius, rtol=1e-9, max_nodes=8192,
+                              max_roundoff=1e-8):
     n_nodes = max(32, 2 ** order.bit_length())
     prev = None
     fact = math.factorial(order)
@@ -256,10 +259,10 @@ def _scalar_cauchy_derivative(ev, z, order, radius, rtol=1e-9, max_nodes=8192):
         w = z + radius * np.exp(1j * theta)
         vals = np.asarray([ev(complex(wi)) for wi in w])
         est = fact / (n_nodes * radius**order) * np.sum(vals * np.exp(-1j * order * theta))
-        roundoff = 64 * np.finfo(float).eps * fact / radius**order * np.max(np.abs(vals))
-        if roundoff > 1e-3 * abs(est):
-            roundoff = 0.0
-        if prev is not None and abs(est - prev) <= max(roundoff, rtol * abs(est)):
+        if prev is not None and abs(est - prev) <= rtol * abs(est):
+            roundoff = 64 * np.finfo(float).eps * fact / radius**order * np.max(np.abs(vals))
+            if roundoff > max_roundoff * abs(est):
+                raise AssertionError("reference contour derivative is below its round-off")
             return complex(est)
         prev = est
         n_nodes *= 2
@@ -280,7 +283,7 @@ def test_broadcast_quadrature_matches_scalar_loop_bitwise(n):
 
 @pytest.mark.parametrize("n, z", [(2, 1.5), (2, 5.0), (3, 2.0), (3, 3.0), (4, 2.0), (5, 100.0)])
 def test_broadcast_cauchy_derivative_matches_scalar_loop_bitwise(n, z):
-    radius = min(z - 1.25, 1.0)
+    radius = _CONTOUR_RADIUS * (z - 1.0)
     got = cauchy_derivative(power_semicircle(n), z, n - 1, radius)
     want = _scalar_cauchy_derivative(
         lambda w: _scalar_power_semicircle(n, w), z, n - 1, radius
@@ -296,8 +299,15 @@ def test_cauchy_derivative_below_its_round_off_does_not_converge(n, z):
     # Here the derivative is below the round-off of the contour sum (and at
     # n = 80, 32 or 64 nodes would alias a lower coefficient onto it): the
     # estimates agree on noise, which must not count as convergence.
-    with pytest.raises(QuadratureError):
-        cauchy_derivative(power_semicircle(n), z, n - 1, min(z - 1.25, 1.0))
+    with pytest.raises(QuadratureError, match="did not converge"):
+        cauchy_derivative(power_semicircle(n), z, n - 1, _CONTOUR_RADIUS * (z - 1.0))
+
+
+def test_converged_contour_sum_below_its_round_off_is_refused():
+    # At n = 17, z = 2 two node counts agree to 1e-9, but the round-off of
+    # the sum is above 1e-8 of the value: the point is refused, not judged.
+    with pytest.raises(QuadratureError, match=r"at z=\[2.0\] did not converge above its round-off"):
+        equation3_terms(17, [2.0, 3.0])
 
 
 def test_gauss_legendre_nodes_cached_read_only():
@@ -355,7 +365,7 @@ def test_cauchy_derivative_on_a_grid_matches_scalar_loop_bitwise(n, order):
     # do not depend on the shape of the node array; numpy's SIMD complex
     # arithmetic can make those of a closed form such as arcsine_transform do.
     z = np.array([[1.3, 1.5, 2.0], [3.0, 5.0, -2.5]])
-    radius = np.minimum(np.abs(z) - 1.25, 1.0)
+    radius = _CONTOUR_RADIUS * (np.abs(z) - 1.0)
     got = cauchy_derivative(power_semicircle(n), z, order, radius)
     want = [_scalar_cauchy_derivative(power_semicircle(n), zi, order, ri)
             for zi, ri in zip(z.ravel().tolist(), radius.ravel().tolist())]
@@ -377,7 +387,8 @@ def test_cauchy_derivative_rejects_any_disk_on_the_support():
 def _scalar_identity_terms(n, grid, integral_form):
     """The per-point loop that equation3_terms (integral_form False) and
     equation1_check (True) ran before the grid went to cauchy_derivative
-    whole: one contour derivative, right side and scalar abs per point."""
+    whole: one contour derivative, right side and relative residual per
+    point."""
     pref = (-1.0) ** (n - 1) / math.factorial(n - 1)
     if integral_form:
         pref = pref * (n - 1) / 2.0
@@ -386,20 +397,20 @@ def _scalar_identity_terms(n, grid, integral_form):
         ev = power_semicircle(n)
     lhs, rhs, resid = [], [], []
     for z in grid:
-        left = pref * _scalar_cauchy_derivative(ev, z, n - 1, min(z - 1.0 - 0.25, 1.0))
+        left = pref * _scalar_cauchy_derivative(ev, z, n - 1, _CONTOUR_RADIUS * (z - 1.0))
         right = (np.sqrt(complex(z) - 1.0) * np.sqrt(complex(z) + 1.0)) ** (-n)
         lhs.append(left)
         rhs.append(right)
-        resid.append(abs(left - right))
+        resid.append(abs(left - right) / abs(right))
     return np.array(lhs), np.array(rhs), np.array(resid)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_identity_terms_on_a_grid_match_scalar_loop_bitwise(n):
     # n = 4 at z = 2 is a point where np.abs of the complex difference and
-    # the scalar abs differ in the last bit; at z = 1.32 and 1.338 numpy's
+    # the scalar abs differ in the last bit; at z = 1.314 and 1.323 numpy's
     # array power of the radius differs from Python's pow for orders 4 and 3.
-    grid = [1.3, 1.32, 1.338, 1.5, 2.0, 3.0, 5.0]
+    grid = [1.3, 1.314, 1.323, 1.5, 2.0, 3.0, 5.0]
     lhs, rhs, r3 = equation3_terms(n, grid)
     want = _scalar_identity_terms(n, grid, integral_form=False)
     for got, ref in zip((lhs, rhs, r3), want):
@@ -407,6 +418,39 @@ def test_identity_terms_on_a_grid_match_scalar_loop_bitwise(n):
     assert equation3_residual(n, grid).tobytes() == want[2].tobytes()
     r1 = equation1_check(n, grid)
     assert r1.tobytes() == _scalar_identity_terms(n, grid, integral_form=True)[2].tobytes()
+
+
+TABLE_Z = [1.2501, 1.26, 1.3, 1.4, 1.5, 1.75, 2, 2.5, 3, 4, 5, 7, 10, 30, 100, 1e3, 1e4, 1e6]
+
+
+def test_every_point_meets_the_bound_or_is_refused():
+    # No point reads FAIL: each either meets the one relative bound on both
+    # forms or raises QuadratureError, because its contour sum is noise.
+    judged = set()
+    for n in (2, 4, 7, 10, 16, 23, 31, 40):
+        for z in TABLE_Z:
+            try:
+                worst = max(equation3_residual(n, [z])[0], equation1_check(n, [z])[0])
+            except QuadratureError:
+                continue
+            assert worst <= STIELTJES_RTOL, (n, z, worst)
+            judged.add((n, z))
+    # every point is judged up to n = 10, and every order from z = 100 on
+    assert {(n, z) for n in (2, 4, 7, 10) for z in TABLE_Z} <= judged
+    assert {(n, z) for n in (16, 23, 31, 40) for z in (100, 1e3, 1e4, 1e6)} <= judged
+
+
+def test_right_side_moved_by_1e_6_fails_the_record(monkeypatch):
+    # A left side divided by 1 + 1e-6 gives the relative residual of a right
+    # side moved by 1e-6 relative; at n = 4, z = 5 both sides are about
+    # 1.7e-3, so an absolute bound of 1e-6 would pass it.
+    sc = ScenarioConfig("s", "stieltjes", 1, {"orders": [4], "grid": [5.0]})
+    assert run_scenario(sc, "h")["overall_pass"]
+    derivative = stieltjes.cauchy_derivative
+    monkeypatch.setattr(stieltjes, "cauchy_derivative",
+                        lambda *args: derivative(*args) / (1 + 1e-6))
+    tests = run_scenario(sc, "h")["tests"]
+    assert [t["pass"] for t in tests if t["kind"] == "derivative-identity"] == [False, False]
 
 
 @pytest.mark.parametrize("grid", [[np.nan], [2.0, np.inf]])
