@@ -182,8 +182,9 @@ def _run_dirmult(sc: ScenarioConfig):
 
 
 _COEFFICIENT_NOTE = (
-    "power-semicircle coefficient set to (n-1)/2: the (n-2)/2 variant seen in "
-    "the source prose fails the z*S(z)->1 normalization (it vanishes at n=2)"
+    "power-semicircle coefficient set to (n-1)/2, as the integral record checks: "
+    "there the transform's integral equals E[1/(z-X)], which the (n-2)/2 variant "
+    "seen in the source prose misses by 1/(n-1) (it vanishes at n=2)"
 )
 
 

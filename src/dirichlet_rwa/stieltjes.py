@@ -1,9 +1,11 @@
-"""Stieltjes transforms on [-1, 1] and contour-integral derivative checks.
+"""Stieltjes transforms on [-1, 1] and the power-semicircle identity.
 
 Implements the power-semicircle transform (n=2 uniform, n=3 Wigner
-semicircle), spectrally accurate Cauchy-integral derivatives, and residuals
-of the differential identity relating the (n-1)-th derivative of the
-power-semicircle transform to (z^2-1)^{-n/2}.
+semicircle) and residuals of the differential identity relating the (n-1)-th
+derivative of that transform to (z^2-1)^{-n/2}.  Differentiating
+S(z) = E[1/(z - X)] under the integral sign turns the identity's left side
+into E[(z - X)^{-n}], a positive integral at real z > 1, so no numerical
+derivative is taken.
 
 Branch handling: every square root of z^2 - c^2 is evaluated as
 sqrt(z-c)*sqrt(z+c) with principal square roots, which selects the branch
@@ -22,21 +24,14 @@ __all__ = [
     "SupportError",
     "QuadratureError",
     "power_semicircle_transform",
-    "cauchy_derivative",
     "equation3_terms",
     "equation3_residual",
     "equation1_check",
-    "GRID_STANDOFF",
 ]
-
-# Grid points must exceed 1 + GRID_STANDOFF, the domain configs are validated
-# against.  The contour needs no room (its radius scales with z - 1), but high
-# orders are refused near the support: at z = 1.2501, every n >= 11.
-GRID_STANDOFF = 0.25
 
 
 class SupportError(ValueError):
-    """Evaluation on (or a contour touching) the support interval."""
+    """Evaluation on the support interval."""
 
 
 class QuadratureError(RuntimeError):
@@ -71,39 +66,39 @@ def _gauss_legendre_nodes(order: int):
     return x, weights
 
 
-# Tolerances and largest node counts: Gauss-Legendre orders double from 16 and
-# trapezoid node counts from 32, or from above the order.  A contour point is
-# refused if the round-off of its sum exceeds _CONTOUR_MAX_ROUNDOFF of its
-# value.  The identity's radius is _CONTOUR_RADIUS times the distance z - 1 to
-# the support (Bornemann 2011), which keeps that round-off small far from it.
-_GL_ATOL, _GL_RTOL, _GL_MAX_ORDER = 1e-12, 1e-13, 2048
-_CONTOUR_RTOL, _CONTOUR_MAX_NODES, _CONTOUR_RADIUS = 1e-9, 8192, 0.75
-_CONTOUR_ROUNDOFF, _CONTOUR_MAX_ROUNDOFF = 64 * np.finfo(float).eps, 1e-8
+# Gauss-Legendre orders double from 16 to _GL_MAX_ORDER until two agree to
+# _GL_RTOL relative.  numpy's weights near the ends of [0,1] are good to about
+# 1e-13 at high orders, where the transform's u^{n-2} puts its mass for large
+# n: at n = 150 consecutive orders differ by 1.5e-13 however many nodes.
+_GL_RTOL, _GL_MAX_ORDER = 1e-12, 2048
 
 
-def _node_doubling(estimate, m: int, first: int, last: int, atol: float, rtol: float,
-                   what: str) -> np.ndarray:
-    """Estimates of m points from node counts first, 2*first, ..., last.
+def _node_doubling(estimate, z: np.ndarray, what: str) -> np.ndarray:
+    """Estimates at the points of the flat array z from Gauss-Legendre orders
+    16, 32, ..., _GL_MAX_ORDER.
 
-    estimate(count, todo) returns the estimates of the points todo (an index
-    array) at that node count.  Each point keeps the value of the first count
-    at which it agrees with the previous one within max(atol, rtol*|value|).
+    estimate(order, zs) returns the estimates at the points zs, an (m, 1)
+    array of those not yet converged.  Each point keeps the value of the first
+    order at which it agrees with the previous one within _GL_RTOL relative;
+    QuadratureError names the points that never do and their largest relative
+    disagreement.
     """
-    out, todo = np.empty(m, dtype=complex), np.arange(m)
-    prev, count, err = None, first, math.inf
-    while count <= last:
-        val = estimate(count, todo)
+    out, todo = np.empty_like(z), np.arange(z.size)
+    prev, order, err = None, 16, math.inf
+    while order <= _GL_MAX_ORDER:
+        val = estimate(order, z[todo, None])
         if prev is not None:
             diff = np.abs(val - prev)
-            done = diff <= np.maximum(atol, rtol * np.abs(val))
+            done = diff <= _GL_RTOL * np.abs(val)
             out[todo[done]] = val[done]
             if done.all():
                 return out
-            err = float(np.max(diff[~done]))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                err = float(np.max(diff[~done] / np.abs(val[~done])))
             todo, val = todo[~done], val[~done]
         prev = val
-        count *= 2
-    raise QuadratureError(what, err)
+        order *= 2
+    raise QuadratureError(f"{what} at z={z[todo].tolist()}", err)
 
 
 def _power_semicircle_integral(n: int, z):
@@ -112,25 +107,24 @@ def _power_semicircle_integral(n: int, z):
     Gauss-Legendre on [0,1] at a complex scalar or every point of an array of
     any shape; the points unconverged at one order form one (m, order) array."""
     z = np.asarray(z, dtype=complex)
-    zf = z.reshape(-1)
 
-    def estimate(order, todo):
+    def estimate(order, zc):
         u, weights = _gauss_legendre_nodes(order)
-        r, zc = np.sqrt(1.0 - u * u), zf[todo, None]
+        r = np.sqrt(1.0 - u * u)
         vals = 2.0 * u ** (n - 2) / (np.sqrt(zc - r) * np.sqrt(zc + r))
         return 0.5 * np.sum(weights * vals, axis=1)
 
-    out = _node_doubling(estimate, zf.size, 16, _GL_MAX_ORDER, _GL_ATOL, _GL_RTOL,
-                         "quadrature did not converge on [0,1]")
+    out = _node_doubling(estimate, z.reshape(-1), "quadrature did not converge on [0,1]")
     return out.reshape(z.shape)[()]
 
 
 def power_semicircle_transform(p: PowerSemicircleParams, z) -> complex:
-    """Stieltjes transform of the power-semicircle law:
+    """Stieltjes transform E[1/(z - X)] of the power-semicircle law:
     (n-1)/2 * int_0^1 (1-t)^{(n-3)/2} (z^2-t)^{-1/2} dt.
 
-    The (n-1)/2 coefficient is fixed by the normalization z*S(z) -> 1: the
-    alternative (n-2)/2 would make the n=2 transform vanish identically.
+    The (n-1)/2 coefficient is the one at which this integral equals
+    E[1/(z - X)], which equation1_check judges; the alternative (n-2)/2
+    would make the n=2 transform vanish identically.
     """
     z = complex(z)
     if z.imag == 0 and -1.0 <= z.real <= 1.0:
@@ -138,91 +132,59 @@ def power_semicircle_transform(p: PowerSemicircleParams, z) -> complex:
     return complex((p.n - 1) / 2.0 * _power_semicircle_integral(p.n, z))
 
 
-def cauchy_derivative(f, z, order: int, radius):
-    """order-th derivative of f at each real point z via trapezoidal quadrature
-    of the Cauchy integral on the circle of the given radius about it.
+def _inverse_moment(n: int, p: int, z: np.ndarray) -> np.ndarray:
+    """E[(z - X)^{-p}], 1 <= p <= n, for X of the power-semicircle law of
+    parameter n, at each real point of z (all > 1).
 
-    z and radius broadcast together; scalars give a complex, arrays an array.
-    f takes an (m, N) ndarray of complex contour nodes, the N nodes of every
-    point not yet converged, and returns their values.  Each closed disk must
-    avoid the support [-1, 1].  N doubles from the first power of two above
-    max(order, 31) until a point's estimates agree to 1e-9 relative; if the
-    round-off of its sum, 64*eps * order!/r^order * max|f| over the nodes, is
-    then above 1e-8 of its value, its digits are noise: QuadratureError.
+    With x = cos(theta) the law is sin^{n-1}(theta) dtheta on [0, pi] up to its
+    normalization, which dividing by the same rule's integral of sin^{n-1}
+    removes.  With s = sin(theta) and d = z - cos(theta) the integrand is
+    written (s/d)^{p-1} * s^{n-p} / d: s/d <= (z^2-1)^{-1/2}, so no factor
+    overflows where the mean is finite.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    z, radius = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(radius, dtype=float))
-    if not np.all(radius > 0):
-        raise ValueError("radius must be > 0")
-    hit = (z - radius <= 1.0) & (z + radius >= -1.0)
-    if hit.any():
-        raise SupportError(f"disk of radius {radius[hit][0]} about z={z[hit][0]} "
-                           "intersects the support [-1, 1]")
-    zf, rf = z.reshape(-1), radius.reshape(-1)
-    fact = math.factorial(order)
-    # Python's pow: numpy's array power differs from it in the last bit
-    rpow, noise = np.array([r**order for r in rf.tolist()]), np.empty(zf.size)
+    def estimate(order, zs):
+        x, weights = _gauss_legendre_nodes(order)
+        s, d = np.sin(np.pi * x), zs - np.cos(np.pi * x)
+        vals = (s / d) ** (p - 1) * s ** (n - p) / d
+        return np.sum(weights * vals, axis=1) / np.sum(weights * s ** (n - 1))
 
-    def estimate(n_nodes, todo):
-        theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-        w = zf[todo, None] + rf[todo, None] * np.exp(1j * theta)
-        fw = f(w)
-        scale = fact / (n_nodes * rpow[todo])
-        noise[todo] = _CONTOUR_ROUNDOFF * n_nodes * scale * np.max(np.abs(fw), axis=1)
-        return scale * np.sum(fw * np.exp(-1j * order * theta), axis=1)
-
-    # Fewer nodes than order + 1 alias lower Taylor coefficients onto this one.
-    first = max(32, 2 ** order.bit_length())
-    out = _node_doubling(estimate, zf.size, first, _CONTOUR_MAX_NODES, 0.0, _CONTOUR_RTOL,
-                         "contour derivative did not converge")
-    # a point's noise is that of the node count at which it converged
-    noisy = noise > _CONTOUR_MAX_ROUNDOFF * np.abs(out)
-    if noisy.any():
-        raise QuadratureError(f"contour derivative at z={zf[noisy].tolist()} did not converge "
-                              "above its round-off", float(np.max(noise[noisy])))
-    return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
+    return _node_doubling(estimate, z, f"quadrature of E[(z - X)^-{p}] did not converge")
 
 
 def _check_grid(z_grid) -> np.ndarray:
     z = np.atleast_1d(np.asarray(z_grid, dtype=float))
     for v in z.tolist():
-        if not (1.0 + GRID_STANDOFF < v < math.inf):
-            raise ValueError(f"grid point {v} must be finite and exceed 1 + {GRID_STANDOFF}")
+        if not (1.0 < v < math.inf):
+            raise ValueError(f"grid point {v} must be finite and exceed 1")
     return z
 
 
-def _identity_terms(f, pref: float, n: int, z_grid):
-    """Computed left side pref * f^{(n-1)}(z), right side (z^2-1)^{-n/2} and
-    relative residual |lhs - rhs|/|rhs| at each grid point."""
-    z = _check_grid(z_grid)
-    # principal roots of z-1 and z+1 select the branch with cut [-1, 1]; a
-    # right side that is not a finite normal number has no relative residual
-    # and is refused before the contour's r**order can overflow
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        rhs = (np.sqrt(z - 1.0 + 0j) * np.sqrt(z + 1.0 + 0j)) ** (-n)
-    _refuse(z, np.isfinite(rhs) & (np.abs(rhs) >= np.finfo(float).tiny),
-            "right side is zero, subnormal or not finite")
-    lhs = pref * cauchy_derivative(f, z, n - 1, _CONTOUR_RADIUS * (z - 1.0))
-    _refuse(z, np.isfinite(lhs), "left side is not finite")
-    # scalar abs: numpy's array abs of a complex can differ in the last bit
-    return lhs, rhs, np.array([abs(d) / abs(r) for d, r in zip(lhs - rhs, rhs)])
-
-
-def _refuse(z, ok, what: str) -> None:
+def _normal(z, values, what: str) -> np.ndarray:
+    """values, if each is a finite normal number: a reference value that is
+    zero, subnormal or not finite has no relative residual."""
+    ok = np.isfinite(values) & (np.abs(values) >= np.finfo(float).tiny)
     if not ok.all():
-        raise ValueError(f"the identity's {what} at z={z[~ok].tolist()}")
+        raise ValueError(f"{what} is zero, subnormal or not finite at z={z[~ok].tolist()}")
+    return values
+
+
+def _relative_residuals(got, want) -> np.ndarray:
+    # scalar abs: numpy's array abs of a complex can differ in the last bit
+    return np.array([abs(d) / abs(w) for d, w in zip(got - want, want)])
 
 
 def equation3_terms(n: int, z_grid):
     """(lhs, rhs, relative residual) arrays of the identity
-    (-1)^{n-1}/(n-1)! * d^{n-1}/dz^{n-1} S_Z(z) = (z^2-1)^{-n/2}
-    where S_Z is the power-semicircle transform of parameter n; lhs is the
-    computed left side."""
+    (-1)^{n-1}/(n-1)! * d^{n-1}/dz^{n-1} S(z) = (z^2-1)^{-n/2}
+    where S(z) = E[1/(z - X)] is the power-semicircle transform of parameter
+    n; lhs is the computed left side E[(z - X)^{-n}]."""
     PowerSemicircleParams(n)  # rejects n < 2
-    sign = (-1.0) ** (n - 1) / math.factorial(n - 1)
-    return _identity_terms(lambda z: (n - 1) / 2.0 * _power_semicircle_integral(n, z),
-                           sign, n, z_grid)
+    z = _check_grid(z_grid)
+    with np.errstate(over="ignore"):
+        rhs = _normal(z, (np.sqrt(z - 1.0) * np.sqrt(z + 1.0)) ** (-n),
+                      "the identity's right side")
+    lhs = _inverse_moment(n, n, z)
+    return lhs, rhs, _relative_residuals(lhs, rhs)
 
 
 def equation3_residual(n: int, z_grid) -> np.ndarray:
@@ -231,8 +193,11 @@ def equation3_residual(n: int, z_grid) -> np.ndarray:
 
 
 def equation1_check(n: int, z_grid) -> np.ndarray:
-    """Relative residual of the integral form of the same identity: the (n-1)-th
-    derivative is applied to the raw integral, with the (n-1)/2 prefactor kept
-    outside the derivative."""
-    pref = (-1.0) ** (n - 1) / math.factorial(n - 1) * (n - 1) / 2.0
-    return _identity_terms(functools.partial(_power_semicircle_integral, n), pref, n, z_grid)[2]
+    """Relative residual of the transform's integral, power_semicircle_transform,
+    against E[1/(z - X)] under the law whose identity equation3_terms judges:
+    it fixes the (n-1)/2 coefficient of the transform being differentiated."""
+    p = PowerSemicircleParams(n)
+    z = _check_grid(z_grid)
+    mean = _normal(z, _inverse_moment(n, 1, z), "E[1/(z - X)]")
+    transform = np.array([power_semicircle_transform(p, v) for v in z.tolist()])
+    return _relative_residuals(transform, mean)

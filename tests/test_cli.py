@@ -188,12 +188,12 @@ def test_stieltjes_subcommand_csv(tmp_path):
 
 
 def test_stieltjes_csv_lhs_is_the_computed_left_side(tmp_path):
-    # n=3, z=2: the computed left side is below the right side, so a column
+    # n=3, z=5: the computed left side is below the right side, so a column
     # written as rhs + residual would sit above it.
     out = tmp_path / "resid.csv"
-    assert main(["stieltjes", "--n", "3", "--grid", "2", "--out", str(out)]) == 0
+    assert main(["stieltjes", "--n", "3", "--grid", "5", "--out", str(out)]) == 0
     _, z, lhs, rhs, resid = out.read_text().splitlines()[1].split(",")
-    assert float(z) == 2.0
+    assert float(z) == 5.0
     assert float(lhs) < float(rhs)
     assert abs(float(lhs) - float(rhs)) <= float(resid)
 
@@ -622,8 +622,8 @@ def test_run_workers_below_one_exit_2(tmp_path, capsys, monkeypatch, workers):
 @pytest.mark.parametrize("n, z", [("5", "100"), ("6", "100"), ("4", "1000"), ("13", "5"),
                                   ("14", "2,3,5")])
 def test_stieltjes_far_field_converges(tmp_path, n, z):
-    # far from the support the derivative falls like z^-n; a contour radius
-    # that grows with z keeps the round-off of the sum small against it
+    # far from the support both sides fall like z^-n; the left side is a
+    # positive integral, judged relative to the right side
     out = tmp_path / "resid.csv"
     assert main(["stieltjes", "--n", n, "--grid", z, "--out", str(out)]) == 0
 
@@ -637,14 +637,23 @@ def test_stieltjes_non_finite_terms_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("z", ["1e200", "1e103"])
 def test_stieltjes_right_side_without_a_relative_residual_exits_2(tmp_path, z):
-    # At n = 3 the right side underflows to 0 at z = 1e200 (where the
-    # contour's radius**2 would overflow) and is subnormal at z = 1e103.
+    # At n = 3 the right side underflows to 0 at z = 1e200 and is subnormal
+    # at z = 1e103.
     out = str(tmp_path / "resid.csv")
     proc = cli_process(["stieltjes", "--n", "3", "--grid", z, "--out", out])
     assert proc.returncode == 2
     assert proc.stderr == (f"error: the identity's right side is zero, subnormal or not "
                            f"finite at z=[{float(z)!r}]\n")
     assert not Path(out).exists()
+
+
+def test_stieltjes_unresolved_point_exits_2_and_is_named(tmp_path, capsys):
+    # At n = 40, z = 1.000001 the last two node counts differ by 2.5e-8 relative.
+    out = tmp_path / "resid.csv"
+    assert main(["stieltjes", "--n", "40", "--grid", "2,1.000001,3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: quadrature of E[(z - X)^-40] did not converge at z=[1.000001] ")
+    assert not out.exists()
 
 
 def cli_process(argv):

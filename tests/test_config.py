@@ -37,6 +37,7 @@ BAD_VALUES = {
     # json reads NaN, Infinity and 1e400 as floats; none is a valid number
     "stieltjes-nan-grid": {"kind": "stieltjes", "grid": [float("nan")]},
     "stieltjes-infinite-grid": {"kind": "stieltjes", "grid": [2.0, float("inf")]},
+    "stieltjes-grid-on-support": {"kind": "stieltjes", "grid": [1.0]},
     "kt-infinite-alpha": {"kind": "kerov_tsilevich", "alphas": [[float("inf"), 1]]},
     "override-infinite": {"kind": "theorem", "alphas": [[1, 2], [3, 4]], "n_samples": 100,
                           "target_override": [float("inf"), 1]},
@@ -98,10 +99,11 @@ def test_stieltjes_order_above_3_runs_below_z_2(tmp_path):
 
 @pytest.mark.parametrize("entry", ["stieltjes", "run"])
 def test_quadrature_failure_exits_2(tmp_path, capsys, entry):
+    # 1.000001 is a valid grid point at which the quadrature does not converge for n = 40
     if entry == "stieltjes":
-        code = main(["stieltjes", "--n", "40", "--grid", "2,3,5"])
+        code = main(["stieltjes", "--n", "40", "--grid", "1.000001"])
     else:
-        sc = {"id": "s", "kind": "stieltjes", "seed": 1, "orders": [40]}
+        sc = {"id": "s", "kind": "stieltjes", "seed": 1, "orders": [40], "grid": [1.000001]}
         code = run(tmp_path, config(tmp_path / "reports", sc))
     assert code == 2
     err = capsys.readouterr().err

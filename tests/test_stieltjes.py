@@ -11,13 +11,11 @@ from dirichlet_rwa import stieltjes
 from dirichlet_rwa.config import ScenarioConfig
 from dirichlet_rwa.runner import STIELTJES_RTOL, run_scenario
 from dirichlet_rwa.stieltjes import (
-    _CONTOUR_RADIUS,
     PowerSemicircleParams,
     QuadratureError,
     SupportError,
     _gauss_legendre_nodes,
     _power_semicircle_integral,
-    cauchy_derivative,
     equation1_check,
     equation3_residual,
     equation3_terms,
@@ -36,8 +34,8 @@ def arcsine_transform(z):
 
 
 def power_semicircle(n):
-    """The power-semicircle transform as an array evaluator, the one that
-    equation3_terms differentiates; no support check."""
+    """The power-semicircle transform as an array evaluator; no support
+    check."""
     return lambda z: (n - 1) / 2.0 * _power_semicircle_integral(n, z)
 
 
@@ -151,34 +149,6 @@ def test_stieltjes_fn_rejects_support():
             power_semicircle_transform(PowerSemicircleParams(3), z)
 
 
-def test_cauchy_derivative_identity_case():
-    v = cauchy_derivative(arcsine_transform, 2.0, 0, 0.5)
-    assert v == pytest.approx(1 / math.sqrt(3), abs=1e-10)
-
-
-def test_cauchy_derivative_first_order():
-    v = cauchy_derivative(arcsine_transform, 2.0, 1, 0.5)
-    assert v == pytest.approx(-2 / 3**1.5, abs=1e-9)
-
-
-def test_cauchy_derivative_uniform_first_order():
-    # -d/dz of the uniform transform is 1/(z^2-1)
-    v = cauchy_derivative(power_semicircle(2), 2.0, 1, 0.5)
-    assert -v == pytest.approx(1 / 3, abs=1e-9)
-
-
-def test_cauchy_derivative_radius_independence():
-    for order in (1, 2, 3):
-        a = cauchy_derivative(arcsine_transform, 2.5, order, 1.0)
-        b = cauchy_derivative(arcsine_transform, 2.5, order, 0.5)
-        assert abs(a - b) <= 1e-8 * max(abs(a), abs(b))
-
-
-def test_cauchy_derivative_disk_hits_support():
-    with pytest.raises(SupportError):
-        cauchy_derivative(arcsine_transform, 1.5, 1, 0.75)
-
-
 def test_equation3_residuals():
     assert np.max(equation3_residual(2, [1.5, 2, 3, 5])) < 1e-8
     assert np.max(equation3_residual(3, [1.5, 2, 3, 5])) < 1e-8
@@ -193,11 +163,6 @@ def test_equation1_residuals():
 def test_equation1_far_field_both_sides_small():
     # both sides are about 1e-6; the residual is relative to the right side
     assert equation1_check(2, [1e3])[0] < 1e-8
-
-
-def test_grid_standoff_enforced():
-    with pytest.raises(ValueError):
-        equation3_residual(2, [1.1])
 
 
 def test_n2_moments_match_rescaled_uniform():
@@ -217,8 +182,8 @@ def test_n3_moments_match_semicircle():
     assert m[4] == pytest.approx(0.125, abs=1e-8)
 
 
-# Scalar-loop references for the broadcast quadrature: one point per call and
-# the node-doubling loops as they read before the nodes were cached.  The
+# Scalar-loop reference for the broadcast transform quadrature: one point per
+# call and the node-doubling loop as it read before the nodes were cached.  The
 # broadcast code does the same arithmetic, so equality is required bit for bit.
 
 
@@ -227,14 +192,14 @@ def _leggauss(order):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _scalar_gauss_legendre_01(f, atol=1e-12, rtol=1e-13, max_order=2048):
+def _scalar_gauss_legendre_01(f, rtol=1e-12, max_order=2048):
     prev = None
     order = 16
     while order <= max_order:
         nodes, weights = _leggauss(order)
         x = 0.5 * (nodes + 1.0)
         val = 0.5 * np.sum(weights * f(x))
-        if prev is not None and abs(val - prev) <= max(atol, rtol * abs(val)):
+        if prev is not None and abs(val - prev) <= rtol * abs(val):
             return val
         prev = val
         order *= 2
@@ -249,26 +214,6 @@ def _scalar_power_semicircle(n, z):
     return (n - 1) / 2.0 * _scalar_gauss_legendre_01(integrand)
 
 
-def _scalar_cauchy_derivative(ev, z, order, radius, rtol=1e-9, max_nodes=8192,
-                              max_roundoff=1e-8):
-    n_nodes = max(32, 2 ** order.bit_length())
-    prev = None
-    fact = math.factorial(order)
-    while n_nodes <= max_nodes:
-        theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-        w = z + radius * np.exp(1j * theta)
-        vals = np.asarray([ev(complex(wi)) for wi in w])
-        est = fact / (n_nodes * radius**order) * np.sum(vals * np.exp(-1j * order * theta))
-        if prev is not None and abs(est - prev) <= rtol * abs(est):
-            roundoff = 64 * np.finfo(float).eps * fact / radius**order * np.max(np.abs(vals))
-            if roundoff > max_roundoff * abs(est):
-                raise AssertionError("reference contour derivative is below its round-off")
-            return complex(est)
-        prev = est
-        n_nodes *= 2
-    raise AssertionError("reference contour derivative did not converge")
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_broadcast_quadrature_matches_scalar_loop_bitwise(n):
     zs = np.array([1.5, 2.0, 5.0, 1e3, 2.5 + 0.75j, -1.2 - 0.3j, 0.2 + 1j, 3j])
@@ -279,35 +224,6 @@ def test_broadcast_quadrature_matches_scalar_loop_bitwise(n):
     for z, w in zip(zs, want):
         if z.imag != 0 or abs(z.real) > 1:
             assert power_semicircle_transform(PowerSemicircleParams(n), z) == w
-
-
-@pytest.mark.parametrize("n, z", [(2, 1.5), (2, 5.0), (3, 2.0), (3, 3.0), (4, 2.0), (5, 100.0)])
-def test_broadcast_cauchy_derivative_matches_scalar_loop_bitwise(n, z):
-    radius = _CONTOUR_RADIUS * (z - 1.0)
-    got = cauchy_derivative(power_semicircle(n), z, n - 1, radius)
-    want = _scalar_cauchy_derivative(
-        lambda w: _scalar_power_semicircle(n, w), z, n - 1, radius
-    )
-    assert got == want
-    # the left side that equation3_terms reports is the same number
-    sign = (-1.0) ** (n - 1) / math.factorial(n - 1)
-    assert equation3_terms(n, [z])[0][0] == sign * want
-
-
-@pytest.mark.parametrize("n, z", [(40, 2.0), (80, 2.0), (100, 5.0)])
-def test_cauchy_derivative_below_its_round_off_does_not_converge(n, z):
-    # Here the derivative is below the round-off of the contour sum (and at
-    # n = 80, 32 or 64 nodes would alias a lower coefficient onto it): the
-    # estimates agree on noise, which must not count as convergence.
-    with pytest.raises(QuadratureError, match="did not converge"):
-        cauchy_derivative(power_semicircle(n), z, n - 1, _CONTOUR_RADIUS * (z - 1.0))
-
-
-def test_converged_contour_sum_below_its_round_off_is_refused():
-    # At n = 17, z = 2 two node counts agree to 1e-9, but the round-off of
-    # the sum is above 1e-8 of the value: the point is refused, not judged.
-    with pytest.raises(QuadratureError, match=r"at z=\[2.0\] did not converge above its round-off"):
-        equation3_terms(17, [2.0, 3.0])
 
 
 def test_gauss_legendre_nodes_cached_read_only():
@@ -336,121 +252,72 @@ def test_node_table_shared_by_concurrent_threads():
     assert _gauss_legendre_nodes.cache_info().currsize <= 8
 
 
-def test_cauchy_derivative_takes_array_evaluator():
-    calls = []
-
-    def ev(w):
-        calls.append(np.shape(w))
-        return 1.0 / (w * w)
-
-    v = cauchy_derivative(ev, 3.0, 1, 1.0)
-    assert isinstance(v, complex)
-    assert v == pytest.approx(-2.0 / 27.0, rel=1e-9)
-    assert calls and all(len(shape) == 2 and shape[0] == 1 and shape[1] >= 32
-                         for shape in calls)
-    # a grid goes to the evaluator whole: one (m, N) array per node count
-    calls.clear()
-    z = np.array([2.0, 3.0, 5.0])
-    v = cauchy_derivative(ev, z, 1, np.array([0.5, 1.0, 1.0]))
-    assert v.shape == z.shape
-    assert np.allclose(v, -2.0 / z**3, rtol=1e-9, atol=0)
-    assert calls[0] == (3, 32)
-    assert all(len(shape) == 2 and 1 <= shape[0] <= 3 and shape[1] >= 32 for shape in calls)
-    assert [shape[1] for shape in calls] == [32 * 2**i for i in range(len(calls))]
+MIXED_GRID = [1.01, 1.2501, 1.5, 2.0, 3.0, 10.0, 1e3, 1e6]
 
 
-@pytest.mark.parametrize("n, order", [(2, 0), (2, 1), (3, 2), (4, 3)])
-def test_cauchy_derivative_on_a_grid_matches_scalar_loop_bitwise(n, order):
-    # The evaluator is the power-semicircle integral, whose values at a node
-    # do not depend on the shape of the node array; numpy's SIMD complex
-    # arithmetic can make those of a closed form such as arcsine_transform do.
-    z = np.array([[1.3, 1.5, 2.0], [3.0, 5.0, -2.5]])
-    radius = _CONTOUR_RADIUS * (np.abs(z) - 1.0)
-    got = cauchy_derivative(power_semicircle(n), z, order, radius)
-    want = [_scalar_cauchy_derivative(power_semicircle(n), zi, order, ri)
-            for zi, ri in zip(z.ravel().tolist(), radius.ravel().tolist())]
-    assert got.shape == z.shape
-    assert got.tobytes() == np.array(want).reshape(z.shape).tobytes()
-    # a scalar radius broadcasts over the grid
-    got = cauchy_derivative(power_semicircle(n), [2.0, 3.0], order, 0.5)
-    want = [_scalar_cauchy_derivative(power_semicircle(n), zi, order, 0.5) for zi in (2.0, 3.0)]
-    assert got.tobytes() == np.array(want).tobytes()
-
-
-def test_cauchy_derivative_rejects_any_disk_on_the_support():
-    with pytest.raises(SupportError, match="z=1.5"):
-        cauchy_derivative(arcsine_transform, [3.0, 1.5], 1, [1.0, 0.75])
-    with pytest.raises(ValueError, match="radius"):
-        cauchy_derivative(arcsine_transform, [3.0, 4.0], 1, [1.0, 0.0])
-
-
-def _scalar_identity_terms(n, grid, integral_form):
-    """The per-point loop that equation3_terms (integral_form False) and
-    equation1_check (True) ran before the grid went to cauchy_derivative
-    whole: one contour derivative, right side and relative residual per
-    point."""
-    pref = (-1.0) ** (n - 1) / math.factorial(n - 1)
-    if integral_form:
-        pref = pref * (n - 1) / 2.0
-        ev = functools.partial(_power_semicircle_integral, n)
-    else:
-        ev = power_semicircle(n)
-    lhs, rhs, resid = [], [], []
-    for z in grid:
-        left = pref * _scalar_cauchy_derivative(ev, z, n - 1, _CONTOUR_RADIUS * (z - 1.0))
-        right = (np.sqrt(complex(z) - 1.0) * np.sqrt(complex(z) + 1.0)) ** (-n)
-        lhs.append(left)
-        rhs.append(right)
-        resid.append(abs(left - right) / abs(right))
-    return np.array(lhs), np.array(rhs), np.array(resid)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 40, 200])
 def test_identity_terms_on_a_grid_match_scalar_loop_bitwise(n):
-    # n = 4 at z = 2 is a point where np.abs of the complex difference and
-    # the scalar abs differ in the last bit; at z = 1.314 and 1.323 numpy's
-    # array power of the radius differs from Python's pow for orders 4 and 3.
-    grid = [1.3, 1.314, 1.323, 1.5, 2.0, 3.0, 5.0]
-    lhs, rhs, r3 = equation3_terms(n, grid)
-    want = _scalar_identity_terms(n, grid, integral_form=False)
-    for got, ref in zip((lhs, rhs, r3), want):
-        assert got.tobytes() == ref.tobytes()
-    assert equation3_residual(n, grid).tobytes() == want[2].tobytes()
-    r1 = equation1_check(n, grid)
-    assert r1.tobytes() == _scalar_identity_terms(n, grid, integral_form=True)[2].tobytes()
+    # Reports do not depend on the grid's composition: the terms of each
+    # point of a mixed grid are those of a call on that point alone.  The
+    # grid keeps the points whose right side (z^2-1)^{-n/2} is a normal number.
+    grid = [z for z in MIXED_GRID if n * math.log10(z) < 300]
+    terms = equation3_terms(n, grid)
+    alone = [equation3_terms(n, [z]) for z in grid]
+    for got, want in zip(terms, zip(*alone)):
+        assert got.tobytes() == np.concatenate(want).tobytes()
+    assert equation3_residual(n, grid).tobytes() == terms[2].tobytes()
+    r1 = np.concatenate([equation1_check(n, [z]) for z in grid])
+    assert equation1_check(n, grid).tobytes() == r1.tobytes()
 
 
 TABLE_Z = [1.2501, 1.26, 1.3, 1.4, 1.5, 1.75, 2, 2.5, 3, 4, 5, 7, 10, 30, 100, 1e3, 1e4, 1e6]
 
 
 def test_every_point_meets_the_bound_or_is_refused():
-    # No point reads FAIL: each either meets the one relative bound on both
-    # forms or raises QuadratureError, because its contour sum is noise.
-    judged = set()
-    for n in (2, 4, 7, 10, 16, 23, 31, 40):
-        for z in TABLE_Z:
-            try:
-                worst = max(equation3_residual(n, [z])[0], equation1_check(n, [z])[0])
-            except QuadratureError:
-                continue
-            assert worst <= STIELTJES_RTOL, (n, z, worst)
-            judged.add((n, z))
-    # every point is judged up to n = 10, and every order from z = 100 on
-    assert {(n, z) for n in (2, 4, 7, 10) for z in TABLE_Z} <= judged
-    assert {(n, z) for n in (16, 23, 31, 40) for z in (100, 1e3, 1e4, 1e6)} <= judged
+    # Every point of the table is judged, on both records, at every order
+    # from 2 to 40, near the support and far from it; none is refused, and
+    # each is 1e4 times below the bound.
+    for n in range(2, 41):
+        worst = max(np.max(equation3_residual(n, TABLE_Z)), np.max(equation1_check(n, TABLE_Z)))
+        assert worst <= 1e-4 * STIELTJES_RTOL, (n, worst)
 
 
 def test_right_side_moved_by_1e_6_fails_the_record(monkeypatch):
-    # A left side divided by 1 + 1e-6 gives the relative residual of a right
-    # side moved by 1e-6 relative; at n = 4, z = 5 both sides are about
-    # 1.7e-3, so an absolute bound of 1e-6 would pass it.
+    # A kernel E[(z - X)^{-p}] divided by 1 + 1e-6 gives the relative residual
+    # of a right side moved by 1e-6 relative on both records; at n = 4, z = 5
+    # both sides are about 1.7e-3, so an absolute bound of 1e-6 would pass it.
     sc = ScenarioConfig("s", "stieltjes", 1, {"orders": [4], "grid": [5.0]})
     assert run_scenario(sc, "h")["overall_pass"]
-    derivative = stieltjes.cauchy_derivative
-    monkeypatch.setattr(stieltjes, "cauchy_derivative",
-                        lambda *args: derivative(*args) / (1 + 1e-6))
+    kernel = stieltjes._inverse_moment
+    monkeypatch.setattr(stieltjes, "_inverse_moment", lambda *args: kernel(*args) / (1 + 1e-6))
     tests = run_scenario(sc, "h")["tests"]
     assert [t["pass"] for t in tests if t["kind"] == "derivative-identity"] == [False, False]
+
+
+def test_coefficient_n_minus_2_over_2_fails_the_integral_record(monkeypatch):
+    # The (n-2)/2 variant of the transform's coefficient misses E[1/(z - X)]
+    # by 1/(n-1) at every order, so the integral record fails; the identity
+    # record judges E[(z - X)^{-n}] and still passes.
+    transform = stieltjes.power_semicircle_transform
+    monkeypatch.setattr(stieltjes, "power_semicircle_transform",
+                        lambda p, z: transform(p, z) * (p.n - 2) / (p.n - 1))
+    sc = ScenarioConfig("s", "stieltjes", 1, {"orders": [2, 3, 4, 7], "grid": [1.5, 2.0, 5.0]})
+    records = [t for t in run_scenario(sc, "h")["tests"] if t["kind"] == "derivative-identity"]
+    assert [(t["n"], t["form"]) for t in records if t["pass"]] == [
+        (n, "transform") for n in (2, 3, 4, 7)]
+    for t in records:
+        if t["form"] == "integral":
+            assert t["residuals"] == pytest.approx([1.0 / (t["n"] - 1)] * 3, rel=1e-12)
+
+
+def test_unconverged_points_are_named():
+    # n = 40 at z = 1.000001: the kernel peaks near theta = 0.0014, and 1024
+    # and 2048 nodes still differ by 2.5e-8 relative.  The error names that
+    # point, not the converged ones.
+    with pytest.raises(QuadratureError, match=r"did not converge at z=\[1\.000001\] "):
+        equation3_terms(40, [2.0, 1.000001, 3.0])
+    with pytest.raises(QuadratureError, match=r"did not converge on \[0,1\] at z=\[\(0\.5\+1e-12j\)\]"):
+        power_semicircle_transform(PowerSemicircleParams(2), 0.5 + 1e-12j)
 
 
 @pytest.mark.parametrize("grid", [[np.nan], [2.0, np.inf]])
