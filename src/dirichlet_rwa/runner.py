@@ -3,7 +3,9 @@
 Each scenario produces a structured report: per-test records, an overall
 verdict, the seed, a hash of the originating config and the tool version.
 Rerunning the same config byte-reproduces every report except the timing
-block.
+block, on any number of CPUs: the sampled battery runs its energy test on
+the sampler's threads beside its other tests, but every record is the one a
+run of the tests one after another gives.
 """
 from __future__ import annotations
 
@@ -31,10 +33,17 @@ from .moments import (
 from .rwa import (
     resolve_variant_reading,
     sample_rwa_direct_batch,
+    sampler_pool,
     theorem_scenario,
     variant_scenario,
 )
-from .stattest import energy_two_sample, ks_marginal, moment_ztest
+from .stattest import (
+    energy_block_statistics,
+    energy_layout,
+    energy_two_sample,
+    ks_marginal,
+    moment_ztest,
+)
 from .stieltjes import (
     PowerSemicircleParams,
     equation1_check,
@@ -66,18 +75,44 @@ def moment_indices(k: int, max_total: int):
 def _statistical_suite(scenario, target: DirichletParams, seed: int, n_samples: int):
     """Moment z-tests and marginal KS tests on two replicates of the
     scenario, drawn by the one sampler from streams (seed, 1) and (seed, 2),
-    and an energy test between the replicates."""
-    direct = sample_rwa_direct_batch(scenario, n_samples, RngStream(seed, 1))
-    gamma = sample_rwa_gamma_path_batch(scenario, n_samples, RngStream(seed, 2))
+    and an energy test between the replicates.
 
-    tests = []
-    # "gamma" labels the second replicate, as in reports of earlier versions.
-    for path, batch in (("direct", direct), ("gamma", gamma)):
-        for s in moment_indices(scenario.k, MAX_MOMENT_ORDER):
-            tests.append({**moment_ztest(batch, target, s), "path": path})
-        for c in range(scenario.k):
-            tests.append({**ks_marginal(batch, target, c), "path": path})
-    rec = energy_two_sample(direct, gamma)
+    The energy test, which holds the GIL, runs beside the rest: on the
+    sampler's pool, a task per range of energy blocks, each submitted once
+    the second replicate's rows of those blocks are final.  Meanwhile the
+    calling thread finishes drawing and runs the moment and KS tests, which
+    mostly release the GIL.  The block statistics are those one call of
+    energy_two_sample computes, so the records and their order do not depend
+    on the CPU count.  Without a pool the tests run one after another."""
+    rows, blocks = energy_layout(n_samples)
+    with sampler_pool(scenario, n_samples) as pool:
+        try:
+            direct = sample_rwa_direct_batch(scenario, n_samples, RngStream(seed, 1), pool)
+            energy, done = [], 0  # futures of block statistics 0..done-1, in order
+
+            def take_blocks(gamma, stop):
+                nonlocal done
+                last = min(stop // rows, blocks)
+                if last > done:
+                    energy.append(pool.submit(energy_block_statistics, direct, gamma, rows,
+                                              done, last))
+                    done = last
+
+            gamma = sample_rwa_gamma_path_batch(scenario, n_samples, RngStream(seed, 2), pool,
+                                                take_blocks if pool else None)
+            tests = []
+            # "gamma" labels the second replicate, as in reports of earlier versions.
+            for path, batch in (("direct", direct), ("gamma", gamma)):
+                for s in moment_indices(scenario.k, MAX_MOMENT_ORDER):
+                    tests.append({**moment_ztest(batch, target, s), "path": path})
+                for c in range(scenario.k):
+                    tests.append({**ks_marginal(batch, target, c), "path": path})
+            h = (task.result() for task in energy) if pool else None
+            rec = energy_two_sample(direct, gamma, h)
+        except BaseException:
+            if pool:  # leave no queued energy task to wait for
+                pool.shutdown(wait=False, cancel_futures=True)
+            raise
     rec["path"] = "direct-vs-gamma"
     tests.append(rec)
     return tests

@@ -6,10 +6,11 @@ main construction (theorem_scenario) the weight concentrations are the row
 sums of the alpha matrix and the law of z is Dirichlet of the column sums.
 There is one sampler, sample_rwa_direct_batch: every Dirichlet vector in it,
 weights included, is a row that sample_dirichlet_batch draws from its
-substream's one generator, block by block.  The test battery draws its
-second replicate from the same sampler on another stream, so comparing the
-two replicates checks the sampler against itself, not against a second
-algorithm.
+substream's one generator, block by block, on the threads of sampler_pool.
+The test battery draws its second replicate from the same sampler on another
+stream, so comparing the two replicates checks the sampler against itself,
+not against a second algorithm; it shares the sampler's pool with its energy
+test, which takes the second replicate's rows as they are drawn.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ __all__ = [
     "theorem_scenario",
     "variant_scenario",
     "sample_rwa_direct_batch",
+    "sampler_pool",
     "resolve_variant_reading",
 ]
 
@@ -87,8 +89,9 @@ def theorem_scenario(alphas) -> WeightedAverageScenario:
 
 
 # Rows per block of the sampler.  Larger blocks cost fewer calls into numpy
-# but keep more memory in the worker threads' malloc arenas.
-SAMPLE_BLOCK_ROWS = 16_384
+# but keep more memory in the worker threads' malloc arenas, and hand the
+# battery's energy test its rows later.
+SAMPLE_BLOCK_ROWS = 8_192
 
 
 def _cpus() -> int:
@@ -99,24 +102,36 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def sampler_pool(sc: WeightedAverageScenario, n_samples: int):
+    """The pool sample_rwa_direct_batch draws on, as a context manager: one of
+    min(CPUs, 1 + n) threads, or no pool (None) on one CPU or for a batch of
+    at most one block."""
+    workers = min(_cpus(), 1 + sc.n) if n_samples > SAMPLE_BLOCK_ROWS else 1
+    return ThreadPoolExecutor(workers) if workers > 1 else nullcontext()
+
+
 def sample_rwa_direct_batch(sc: WeightedAverageScenario, n_samples: int,
-                            rng: RngStream) -> np.ndarray:
+                            rng: RngStream, pool=None, on_rows=None) -> np.ndarray:
     """(n_samples, k) array of z draws: w ~ Dirichlet(w_alpha) on substream 0,
     x_j ~ Dirichlet(row j) on substream 1 + j, z = sum_j w_j x_j.
 
     The substreams are drawn in blocks of SAMPLE_BLOCK_ROWS rows.  A block's
-    1 + n draws run on min(CPUs, 1 + n) threads, or on the calling thread
-    for a batch of at most one block.  Each substream's generator serves one
-    task at a time, in block order, so its rows are those of one call over
-    all n_samples.  The calling thread sums each block into z one summand at
-    a time for j = 0..n-1, so memory is z plus one block per substream and
-    the sums are bitwise those of einsum over an (n_samples, n, k) tensor of
-    all the x_j, whatever the CPU count."""
+    1 + n draws run on the threads of sampler_pool, or on the calling thread
+    without one.  Each substream's generator serves one task at a time, in
+    block order, so its rows are those of one call over all n_samples.  The
+    calling thread sums each block into z one summand at a time for
+    j = 0..n-1, so memory is z plus one block per substream and the sums are
+    bitwise those of einsum over an (n_samples, n, k) tensor of all the x_j,
+    whatever the CPU count.
+
+    ``pool``, if given, is an open sampler_pool of the caller, who may give
+    it other tasks too; otherwise the function opens its own.  ``on_rows``,
+    if given, is called on the calling thread as on_rows(z, stop) each time
+    rows 0..stop-1 of z are final."""
     z = np.zeros((n_samples, sc.k))
     params = [DirichletParams(sc.w_alpha)] + [DirichletParams(row) for row in sc.x_alphas]
     gens = [rng.child(i).generator() for i in range(1 + sc.n)]
-    workers = min(_cpus(), len(params)) if n_samples > SAMPLE_BLOCK_ROWS else 1
-    with (ThreadPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
+    with sampler_pool(sc, n_samples) if pool is None else nullcontext(pool) as pool:
         draw = pool.map if pool else map
         for start in range(0, n_samples, SAMPLE_BLOCK_ROWS):
             out = z[start:start + SAMPLE_BLOCK_ROWS]
@@ -124,6 +139,8 @@ def sample_rwa_direct_batch(sc: WeightedAverageScenario, n_samples: int,
             for j, x in enumerate(xs):
                 x *= w[:, j, None]
                 out += x
+            if on_rows:
+                on_rows(z, start + len(out))
     return z
 
 

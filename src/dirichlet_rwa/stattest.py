@@ -21,6 +21,8 @@ __all__ = [
     "ks_marginal",
     "ks_threshold",
     "energy_two_sample",
+    "energy_layout",
+    "energy_block_statistics",
     "Z_THRESHOLD",
     "KS_LEVEL",
     "ENERGY_LEVEL",
@@ -103,30 +105,59 @@ def ks_marginal(values: np.ndarray, target: DirichletParams, coordinate: int) ->
         raise ValueError("target dimension must match batch dimension")
     a = target.alpha[coordinate]
     b = target.total - a
-    x = np.clip(np.sort(values[:, coordinate]), 0.0, 1.0)
-    grid = np.arange(1, n + 1) / n
-    lo = grid - 1.0 / n
+    x = np.sort(values[:, coordinate])
+    np.clip(x, 0.0, 1.0, out=x)
+
+    def steps(i):
+        # the empirical CDF just after and just before sorted point i, as
+        # grid = arange(1, n + 1) / n and grid - 1/n give them
+        after = (i + 1) / n
+        return after, after - 1.0 / n
 
     first = np.arange(0, n, KS_BLOCK)
     last = np.minimum(first + KS_BLOCK, n) - 1
     ends = np.concatenate([first, last])
+    after, before = steps(ends)
     cdf = betainc(a, b, x[ends])
-    best = max(np.max(grid[ends] - cdf), np.max(cdf - lo[ends]))
-    cdf_first, cdf_last = cdf[:first.size], cdf[first.size:]
-    bound = np.maximum(grid[last] - cdf_first, cdf_last - lo[first])
+    best = max(np.max(after - cdf), np.max(cdf - before))
+    m = first.size  # ends[:m] are the blocks' first points, ends[m:] their last
+    bound = np.maximum(after[m:] - cdf[:m], cdf[m:] - before[:m])
     refine = first[bound >= best - KS_MARGIN]
     if refine.size:
         idx = (refine[:, None] + np.arange(KS_BLOCK)).ravel()
         idx = idx[idx < n]
+        after, before = steps(idx)
         cdf = betainc(a, b, x[idx])
-        best = max(best, np.max(grid[idx] - cdf), np.max(cdf - lo[idx]))
+        best = max(best, np.max(after - cdf), np.max(cdf - before))
     stat = float(best)
     thr = ks_threshold(n)
     return {"kind": "ks", "coordinate": coordinate, "statistic": stat,
             "threshold": thr, "pass": stat <= thr}
 
 
-def energy_two_sample(a: np.ndarray, b: np.ndarray) -> dict:
+def energy_layout(n: int) -> tuple:
+    """(rows, blocks) of the energy test on samples of at least n rows each:
+    blocks of B = min(ENERGY_BLOCK, n // 2) rows, as many as fit in n."""
+    rows = min(ENERGY_BLOCK, n // 2)
+    if rows < 2:
+        raise ValueError("the energy test needs at least 4 rows per batch")
+    return rows, n // rows
+
+
+def energy_block_statistics(a: np.ndarray, b: np.ndarray, rows: int, first: int,
+                            stop: int) -> np.ndarray:
+    """The energy test's statistics h_i of blocks i = first..stop-1, block i
+    pairing rows i*rows..(i+1)*rows-1 of a and b."""
+    from scipy.spatial.distance import cdist, pdist
+
+    h = np.empty(stop - first)
+    for i in range(first, stop):
+        x, y = a[i * rows:(i + 1) * rows], b[i * rows:(i + 1) * rows]
+        h[i - first] = 2 * cdist(x, y).mean() - pdist(x).mean() - pdist(y).mean()
+    return h
+
+
+def energy_two_sample(a: np.ndarray, b: np.ndarray, h=None) -> dict:
     """Block energy two-sample test over every draw of the (N, k) samples a
     and b (the B-test of Zaremba, Gretton & Blaschko 2013, with the distance
     kernel).
@@ -137,21 +168,18 @@ def energy_two_sample(a: np.ndarray, b: np.ndarray) -> dict:
     h_i = 2 mean|x - y| - mean_{pairs}|x - x'| - mean_{pairs}|y - y'|, whose
     mean is 0 under the null.  The one-sided z = mean(h) / (sd(h)/sqrt(blocks))
     is judged against Student's t on blocks - 1 degrees of freedom.
+
+    ``h``, if given, yields arrays from energy_block_statistics that join, in
+    block order, into every block's statistic (the battery computes them on
+    other threads); otherwise they are computed here.  Either way the record
+    is the same.
     """
-    from scipy.spatial.distance import cdist, pdist
     from scipy.special import stdtr
 
     if a.shape[1] != b.shape[1]:
         raise ValueError("batches must have the same dimension")
-    n = min(a.shape[0], b.shape[0])
-    rows = min(ENERGY_BLOCK, n // 2)
-    if rows < 2:
-        raise ValueError("the energy test needs at least 4 rows per batch")
-    blocks = n // rows
-    h = np.empty(blocks)
-    for i in range(blocks):
-        x, y = a[i * rows:(i + 1) * rows], b[i * rows:(i + 1) * rows]
-        h[i] = 2 * cdist(x, y).mean() - pdist(x).mean() - pdist(y).mean()
+    rows, blocks = energy_layout(min(a.shape[0], b.shape[0]))
+    h = energy_block_statistics(a, b, rows, 0, blocks) if h is None else np.concatenate(list(h))
     statistic = float(h.mean())
     se = float(h.std(ddof=1)) / math.sqrt(blocks)
     if se == 0:

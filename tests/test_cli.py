@@ -5,22 +5,24 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dirichlet_rwa import cli
+from dirichlet_rwa import cli, runner, rwa, stattest
 from dirichlet_rwa.cli import main
 from dirichlet_rwa.config import ConfigError, ScenarioConfig, load_config, parse_config
-from dirichlet_rwa.distributions import RngStream
+from dirichlet_rwa.distributions import DirichletParams, RngStream
 from dirichlet_rwa.moments import rwa_moment_expansion
-from dirichlet_rwa.runner import run_scenario, write_report
+from dirichlet_rwa.runner import MAX_MOMENT_ORDER, moment_indices, run_scenario, write_report
 from dirichlet_rwa.rwa import sample_rwa_direct_batch, theorem_scenario
-from dirichlet_rwa.stattest import energy_two_sample
+from dirichlet_rwa.stattest import energy_two_sample, ks_marginal, moment_ztest
 from test_distributions import SIMPLEX_SUM_TOL
-from test_rwa import einsum_sample_batch
+from test_rwa import B, einsum_sample_batch
 
 
 def small_config(out_dir, **overrides):
@@ -373,6 +375,79 @@ def test_battery_replicates_come_from_distinct_streams():
     direct, gamma = (sample_rwa_direct_batch(scenario, 2000, RngStream(3, i)) for i in (1, 2))
     assert energy == {**energy_two_sample(direct, gamma), "path": "direct-vs-gamma"}
     assert energy != {**energy_two_sample(direct, direct), "path": "direct-vs-gamma"}
+
+
+def one_after_another(alphas, seed, n_samples):
+    """Reference: the battery's records from whole replicates on streams
+    (seed, 1) and (seed, 2), each test run after the one before."""
+    scenario = theorem_scenario(alphas)
+    target = DirichletParams(scenario.target_alpha)
+    direct, gamma = (sample_rwa_direct_batch(scenario, n_samples, RngStream(seed, i))
+                     for i in (1, 2))
+    tests = []
+    for path, batch in (("direct", direct), ("gamma", gamma)):
+        tests += [{**moment_ztest(batch, target, s), "path": path}
+                  for s in moment_indices(scenario.k, MAX_MOMENT_ORDER)]
+        tests += [{**ks_marginal(batch, target, c), "path": path} for c in range(scenario.k)]
+    return tests + [{**energy_two_sample(direct, gamma), "path": "direct-vs-gamma"}]
+
+
+# the fewest draws; one sampler block; three sampler blocks, the last partial,
+# with energy blocks across their seams and rows past the last energy block
+@pytest.mark.parametrize("n_samples", [4, B, 2 * B + 137])
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_battery_records_equal_tests_run_one_after_another(n_samples, cpus, monkeypatch):
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(rwa, "_cpus", lambda: cpus)
+    monkeypatch.setattr(rwa, "ThreadPoolExecutor", RecordingPool)
+    alphas = [[1, 2, 3], [4, 5, 6]]
+    params = {"alphas": alphas, "n_samples": n_samples}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads swap often, so an unfinished row would show
+    try:
+        report = run_scenario(ScenarioConfig("overlap", "theorem", 11, params), "adhoc")
+    finally:
+        sys.setswitchinterval(interval)
+    # the energy test shares the sampler's one pool of min(CPUs, 1 + n)
+    # threads, which a single block or a single CPU does without
+    assert pools == ([min(cpus, 3)] if cpus > 1 and n_samples > B else [])
+    assert report["tests"] == one_after_another(alphas, 11, n_samples)
+
+
+def raise_degenerate(*args):
+    raise ValueError("degenerate batch")
+
+
+@pytest.mark.parametrize("where", ["energy block", "moment test"])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_battery_error_exits_2_and_leaves_no_thread(tmp_path, capsys, monkeypatch, where, cpus):
+    # an energy block that raises on a pool thread, or a test on the calling
+    # thread that raises while energy blocks are queued
+    if where == "energy block":
+        monkeypatch.setattr(runner, "energy_block_statistics", raise_degenerate)
+        monkeypatch.setattr(stattest, "energy_block_statistics", raise_degenerate)
+    else:
+        monkeypatch.setattr(runner, "moment_ztest", raise_degenerate)
+    monkeypatch.setattr(rwa, "_cpus", lambda: cpus)
+    threads = threading.active_count()
+    cfg = small_config(tmp_path / "reports")
+    cfg["scenarios"][0]["n_samples"] = 3 * B
+    argv = ["run", "--config", str(write_config(tmp_path, cfg))]
+    codes = []
+    battery = threading.Thread(target=lambda: codes.append(main(argv)))
+    battery.start()
+    battery.join(timeout=60)
+    assert not battery.is_alive() and codes == [2]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "reports").exists()
+    assert threading.active_count() == threads
 
 
 def test_run_prints_one_verdict_line_per_scenario(tmp_path, capsys):
