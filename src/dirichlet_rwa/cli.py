@@ -189,11 +189,21 @@ def _cmd_sample(args) -> int:
     # opened before sampling, so that a bad path fails before the sampling
     # cost; a sampling or write that fails leaves no partial CSV behind
     fh = open(out, "w", encoding="utf-8", newline="\n")
+    written = 0
+
+    def write_rows(z, stop):
+        # rows are written as they become final, while the sampler draws the
+        # next block; a sampler block is a whole number of CSV blocks, so the
+        # CSV is formatted in the blocks of one write of all of z
+        nonlocal written
+        _write_csv_rows(fh, z[written:stop])
+        written = stop
+
     try:
         with fh:
             fh.write(",".join(f"z_{j + 1}" for j in range(sc.k)) + "\n")
-            z = sample_rwa_direct_batch(sc, args.n_samples, RngStream(args.seed, 1))
-            _write_csv_rows(fh, z)
+            sample_rwa_direct_batch(sc, args.n_samples, RngStream(args.seed, 1),
+                                    on_rows=write_rows)
     except BaseException:
         out.unlink(missing_ok=True)
         raise

@@ -77,13 +77,15 @@ def _statistical_suite(scenario, target: DirichletParams, seed: int, n_samples: 
     scenario, drawn by the one sampler from streams (seed, 1) and (seed, 2),
     and an energy test between the replicates.
 
-    The energy test, which holds the GIL, runs beside the rest: on the
-    sampler's pool, a task per range of energy blocks, each submitted once
-    the second replicate's rows of those blocks are final.  Meanwhile the
-    calling thread finishes drawing and runs the moment and KS tests, which
-    mostly release the GIL.  The block statistics are those one call of
-    energy_two_sample computes, so the records and their order do not depend
-    on the CPU count.  Without a pool the tests run one after another."""
+    The energy test runs beside the rest: on the sampler's pool, a task per
+    range of energy blocks, each submitted once the second replicate's rows
+    of those blocks are final, behind the draws of the sampler's next block.
+    Meanwhile the calling thread finishes drawing and runs the moment and KS
+    tests.  All of these mostly release the GIL; scipy's distance loops do,
+    and only their Python wrappers hold it.  The block statistics are those
+    one call of energy_two_sample computes, so the records and their order
+    do not depend on the CPU count.  Without a pool the tests run one after
+    another."""
     rows, blocks = energy_layout(n_samples)
     with sampler_pool(scenario, n_samples) as pool:
         try:

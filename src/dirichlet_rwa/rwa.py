@@ -6,7 +6,8 @@ main construction (theorem_scenario) the weight concentrations are the row
 sums of the alpha matrix and the law of z is Dirichlet of the column sums.
 There is one sampler, sample_rwa_direct_batch: every Dirichlet vector in it,
 weights included, is a row that sample_dirichlet_batch draws from its
-substream's one generator, block by block, on the threads of sampler_pool.
+substream's one generator, block by block, on the threads of sampler_pool,
+which draw the next block while the calling thread sums and hands on this one.
 The test battery draws its second replicate from the same sampler on another
 stream, so comparing the two replicates checks the sampler against itself,
 not against a second algorithm; it shares the sampler's pool with its energy
@@ -117,25 +118,38 @@ def sample_rwa_direct_batch(sc: WeightedAverageScenario, n_samples: int,
 
     The substreams are drawn in blocks of SAMPLE_BLOCK_ROWS rows.  A block's
     1 + n draws run on the threads of sampler_pool, or on the calling thread
-    without one.  Each substream's generator serves one task at a time, in
-    block order, so its rows are those of one call over all n_samples.  The
-    calling thread sums each block into z one summand at a time for
-    j = 0..n-1, so memory is z plus one block per substream and the sums are
-    bitwise those of einsum over an (n_samples, n, k) tensor of all the x_j,
-    whatever the CPU count.
+    without one.  With a pool the sampler works one block ahead: once all of
+    block b's draws have returned, block b + 1's are submitted, and only then
+    does the calling thread sum block b into z and hand it to on_rows.  Each
+    substream's generator serves one task at a time, in block order, so its
+    rows are those of one call over all n_samples.  The calling thread sums
+    each block into z one summand at a time for j = 0..n-1, so memory is z
+    plus two blocks per substream and the sums are bitwise those of einsum
+    over an (n_samples, n, k) tensor of all the x_j, whatever the CPU count.
 
     ``pool``, if given, is an open sampler_pool of the caller, who may give
     it other tasks too; otherwise the function opens its own.  ``on_rows``,
     if given, is called on the calling thread as on_rows(z, stop) each time
-    rows 0..stop-1 of z are final."""
+    rows 0..stop-1 of z are final, while the pool draws the next block."""
     z = np.zeros((n_samples, sc.k))
     params = [DirichletParams(sc.w_alpha)] + [DirichletParams(row) for row in sc.x_alphas]
     gens = [rng.child(i).generator() for i in range(1 + sc.n)]
     with sampler_pool(sc, n_samples) if pool is None else nullcontext(pool) as pool:
+        # pool.map submits a block's draws at once; map draws them only when
+        # the block is unpacked, so without a pool nothing is drawn ahead
         draw = pool.map if pool else map
-        for start in range(0, n_samples, SAMPLE_BLOCK_ROWS):
+
+        def block(start):
+            rows = min(SAMPLE_BLOCK_ROWS, n_samples - start)
+            return draw(sample_dirichlet_batch, params, repeat(rows), gens)
+
+        starts = range(0, n_samples, SAMPLE_BLOCK_ROWS)
+        ahead = block(0) if starts else None
+        for start in starts:
+            w, *xs = ahead
+            if start + SAMPLE_BLOCK_ROWS < n_samples:
+                ahead = block(start + SAMPLE_BLOCK_ROWS)
             out = z[start:start + SAMPLE_BLOCK_ROWS]
-            w, *xs = draw(sample_dirichlet_batch, params, repeat(len(out)), gens)
             for j, x in enumerate(xs):
                 x *= w[:, j, None]
                 out += x

@@ -47,12 +47,10 @@ def moment_ztest(values: np.ndarray, target: DirichletParams, s) -> dict:
     samples against the exact target Dirichlet moment, standard error from
     the sample variance.
 
-    The product is taken column by column, left to right, as
-    ``np.prod(values ** s, axis=1)`` takes it.  Orders 0 and 1 skip ``pow``:
-    x**0 is exactly 1 and x**1 exactly x, so they contribute nothing or the
-    column itself.  Orders >= 2 go through ``np.power`` with an array
-    exponent of the column's length; a scalar exponent 2 takes numpy's
-    squaring shortcut, which rounds differently from its general power loop.
+    The product is s_1 + ... + s_k multiplications, left to right: column 1
+    s_1 times, then column 2 s_2 times, and so on.  Each is correctly
+    rounded, so the record does not depend on which SIMD loop numpy picks
+    for the CPU, as its ``np.power`` loops do.
     """
     s = tuple(int(v) for v in s)
     if len(s) != values.shape[1]:
@@ -62,13 +60,10 @@ def moment_ztest(values: np.ndarray, target: DirichletParams, s) -> dict:
         emp = exact = 1.0
         se = z = 0.0
     else:
-        n = values.shape[0]
-        prod = np.ones(n)
+        prod = np.ones(values.shape[0])
         for j, e in enumerate(s):
-            if e == 1:
+            for _ in range(e):
                 prod *= values[:, j]
-            elif e >= 2:
-                prod *= np.power(values[:, j], np.full(n, float(e)))
         emp = float(prod.mean())
         var = float(prod.var(ddof=1))
         if var <= 0:

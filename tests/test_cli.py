@@ -614,6 +614,53 @@ def test_sample_zero_rows_writes_header_only(tmp_path):
     assert out.read_bytes() == b"z_1,z_2\n"
 
 
+@pytest.mark.parametrize("n_samples", [0, 1, B - 1, B, 2 * B + 137])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_streamed_csv_equals_one_write_of_all_rows(tmp_path, monkeypatch, n_samples, cpus):
+    z = sample_rwa_direct_batch(theorem_scenario([[1, 2, 3], [4, 5, 6]]), n_samples,
+                                RngStream(5, 1))
+    expected = chunked_csv(z)
+    writes = []
+
+    def recorded_write(fh, z):
+        writes.append(len(z))
+        write_csv_rows(fh, z)
+
+    write_csv_rows = cli._write_csv_rows
+    monkeypatch.setattr(cli, "_write_csv_rows", recorded_write)
+    monkeypatch.setattr(rwa, "_cpus", lambda: cpus)
+    out = tmp_path / "z.csv"
+    argv = ["sample", "--alphas", "1,2,3;4,5,6", "--n-samples", str(n_samples), "--seed", "5"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_text() == expected
+    # one write per sampler block, as the block's rows become final; each
+    # block is whole CSV blocks, so the CSV is formatted in the same blocks
+    assert writes == [min(B, n_samples - start) for start in range(0, n_samples, B)]
+    assert B % cli.CSV_BLOCK_ROWS == 0
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sample_write_error_exits_2_and_leaves_no_csv_or_thread(tmp_path, capsys, monkeypatch,
+                                                                 cpus):
+    def fail_second_block(fh, z):
+        calls.append(len(z))
+        if len(calls) == 2:
+            raise OSError("disk full")
+        write_csv_rows(fh, z)
+
+    calls, write_csv_rows = [], cli._write_csv_rows
+    monkeypatch.setattr(cli, "_write_csv_rows", fail_second_block)
+    monkeypatch.setattr(rwa, "_cpus", lambda: cpus)
+    threads = threading.active_count()
+    out = tmp_path / "z.csv"
+    argv = ["sample", "--alphas", "1,2;3,4", "--n-samples", str(3 * B), "--seed", "5"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: disk full\n"
+    assert calls == [B, B]
+    assert not out.exists()
+    assert threading.active_count() == threads
+
+
 def test_sample_negative_count_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampled despite a negative count")
@@ -731,13 +778,34 @@ def test_stieltjes_unresolved_point_exits_2_and_is_named(tmp_path, capsys):
     assert not out.exists()
 
 
-def cli_process(argv):
+def cli_process(argv, **env):
     """The CLI in a fresh interpreter, whose stderr shows numpy's warnings as
-    a user sees them."""
+    a user sees them, with ``env`` added to its environment."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "dirichlet_rwa.cli", *argv], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+                          text=True, env={**os.environ, "PYTHONPATH": path, **env}, timeout=300)
+
+
+# numpy's AVX-512 loops (power, exp, log, ...) are not all correctly rounded;
+# with these targets disabled, numpy dispatches to its AVX2 or baseline loops.
+# Features the CPU lacks are ignored.
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def test_battery_report_independent_of_numpy_cpu_dispatch(tmp_path):
+    reports = []
+    for i, disabled in enumerate(["", NO_AVX512]):
+        out = tmp_path / f"reports-{i}"
+        proc = cli_process(["verify-theorem", "--alphas", "1,2,3;4,5,6", "--n-samples", "20000",
+                            "--seed", "3", "--out", str(out)],
+                           NPY_DISABLE_CPU_FEATURES=disabled)
+        assert proc.returncode == 0, proc.stderr
+        (path,) = out.glob("*.json")
+        report = json.loads(path.read_text())
+        report.pop("timing")
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("command", ["sample", "stieltjes", "kerov_tsilevich"])

@@ -163,6 +163,63 @@ def test_blocked_sum_independent_of_cpu_count(cpus, monkeypatch):
     assert pools == ([] if cpus == 1 else [min(cpus, 1 + sc.n)])
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_pipelined_draws_keep_each_substream_in_block_order(cpus, monkeypatch):
+    # One log of events, in the order they happen: a draw's start and end on
+    # a substream's generator, a submission to the pool and a call of on_rows.
+    log = []
+
+    def logged_draw(params, rows, gen):
+        log.append(("start", gen, rows))
+        try:
+            return sample_dirichlet_batch(params, rows, gen)
+        finally:
+            log.append(("end", gen, rows))
+
+    class LoggingPool(ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            log.append(("submit",))
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(rwa, "_cpus", lambda: cpus)
+    monkeypatch.setattr(rwa, "sample_dirichlet_batch", logged_draw)
+    monkeypatch.setattr(rwa, "ThreadPoolExecutor", LoggingPool)
+    sc = theorem_scenario(EXPORT_ALPHAS)
+    n_samples, streams = 3 * B + 5, 1 + sc.n
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads swap often, so an overlap would show
+    try:
+        z = sample_rwa_direct_batch(sc, n_samples, RngStream(4242, 1),
+                                    on_rows=lambda z, stop: log.append(("rows", stop)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(z, einsum_sample_batch(sc, n_samples, RngStream(4242, 1)))
+    gens = {event[1] for event in log if event[0] == "start"}
+    assert len(gens) == streams
+    for gen in gens:
+        # one task at a time, each block's rows in turn
+        events = [(event[0], event[2]) for event in log if len(event) == 3 and event[1] is gen]
+        assert events == [(edge, rows) for rows in (B, B, B, 5) for edge in ("start", "end")]
+    starts = [i for i, event in enumerate(log) if event[0] == "start"]
+    ends = [i for i, event in enumerate(log) if event[0] == "end"]
+    rows_at = [i for i, event in enumerate(log) if event[0] == "rows"]
+    assert [log[i][1] for i in rows_at] == [B, 2 * B, 3 * B, n_samples]
+    for b in range(1, 4):
+        # block b's draws start after all of block b - 1's have returned
+        assert min(starts[b * streams:(b + 1) * streams]) > ends[b * streams - 1]
+    submits = [i for i, event in enumerate(log) if event[0] == "submit"]
+    if cpus == 1:
+        # no pool: block b + 1 is drawn only after on_rows has had block b
+        assert not submits
+        for b in range(3):
+            assert rows_at[b] < starts[(b + 1) * streams]
+    else:
+        # one block ahead: block b + 1 is submitted before block b goes to on_rows
+        assert len(submits) == 4 * streams
+        for b in range(3):
+            assert submits[(b + 2) * streams - 1] < rows_at[b]
+
+
 def test_one_block_is_drawn_without_a_pool(monkeypatch):
     def no_pool(workers):
         raise AssertionError("a pool was started for one block")

@@ -199,14 +199,17 @@ def full_ks_marginal(values, target, coordinate):
             "threshold": thr, "pass": stat <= thr}
 
 
-def pow_moment_ztest(values, target, s):
-    """Reference: the moment record with every factor taken by pow."""
+def multiplied_moment_ztest(values, target, s):
+    """Reference: the moment record with each row's product taken by
+    math.prod over its factors, column 1 s_1 times, then column 2 s_2 times,
+    and so on; each step is one correctly rounded multiplication."""
     s = tuple(int(v) for v in s)
     if sum(s) == 0:
         emp = exact = 1.0
         se = z = 0.0
     else:
-        prod = np.prod(values ** np.asarray(s), axis=1)
+        factors = [j for j, e in enumerate(s) for _ in range(e)]
+        prod = np.array([math.prod(row) for row in values[:, factors].tolist()])
         emp = float(prod.mean())
         var = float(prod.var(ddof=1))
         if var <= 0:
@@ -300,14 +303,14 @@ def record_or_error(fn, *args):
 def test_moment_record_equals_pow_product(batch_target_index):
     values, target, s = batch_target_index
     assert (record_or_error(moment_ztest, values, target, s)
-            == record_or_error(pow_moment_ztest, values, target, s))
+            == record_or_error(multiplied_moment_ztest, values, target, s))
 
 
 @pytest.mark.parametrize("s", [(0, 1, 2, 3), (2, 0, 0, 0), (0, 0, 0, 3), (1, 1, 1, 0), (3, 2, 1, 0)])
 def test_moment_orders_0_to_3_equal_pow_product(s):
     values = batch((0.5, 1, 2, 3), 100_000, 115)
     target = DirichletParams((0.5, 1, 2, 3))
-    assert moment_ztest(values, target, s) == pow_moment_ztest(values, target, s)
+    assert moment_ztest(values, target, s) == multiplied_moment_ztest(values, target, s)
 
 
 def test_moment_and_ks_called_once_per_check(monkeypatch):
