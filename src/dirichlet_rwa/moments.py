@@ -54,10 +54,6 @@ __all__ = [
 DIRMULT_TRIALS_CAP = 64
 
 
-class OrderCapExceeded(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class MomentIndex:
     """Vector of non-negative integer exponents for a mixed moment."""
@@ -69,7 +65,7 @@ class MomentIndex:
         if any(v < 0 for v in s):
             raise ValueError("exponents must be non-negative")
         if sum(s) > DEFAULT_ORDER_CAP:
-            raise OrderCapExceeded(
+            raise ValueError(
                 f"total order {sum(s)} exceeds the cap of {DEFAULT_ORDER_CAP}"
             )
         object.__setattr__(self, "s", s)
@@ -314,7 +310,7 @@ def _dirmult_support(trials: int, cells: int):
 def dirmult_normalization_check(p: DirMultParams) -> float:
     """Sum of the pmf over the whole support; contract: 1 within 1e-10."""
     if p.trials > DIRMULT_TRIALS_CAP:
-        raise OrderCapExceeded(
+        raise ValueError(
             f"trials={p.trials} exceeds the enumeration cap of {DIRMULT_TRIALS_CAP}"
         )
     support, log_multinomial = _dirmult_support(p.trials, p.alpha.k)

@@ -17,18 +17,12 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-from .distributions import (
-    DirichletParams,
-    RngStream,
-    dirichlet_mixed_moment,
-    sample_dirichlet_batch,
-)
+from .distributions import DirichletParams, RngStream, sample_dirichlet_batch
 
 __all__ = [
     "WeightedAverageScenario",
@@ -36,7 +30,6 @@ __all__ = [
     "variant_scenario",
     "sample_rwa_direct_batch",
     "sampler_pool",
-    "resolve_variant_reading",
 ]
 
 
@@ -103,12 +96,11 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def sampler_pool(sc: WeightedAverageScenario, n_samples: int):
-    """The pool sample_rwa_direct_batch draws on, as a context manager: one of
-    min(CPUs, 1 + n) threads, or no pool (None) on one CPU or for a batch of
-    at most one block."""
-    workers = min(_cpus(), 1 + sc.n) if n_samples > SAMPLE_BLOCK_ROWS else 1
-    return ThreadPoolExecutor(workers) if workers > 1 else nullcontext()
+def sampler_pool(sc: WeightedAverageScenario, n_samples: int) -> ThreadPoolExecutor:
+    """The pool sample_rwa_direct_batch draws on: min(CPUs, 1 + n) threads,
+    or one thread for a batch of at most one block, which has nothing to
+    draw ahead."""
+    return ThreadPoolExecutor(min(_cpus(), 1 + sc.n) if n_samples > SAMPLE_BLOCK_ROWS else 1)
 
 
 def sample_rwa_direct_batch(sc: WeightedAverageScenario, n_samples: int,
@@ -117,12 +109,11 @@ def sample_rwa_direct_batch(sc: WeightedAverageScenario, n_samples: int,
     x_j ~ Dirichlet(row j) on substream 1 + j, z = sum_j w_j x_j.
 
     The substreams are drawn in blocks of SAMPLE_BLOCK_ROWS rows.  A block's
-    1 + n draws run on the threads of sampler_pool, or on the calling thread
-    without one.  With a pool the sampler works one block ahead: once all of
-    block b's draws have returned, block b + 1's are submitted, and only then
-    does the calling thread sum block b into z and hand it to on_rows.  Each
-    substream's generator serves one task at a time, in block order, so its
-    rows are those of one call over all n_samples.  The calling thread sums
+    1 + n draws run on the threads of sampler_pool, one block ahead: once all
+    of block b's draws have returned, block b + 1's are submitted, and only
+    then does the calling thread sum block b into z and hand it to on_rows.
+    Each substream's generator serves one task at a time, in block order, so
+    its rows are those of one call over all n_samples.  The calling thread sums
     each block into z one summand at a time for j = 0..n-1, so memory is z
     plus two blocks per substream and the sums are bitwise those of einsum
     over an (n_samples, n, k) tensor of all the x_j, whatever the CPU count.
@@ -131,84 +122,43 @@ def sample_rwa_direct_batch(sc: WeightedAverageScenario, n_samples: int,
     it other tasks too; otherwise the function opens its own.  ``on_rows``,
     if given, is called on the calling thread as on_rows(z, stop) each time
     rows 0..stop-1 of z are final, while the pool draws the next block."""
+    if pool is None:
+        with sampler_pool(sc, n_samples) as pool:
+            return sample_rwa_direct_batch(sc, n_samples, rng, pool, on_rows)
     z = np.zeros((n_samples, sc.k))
     params = [DirichletParams(sc.w_alpha)] + [DirichletParams(row) for row in sc.x_alphas]
     gens = [rng.child(i).generator() for i in range(1 + sc.n)]
-    with sampler_pool(sc, n_samples) if pool is None else nullcontext(pool) as pool:
-        # pool.map submits a block's draws at once; map draws them only when
-        # the block is unpacked, so without a pool nothing is drawn ahead
-        draw = pool.map if pool else map
 
-        def block(start):
-            rows = min(SAMPLE_BLOCK_ROWS, n_samples - start)
-            return draw(sample_dirichlet_batch, params, repeat(rows), gens)
+    def block(start):
+        rows = min(SAMPLE_BLOCK_ROWS, n_samples - start)
+        return pool.map(sample_dirichlet_batch, params, repeat(rows), gens)
 
-        starts = range(0, n_samples, SAMPLE_BLOCK_ROWS)
-        ahead = block(0) if starts else None
-        for start in starts:
-            w, *xs = ahead
-            if start + SAMPLE_BLOCK_ROWS < n_samples:
-                ahead = block(start + SAMPLE_BLOCK_ROWS)
-            out = z[start:start + SAMPLE_BLOCK_ROWS]
-            for j, x in enumerate(xs):
-                x *= w[:, j, None]
-                out += x
-            if on_rows:
-                on_rows(z, start + len(out))
+    starts = range(0, n_samples, SAMPLE_BLOCK_ROWS)
+    ahead = block(0) if starts else None
+    for start in starts:
+        w, *xs = ahead
+        if start + SAMPLE_BLOCK_ROWS < n_samples:
+            ahead = block(start + SAMPLE_BLOCK_ROWS)
+        out = z[start:start + SAMPLE_BLOCK_ROWS]
+        for j, x in enumerate(xs):
+            x *= w[:, j, None]
+            out += x
+        if on_rows:
+            on_rows(z, start + len(out))
     return z
 
 
-def variant_scenario(alpha, reading: str = "symmetric") -> WeightedAverageScenario:
-    """Two-dimensional variant: x_j ~ Dirichlet built from 1/2 + alpha_j,
-    w ~ Dirichlet(alpha), claimed target built from 1/2 + sum(alpha).
-
-    ``reading`` selects how the scalar 1/2 + alpha_j is expanded to a
-    two-dimensional parameter vector: "symmetric" gives
-    (1/2 + alpha_j, 1/2 + alpha_j); "asymmetric" gives (1/2 + alpha_j, 1/2).
-    Only the symmetric reading survives the moment oracle (see
-    resolve_variant_reading); the asymmetric one is kept for the comparison.
-    """
+def variant_scenario(alpha) -> WeightedAverageScenario:
+    """Two-dimensional variant: x_j ~ Dirichlet(1/2 + alpha_j, 1/2 + alpha_j),
+    w ~ Dirichlet(alpha), claimed target Dirichlet(1/2 + sum(alpha), 1/2 +
+    sum(alpha)).  This symmetric expansion of the source's scalar notation
+    1/2 + alpha_j is the one the moment oracle confirms
+    (runner.resolve_variant_reading); the asymmetric (1/2 + alpha_j, 1/2),
+    whose weights are not the row sums, misses the claimed moments."""
     a = np.asarray(alpha, dtype=float)
     if a.ndim != 1 or len(a) < 2:
         raise ValueError("need at least two positive weight parameters")
     if not np.all(a > 0):
         raise ValueError("all alpha_j must be > 0")
-    if reading == "symmetric":
-        x = np.stack([0.5 + a, 0.5 + a], axis=1)
-        target = (0.5 + a.sum(), 0.5 + a.sum())
-    elif reading == "asymmetric":
-        x = np.stack([0.5 + a, np.full_like(a, 0.5)], axis=1)
-        target = (0.5 + a.sum(), 0.5)
-    else:
-        raise ValueError(f"unknown reading {reading!r}")
-    return WeightedAverageScenario(a, x, target)
-
-
-# A variant reading must match every mixed moment of the claimed target up
-# to this total order, each within this relative error.
-VARIANT_MAX_ORDER, VARIANT_RTOL = 3, 1e-9
-
-
-def resolve_variant_reading(alpha):
-    """Decide which expansion of the variant's scalar notation is consistent,
-    by exact moment comparison against the claimed target.
-
-    Returns the name of the verified reading, or None if neither matches all
-    mixed moments of total order <= VARIANT_MAX_ORDER within VARIANT_RTOL.
-    """
-    from .moments import MomentIndex, compositions, rwa_moment_expansion
-
-    indices = [MomentIndex(s) for total in range(1, VARIANT_MAX_ORDER + 1)
-               for s in compositions(total, 2)]
-    for reading in ("symmetric", "asymmetric"):
-        sc = variant_scenario(alpha, reading)
-        target = DirichletParams(sc.target_alpha)
-
-        def matches(s):  # written so that a NaN on either side is a mismatch
-            rhs = dirichlet_mixed_moment(target, s.s)
-            lhs = rwa_moment_expansion(sc, s, VARIANT_MAX_ORDER)
-            return abs(lhs - rhs) <= VARIANT_RTOL * abs(rhs)
-
-        if all(map(matches, indices)):
-            return reading
-    return None
+    return WeightedAverageScenario(a, np.stack([0.5 + a, 0.5 + a], axis=1),
+                                   (0.5 + a.sum(), 0.5 + a.sum()))

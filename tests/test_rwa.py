@@ -14,9 +14,9 @@ from dirichlet_rwa.distributions import (
 )
 from dirichlet_rwa import rwa
 from dirichlet_rwa.moments import MomentIndex, rwa_moment_expansion
-from dirichlet_rwa.runner import sample_rwa_gamma_path_batch
+from dirichlet_rwa.runner import resolve_variant_reading, sample_rwa_gamma_path_batch
 from dirichlet_rwa.rwa import (
-    resolve_variant_reading,
+    WeightedAverageScenario,
     sample_rwa_direct_batch,
     theorem_scenario,
     variant_scenario,
@@ -135,8 +135,8 @@ def test_in_place_sum_is_bitwise_the_einsum_stick_breaking():
 @pytest.mark.parametrize("n_samples", [B - 1, B, B + 1, 2 * B + 1],
                          ids=["block-1", "block", "block+1", "2block+1"])
 def test_blocked_sum_is_bitwise_the_einsum_around_blocks(n_samples):
-    # up to one block is drawn on the calling thread, more on the pool; a
-    # last block of one row must continue every substream where it stopped
+    # up to one block is drawn on a one-thread pool, more on the full pool;
+    # a last block of one row must continue every substream where it stopped
     assert_sampler_matches_einsum(EXPORT_ALPHAS, n_samples, 7)
 
 
@@ -159,8 +159,8 @@ def test_blocked_sum_independent_of_cpu_count(cpus, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(z, einsum_sample_batch(sc, 3 * B + 5, RngStream(4242, 1)))
-    # one thread per CPU, at most one per substream; one CPU needs no pool
-    assert pools == ([] if cpus == 1 else [min(cpus, 1 + sc.n)])
+    # one thread per CPU, at most one per substream; one CPU, one thread
+    assert pools == [min(cpus, 1 + sc.n)]
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4])
@@ -208,25 +208,30 @@ def test_pipelined_draws_keep_each_substream_in_block_order(cpus, monkeypatch):
         # block b's draws start after all of block b - 1's have returned
         assert min(starts[b * streams:(b + 1) * streams]) > ends[b * streams - 1]
     submits = [i for i, event in enumerate(log) if event[0] == "submit"]
-    if cpus == 1:
-        # no pool: block b + 1 is drawn only after on_rows has had block b
-        assert not submits
-        for b in range(3):
-            assert rows_at[b] < starts[(b + 1) * streams]
-    else:
-        # one block ahead: block b + 1 is submitted before block b goes to on_rows
-        assert len(submits) == 4 * streams
-        for b in range(3):
-            assert submits[(b + 2) * streams - 1] < rows_at[b]
+    # one block ahead on any number of CPUs: block b + 1 is submitted before
+    # block b goes to on_rows
+    assert len(submits) == 4 * streams
+    for b in range(3):
+        assert submits[(b + 2) * streams - 1] < rows_at[b]
 
 
-def test_one_block_is_drawn_without_a_pool(monkeypatch):
-    def no_pool(workers):
-        raise AssertionError("a pool was started for one block")
+def test_one_block_is_drawn_on_one_thread(monkeypatch):
+    # A batch of at most one block has nothing to draw ahead: one thread
+    # draws its substreams one after another, so no two draws overlap.
+    pools = []
 
-    monkeypatch.setattr(rwa, "ThreadPoolExecutor", no_pool)
-    z = sample_rwa_direct_batch(theorem_scenario(EXPORT_ALPHAS), B, RngStream(7, 1))
-    assert z.shape == (B, 4)
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(rwa, "_cpus", lambda: 16)
+    monkeypatch.setattr(rwa, "ThreadPoolExecutor", RecordingPool)
+    sc = theorem_scenario(EXPORT_ALPHAS)
+    for n_samples in (1, 1000, B):
+        z = sample_rwa_direct_batch(sc, n_samples, RngStream(7, 1))
+        assert np.array_equal(z, einsum_sample_batch(sc, n_samples, RngStream(7, 1)))
+    assert pools == [1, 1, 1]
 
 
 def test_batch_on_simplex():
@@ -290,15 +295,13 @@ def test_variant_scenario_plumbing():
     assert sc.w_alpha == (0.5, 0.5)
     with pytest.raises(ValueError):
         variant_scenario((1.0,))
-    with pytest.raises(ValueError):
-        variant_scenario((1.0, 1.0), reading="other")
 
 
 def test_variant_reading_resolution(monkeypatch):
     # the symmetric expansion of the scalar notation is the one that
     # reproduces the claimed target moments; n=3 case gives target 6.5 each
     assert resolve_variant_reading((1.0, 2.0, 3.0)) == "symmetric"
-    sc = variant_scenario((1.0, 2.0, 3.0), "symmetric")
+    sc = variant_scenario((1.0, 2.0, 3.0))
     assert sc.target_alpha == (6.5, 6.5)
     assert resolve_variant_reading((0.7, 1.3)) == "symmetric"
     # the target moment must not cancel, nor the expansion overflow, at
@@ -306,13 +309,15 @@ def test_variant_reading_resolution(monkeypatch):
     for scale in (1e6, 1e12, 1e200):
         assert resolve_variant_reading((scale, 2 * scale)) == "symmetric"
     # a NaN expansion must not read as a match
-    monkeypatch.setattr("dirichlet_rwa.moments.rwa_moment_expansion",
+    monkeypatch.setattr("dirichlet_rwa.runner.rwa_moment_expansion",
                         lambda sc, s, top=0: float("nan"))
     assert resolve_variant_reading((1.0, 2.0)) is None
 
 
 def test_variant_asymmetric_reading_fails_oracle():
-    sc = variant_scenario((1.0, 2.0), "asymmetric")
+    # the other reading of the scalar notation 1/2 + alpha_j at alpha = (1, 2):
+    # x_j ~ Dirichlet(1/2 + alpha_j, 1/2), whose row sums are not the weights
+    sc = WeightedAverageScenario((1.0, 2.0), [(1.5, 0.5), (2.5, 0.5)], (3.5, 0.5))
     target = DirichletParams(sc.target_alpha)
     lhs = rwa_moment_expansion(sc, MomentIndex((2, 0)))
     rhs = dirichlet_mixed_moment(target, (2, 0))

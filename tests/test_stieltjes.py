@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from dirichlet_rwa import stieltjes
-from dirichlet_rwa.config import ScenarioConfig
+from dirichlet_rwa.config import ScenarioConfig, parse_config
 from dirichlet_rwa.runner import STIELTJES_RTOL, run_scenario
 from dirichlet_rwa.stieltjes import (
     PowerSemicircleParams,
@@ -307,7 +307,28 @@ def test_coefficient_n_minus_2_over_2_fails_the_integral_record(monkeypatch):
         (n, "transform") for n in (2, 3, 4, 7)]
     for t in records:
         if t["form"] == "integral":
-            assert t["residuals"] == pytest.approx([1.0 / (t["n"] - 1)] * 3, rel=1e-12)
+            # the three grid points and the three far-field points
+            assert t["grid"] == [1.5, 2.0, 5.0, 10.0, 1e3, 1e6]
+            assert t["residuals"] == pytest.approx([1.0 / (t["n"] - 1)] * 6, rel=1e-12)
+
+
+def test_far_field_transform_moved_by_1e_6_fails_the_integral_record(monkeypatch):
+    # A transform 1e-6 relative off at |z| >= 10 only, beyond every point of
+    # the default grid: the integral record judges it at z = 10, 1e3 and 1e6,
+    # where a bound of 2/z on |z S(z) - 1| would pass it.
+    sc, = parse_config({"format_version": 1, "output_dir": "r", "scenarios": [
+        {"id": "stieltjes", "kind": "stieltjes", "seed": 1}]}).scenarios
+    assert max(sc.params["grid"]) < 10
+    report = run_scenario(sc, "h")
+    assert report["overall_pass"]
+    transform = stieltjes.power_semicircle_transform
+    monkeypatch.setattr(stieltjes, "power_semicircle_transform",
+                        lambda p, z: transform(p, z) * (1 + 1e-6 * (abs(z) >= 10)))
+    tests = run_scenario(sc, "h")["tests"]
+    assert [(t["form"], t["pass"]) for t in tests] == [
+        (form, form == "transform") for n in (2, 3, 4) for form in ("transform", "integral")]
+    for t in tests[1::2]:
+        assert max(t["residuals"][-3:]) == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_unconverged_points_are_named():
