@@ -263,7 +263,7 @@ def _cmd_stieltjes(args) -> int:
     lhs, rhs, resid = equation3_terms(args.n, grid)
     lines = ["n,z,lhs,rhs,residual"]
     for z, left, right, r in zip(grid, lhs, rhs, resid):
-        lines.append(f"{args.n},{_fmt(z)},{_fmt(left.real)},{_fmt(right.real)},{_fmt(float(r))}")
+        lines.append(f"{args.n},{_fmt(z)},{_fmt(left)},{_fmt(right)},{_fmt(float(r))}")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8", newline="\n")

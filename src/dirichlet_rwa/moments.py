@@ -336,14 +336,15 @@ def kerov_tsilevich_check(alpha, t, order: int = 12):
     if np.max(np.abs(t)) >= 1:
         raise ValueError("need |t_i| < 1 for convergence")
     a_total = p.total
+    # log (A)_m / m! for m = 0, ..., order, read by the series and its tail bound
+    log_poch = list(itertools.accumulate(
+        (math.log(a_total + m - 1) - math.log(m) for m in range(1, order + 1)), initial=0.0))
     series_terms = [1.0]
-    log_poch = 0.0  # log (A)_m / m!
     for m in range(1, order + 1):
-        log_poch += math.log(a_total + m - 1) - math.log(m)
         support, log_multinomial = _dirmult_support(m, p.k)
         pmf = np.exp(_log_pmf(DirMultParams(p, m), support, log_multinomial))
         inner = math.fsum(pmf * np.prod(t ** support, axis=1))
-        series_terms.append(math.exp(log_poch) * inner)
+        series_terms.append(math.exp(log_poch[m]) * inner)
     series = math.fsum(series_terms)
     # If this overflows, so does the larger (1 - tau)**-A below, which raises.
     with np.errstate(over="ignore"):
@@ -354,10 +355,5 @@ def kerov_tsilevich_check(alpha, t, order: int = 12):
         tail = 0.0
     else:
         dom_total = (1 - tau) ** (-a_total)
-        dom_partial = [1.0]
-        lp = 0.0
-        for m in range(1, order + 1):
-            lp += math.log(a_total + m - 1) - math.log(m)
-            dom_partial.append(math.exp(lp) * tau**m)
-        tail = dom_total - math.fsum(dom_partial)
+        tail = dom_total - math.fsum(math.exp(lp) * tau**m for m, lp in enumerate(log_poch))
     return series, product, abs(tail)

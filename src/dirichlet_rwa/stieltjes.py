@@ -2,14 +2,10 @@
 
 Implements the power-semicircle transform (n=2 uniform, n=3 Wigner
 semicircle) and residuals of the differential identity relating the (n-1)-th
-derivative of that transform to (z^2-1)^{-n/2}.  Differentiating
-S(z) = E[1/(z - X)] under the integral sign turns the identity's left side
-into E[(z - X)^{-n}], a positive integral at real z > 1, so no numerical
-derivative is taken.
-
-Branch handling: every square root of z^2 - c^2 is evaluated as
-sqrt(z-c)*sqrt(z+c) with principal square roots, which selects the branch
-with cut [-c, c] and z*S(z) -> 1 at infinity.
+derivative of that transform to (z^2-1)^{-n/2}, in real arithmetic at real
+z > 1, the only points judged.  Differentiating S(z) = E[1/(z - X)] under the
+integral sign turns the identity's left side into E[(z - X)^{-n}], a positive
+integral there, so no numerical derivative is taken.
 """
 from __future__ import annotations
 
@@ -21,17 +17,12 @@ import numpy as np
 
 __all__ = [
     "PowerSemicircleParams",
-    "SupportError",
     "QuadratureError",
     "power_semicircle_transform",
     "equation3_terms",
     "equation3_residual",
     "equation1_check",
 ]
-
-
-class SupportError(ValueError):
-    """Evaluation on the support interval."""
 
 
 class QuadratureError(RuntimeError):
@@ -101,12 +92,17 @@ def _node_doubling(estimate, z: np.ndarray, what: str) -> np.ndarray:
     raise QuadratureError(f"{what} at z={z[todo].tolist()}", err)
 
 
-def _power_semicircle_integral(n: int, z):
-    """int_0^1 (1-t)^{(n-3)/2} (z^2-t)^{-1/2} dt via the substitution
-    u = sqrt(1-t), which removes the endpoint singularity at t=1 for n=2.
-    Gauss-Legendre on [0,1] at a complex scalar or every point of an array of
-    any shape; the points unconverged at one order form one (m, order) array."""
-    z = np.asarray(z, dtype=complex)
+def power_semicircle_transform(p: PowerSemicircleParams, z):
+    """Stieltjes transform E[1/(z - X)] of the power-semicircle law at real
+    z > 1: (n-1)/2 * int_0^1 (1-t)^{(n-3)/2} (z^2-t)^{-1/2} dt, a float at a
+    scalar z and an array at a 1-d array of points.
+
+    The substitution u = sqrt(1-t) removes the endpoint singularity at t=1
+    for n=2.  The (n-1)/2 coefficient is the one at which this integral
+    equals E[1/(z - X)], which equation1_check judges; the alternative
+    (n-2)/2 would make the n=2 transform vanish identically.
+    """
+    n, zs = p.n, _check_grid(z)
 
     def estimate(order, zc):
         u, weights = _gauss_legendre_nodes(order)
@@ -114,22 +110,8 @@ def _power_semicircle_integral(n: int, z):
         vals = 2.0 * u ** (n - 2) / (np.sqrt(zc - r) * np.sqrt(zc + r))
         return 0.5 * np.sum(weights * vals, axis=1)
 
-    out = _node_doubling(estimate, z.reshape(-1), "quadrature did not converge on [0,1]")
-    return out.reshape(z.shape)[()]
-
-
-def power_semicircle_transform(p: PowerSemicircleParams, z) -> complex:
-    """Stieltjes transform E[1/(z - X)] of the power-semicircle law:
-    (n-1)/2 * int_0^1 (1-t)^{(n-3)/2} (z^2-t)^{-1/2} dt.
-
-    The (n-1)/2 coefficient is the one at which this integral equals
-    E[1/(z - X)], which equation1_check judges; the alternative (n-2)/2
-    would make the n=2 transform vanish identically.
-    """
-    z = complex(z)
-    if z.imag == 0 and -1.0 <= z.real <= 1.0:
-        raise SupportError(f"z={z} lies on the branch cut [-1, 1]")
-    return complex((p.n - 1) / 2.0 * _power_semicircle_integral(p.n, z))
+    out = (n - 1) / 2.0 * _node_doubling(estimate, zs, "quadrature did not converge on [0,1]")
+    return float(out[0]) if np.ndim(z) == 0 else out
 
 
 def _inverse_moment(n: int, p: int, z: np.ndarray) -> np.ndarray:
@@ -169,8 +151,7 @@ def _normal(z, values, what: str) -> np.ndarray:
 
 
 def _relative_residuals(got, want) -> np.ndarray:
-    # scalar abs: numpy's array abs of a complex can differ in the last bit
-    return np.array([abs(d) / abs(w) for d, w in zip(got - want, want)])
+    return np.abs(got - want) / np.abs(want)
 
 
 def equation3_terms(n: int, z_grid):
@@ -199,5 +180,4 @@ def equation1_check(n: int, z_grid) -> np.ndarray:
     p = PowerSemicircleParams(n)
     z = _check_grid(z_grid)
     mean = _normal(z, _inverse_moment(n, 1, z), "E[1/(z - X)]")
-    transform = np.array([power_semicircle_transform(p, v) for v in z.tolist()])
-    return _relative_residuals(transform, mean)
+    return _relative_residuals(power_semicircle_transform(p, z), mean)

@@ -13,9 +13,7 @@ from dirichlet_rwa.runner import STIELTJES_RTOL, run_scenario
 from dirichlet_rwa.stieltjes import (
     PowerSemicircleParams,
     QuadratureError,
-    SupportError,
     _gauss_legendre_nodes,
-    _power_semicircle_integral,
     equation1_check,
     equation3_residual,
     equation3_terms,
@@ -25,31 +23,12 @@ from dirichlet_rwa.stieltjes import (
 
 def arcsine_transform(z):
     """Reference Stieltjes transform of the arcsine law on [-1, 1],
-    (z^2-1)^{-1/2} on the branch with cut [-1, 1], at a complex scalar or at
-    every point of an array of contour nodes; rejects points on the support."""
-    z = np.asarray(z, dtype=complex)
-    if np.any((z.imag == 0) & (np.abs(z.real) <= 1.0)):
-        raise SupportError("a point lies on the support [-1, 1]")
-    return (1.0 / (np.sqrt(z - 1.0) * np.sqrt(z + 1.0)))[()]
-
-
-def power_semicircle(n):
-    """The power-semicircle transform as an array evaluator; no support
-    check."""
-    return lambda z: (n - 1) / 2.0 * _power_semicircle_integral(n, z)
-
-
-def transform_moments(f, max_order, radius=3.0, n_nodes=512):
-    """Reference moments m_j = (1/2 pi i) oint z^j S(z) dz on |z| = radius,
-    for an array evaluator f of S; the circle must enclose the support."""
-    if radius <= 1.0:
-        raise SupportError(f"circle of radius {radius} does not enclose the support [-1, 1]")
-    theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-    vals = f(radius * np.exp(1j * theta))
-    return np.array([
-        (radius ** (j + 1) / n_nodes * np.sum(np.exp(1j * (j + 1) * theta) * vals)).real
-        for j in range(max_order + 1)
-    ])
+    (z^2-1)^{-1/2} on the branch with cut [-1, 1], at a real or complex scalar;
+    rejects points on the support."""
+    z = complex(z)
+    if z.imag == 0 and abs(z.real) <= 1.0:
+        raise ValueError("a point lies on the support [-1, 1]")
+    return 1.0 / (np.sqrt(z - 1.0) * np.sqrt(z + 1.0))
 
 
 def semicircle_transform(z):
@@ -69,7 +48,7 @@ def test_arcsine_values():
 
 
 def test_arcsine_on_support_raises():
-    with pytest.raises(SupportError):
+    with pytest.raises(ValueError, match="support"):
         arcsine_transform(0.5)
 
 
@@ -120,32 +99,10 @@ def test_params_validation():
         PowerSemicircleParams(1)
 
 
-def test_branch_conjugate_symmetry():
-    rng = np.random.default_rng(5)
-    p3 = PowerSemicircleParams(3)
-    fns = [arcsine_transform, lambda z: power_semicircle_transform(p3, z)]
-    count = 0
-    while count < 100:
-        z = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
-        if abs(z.imag) < 1e-3:
-            continue
-        for f in fns:
-            assert f(np.conj(z)) == pytest.approx(np.conj(f(z)), abs=1e-12)
-        count += 1
-
-
-def test_herglotz_sign_upper_half_plane():
-    rng = np.random.default_rng(6)
-    p4 = PowerSemicircleParams(4)
-    for _ in range(50):
-        z = complex(rng.uniform(-3, 3), rng.uniform(0.3, 3))
-        assert power_semicircle_transform(p4, z).imag < 0
-        assert arcsine_transform(z).imag < 0
-
-
 def test_stieltjes_fn_rejects_support():
-    for z in (0.3, -1.0, 1.0):
-        with pytest.raises(SupportError):
+    # the transform is evaluated at real z > 1 only, the points judged
+    for z in (0.3, -1.0, 1.0, -2.0):
+        with pytest.raises(ValueError, match="grid point"):
             power_semicircle_transform(PowerSemicircleParams(3), z)
 
 
@@ -163,23 +120,6 @@ def test_equation1_residuals():
 def test_equation1_far_field_both_sides_small():
     # both sides are about 1e-6; the residual is relative to the right side
     assert equation1_check(2, [1e3])[0] < 1e-8
-
-
-def test_n2_moments_match_rescaled_uniform():
-    # law for n=2 is uniform on [-1,1]: even moments 1/(m+1), odd 0;
-    # this is the affine rescaling of Dirichlet(1,1) to [-1,1]
-    m = transform_moments(power_semicircle(2), 6)
-    assert m[0] == pytest.approx(1.0, abs=1e-8)
-    for j in range(1, 7):
-        exact = 1.0 / (j + 1) if j % 2 == 0 else 0.0
-        assert m[j] == pytest.approx(exact, abs=1e-8)
-
-
-def test_n3_moments_match_semicircle():
-    # Wigner semicircle on [-1,1]: E[x^2] = 1/4, E[x^4] = 1/8
-    m = transform_moments(power_semicircle(3), 4)
-    assert m[2] == pytest.approx(0.25, abs=1e-8)
-    assert m[4] == pytest.approx(0.125, abs=1e-8)
 
 
 # Scalar-loop reference for the broadcast transform quadrature: one point per
@@ -216,14 +156,13 @@ def _scalar_power_semicircle(n, z):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_broadcast_quadrature_matches_scalar_loop_bitwise(n):
-    zs = np.array([1.5, 2.0, 5.0, 1e3, 2.5 + 0.75j, -1.2 - 0.3j, 0.2 + 1j, 3j])
-    got = power_semicircle(n)(zs)
-    want = np.array([_scalar_power_semicircle(n, complex(z)) for z in zs])
+    zs = np.array([1.5, 2.0, 5.0, 1e3])
+    got = power_semicircle_transform(PowerSemicircleParams(n), zs)
+    want = np.array([_scalar_power_semicircle(n, z) for z in zs.tolist()])
     assert got.shape == zs.shape
     assert np.array_equal(got, want)
-    for z, w in zip(zs, want):
-        if z.imag != 0 or abs(z.real) > 1:
-            assert power_semicircle_transform(PowerSemicircleParams(n), z) == w
+    for z, w in zip(zs.tolist(), want):
+        assert power_semicircle_transform(PowerSemicircleParams(n), z) == w
 
 
 def test_gauss_legendre_nodes_cached_read_only():
@@ -268,6 +207,11 @@ def test_identity_terms_on_a_grid_match_scalar_loop_bitwise(n):
     assert equation3_residual(n, grid).tobytes() == terms[2].tobytes()
     r1 = np.concatenate([equation1_check(n, [z]) for z in grid])
     assert equation1_check(n, grid).tobytes() == r1.tobytes()
+    # one transform call on the grid is the per-point scalar calls
+    p = PowerSemicircleParams(n)
+    scalar = [power_semicircle_transform(p, z) for z in grid]
+    assert all(type(v) is float for v in scalar)
+    assert power_semicircle_transform(p, np.array(grid)).tobytes() == np.array(scalar).tobytes()
 
 
 TABLE_Z = [1.2501, 1.26, 1.3, 1.4, 1.5, 1.75, 2, 2.5, 3, 4, 5, 7, 10, 30, 100, 1e3, 1e4, 1e6]
@@ -337,8 +281,10 @@ def test_unconverged_points_are_named():
     # point, not the converged ones.
     with pytest.raises(QuadratureError, match=r"did not converge at z=\[1\.000001\] "):
         equation3_terms(40, [2.0, 1.000001, 3.0])
-    with pytest.raises(QuadratureError, match=r"did not converge on \[0,1\] at z=\[\(0\.5\+1e-12j\)\]"):
-        power_semicircle_transform(PowerSemicircleParams(2), 0.5 + 1e-12j)
+    # n = 2 at z = 1 + 1e-9: the transform's integrand peaks at u = 0 and
+    # 1024 and 2048 nodes still differ by 7.7e-10 relative.
+    with pytest.raises(QuadratureError, match=r"did not converge on \[0,1\] at z=\[1\.000000001\]"):
+        power_semicircle_transform(PowerSemicircleParams(2), [2.0, 1 + 1e-9])
 
 
 @pytest.mark.parametrize("grid", [[np.nan], [2.0, np.inf]])
@@ -355,9 +301,3 @@ def test_non_finite_identity_terms_raise():
         equation3_terms(3, [2.0, 1e308])
     with pytest.raises(ValueError, match="not finite"):
         equation1_check(3, [1e308])
-
-
-def test_transform_moments_circle_must_enclose_support():
-    with pytest.raises(SupportError):
-        transform_moments(power_semicircle(3), 2, radius=0.9)
-
