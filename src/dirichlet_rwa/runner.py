@@ -79,10 +79,11 @@ def _statistical_suite(scenario, target: DirichletParams, seed: int, n_samples: 
     range of energy blocks, each submitted once the second replicate's rows
     of those blocks are final, behind the draws of the sampler's next block.
     Meanwhile the calling thread finishes drawing and runs the moment and KS
-    tests.  All of these mostly release the GIL; scipy's distance loops do,
-    and only their Python wrappers hold it.  The block statistics are those
-    one call of energy_two_sample computes, so the records and their order
-    do not depend on the CPU count."""
+    tests.  All of these mostly release the GIL; scipy's distance loops
+    (k >= 3) and numpy's sorts and sums (k = 2) do, and only their Python
+    wrappers hold it.  The block statistics are those one call of
+    energy_two_sample computes, so the records and their order do not depend
+    on the CPU count."""
     rows, blocks = energy_layout(n_samples)
     with sampler_pool(scenario, n_samples) as pool:
         try:

@@ -393,10 +393,17 @@ def one_after_another(alphas, seed, n_samples):
 
 
 # the fewest draws; one sampler block; three sampler blocks, the last partial,
-# with energy blocks across their seams and rows past the last energy block
-@pytest.mark.parametrize("n_samples", [4, B, 2 * B + 137])
+# with energy blocks across their seams and rows past the last energy block.
+# Each on a k = 3 matrix, whose energy blocks take scipy's distance matrices,
+# and on a k = 2 matrix (ids ending in "-k2"), whose energy blocks sort their
+# first coordinates.
+@pytest.mark.parametrize("n_samples, alphas", [
+    pytest.param(n, alphas, id=f"{n}{suffix}")
+    for suffix, alphas in (("", [[1, 2, 3], [4, 5, 6]]), ("-k2", [[1, 2], [3, 4]]))
+    for n in (4, B, 2 * B + 137)])
 @pytest.mark.parametrize("cpus", [1, 2, 4])
-def test_battery_records_equal_tests_run_one_after_another(n_samples, cpus, monkeypatch):
+def test_battery_records_equal_tests_run_one_after_another(n_samples, alphas, cpus,
+                                                           monkeypatch):
     pools = []
 
     class RecordingPool(ThreadPoolExecutor):
@@ -406,7 +413,6 @@ def test_battery_records_equal_tests_run_one_after_another(n_samples, cpus, monk
 
     monkeypatch.setattr(rwa, "_cpus", lambda: cpus)
     monkeypatch.setattr(rwa, "ThreadPoolExecutor", RecordingPool)
-    alphas = [[1, 2, 3], [4, 5, 6]]
     params = {"alphas": alphas, "n_samples": n_samples}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads swap often, so an unfinished row would show
@@ -935,6 +941,25 @@ def test_exact_route_and_export_import_no_scipy(tmp_path, monkeypatch):
         f"for argv in {commands!r}:\n"
         "    assert main(argv) == 0, argv\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded[:3]\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_two_coordinate_battery_imports_no_scipy_spatial():
+    # On k = 2 samples the energy test sorts first coordinates, so of scipy
+    # only scipy.special (the KS and energy p-values) loads.
+    script = (
+        "import sys\n"
+        "from dirichlet_rwa.cli import main\n"
+        "argv = ['verify-theorem', '--alphas', '1,2;3,4', '--n-samples', '20000', '--seed', '1']\n"
+        "assert main(argv) == 0\n"
+        "assert 'scipy.special' in sys.modules\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy.spatial'))\n"
         "assert not loaded, loaded[:3]\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])

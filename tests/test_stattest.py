@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist, pdist
 from scipy.special import betainc
 
 from dirichlet_rwa import runner, stattest
 from dirichlet_rwa.config import ScenarioConfig
 from dirichlet_rwa.distributions import (DirichletParams, RngStream, dirichlet_mixed_moment,
                                          sample_dirichlet_batch)
+from dirichlet_rwa.rwa import sample_rwa_direct_batch, theorem_scenario
 from dirichlet_rwa.stattest import (ENERGY_BLOCK, ENERGY_LEVEL, KS_BLOCK, Z_THRESHOLD,
-                                    energy_two_sample, ks_marginal, ks_threshold, moment_ztest)
+                                    energy_layout, energy_two_sample, ks_marginal, ks_threshold,
+                                    moment_ztest)
 
 
 def batch(alpha, n, seed, stream=0):
@@ -145,18 +148,44 @@ def loop_block_statistics(a, b):
 
 
 # two blocks of two rows; leftover rows; unequal sizes; two full blocks and a
-# partial third
+# partial third.  Each size runs on k = 3 draws, whose distances come from
+# cdist and pdist, and on k = 2 draws, whose distances come from the sorted
+# first coordinates.
 @pytest.mark.parametrize("ma, mb", [(4, 4), (7, 7), (9, 6), (40, 33),
                                     (2 * ENERGY_BLOCK + 113, 2 * ENERGY_BLOCK + 120)])
 def test_energy_statistic_equals_explicit_loop(ma, mb):
     rng = np.random.default_rng(ma * 1000 + mb)
-    a, b = rng.dirichlet((1, 2, 3), ma), rng.dirichlet((1.5, 2, 3), mb)
-    h = loop_block_statistics(a, b)
-    r = energy_two_sample(a, b)
-    assert r["blocks"] == len(h) and r["block_rows"] == min(ENERGY_BLOCK, min(ma, mb) // 2)
-    assert r["statistic"] == pytest.approx(sum(h) / len(h), rel=1e-12)
-    z = np.mean(h) / (np.std(h, ddof=1) / math.sqrt(len(h)))
-    assert r["z"] == pytest.approx(z, rel=1e-9)
+    for alpha_a, alpha_b in (((1, 2, 3), (1.5, 2, 3)), ((1, 2), (1.5, 2))):
+        a, b = rng.dirichlet(alpha_a, ma), rng.dirichlet(alpha_b, mb)
+        h = loop_block_statistics(a, b)
+        r = energy_two_sample(a, b)
+        assert r["blocks"] == len(h) and r["block_rows"] == min(ENERGY_BLOCK, min(ma, mb) // 2)
+        assert r["statistic"] == pytest.approx(sum(h) / len(h), rel=1e-12)
+        z = np.mean(h) / (np.std(h, ddof=1) / math.sqrt(len(h)))
+        assert r["z"] == pytest.approx(z, rel=1e-9)
+
+
+def distance_block_statistics(a, b, rows, blocks):
+    """Reference: each block's energy statistic from scipy's cdist and pdist,
+    the k >= 3 expression of energy_block_statistics."""
+    return np.array([2 * cdist(x, y).mean() - pdist(x).mean() - pdist(y).mean()
+                     for x, y in ((a[i * rows:(i + 1) * rows], b[i * rows:(i + 1) * rows])
+                                  for i in range(blocks))])
+
+
+# sampler output, with many exact 0s and 1s at tiny concentrations; two
+# blocks of two rows, the fewest the validator accepts
+@pytest.mark.parametrize("alphas, n_samples", [
+    pytest.param([[0.5, 0.5], [0.5, 0.5]], 10_000, id="half"),
+    pytest.param([[1e-3, 1e-3], [1e-3, 1e-3]], 10_000, id="ties"),
+    pytest.param([[1, 2], [3, 4]], 4, id="two-blocks-of-two")])
+def test_energy_line_statistics_equal_distance_matrices(alphas, n_samples):
+    scenario = theorem_scenario(alphas)
+    a, b = (sample_rwa_direct_batch(scenario, n_samples, RngStream(29, i)) for i in (1, 2))
+    rows, blocks = energy_layout(n_samples)
+    h = stattest.energy_block_statistics(a, b, rows, 0, blocks)
+    np.testing.assert_allclose(h, distance_block_statistics(a, b, rows, blocks),
+                               rtol=0, atol=1e-14)
 
 
 def test_energy_null_false_alarms_and_z_spread(monkeypatch):
