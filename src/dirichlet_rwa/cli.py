@@ -193,7 +193,7 @@ def _cmd_sample(args) -> int:
 
     def write_rows(z, stop):
         # rows are written as they become final, while the sampler draws the
-        # next block; a sampler block is a whole number of CSV blocks, so the
+        # next blocks; a sampler block is a whole number of CSV blocks, so the
         # CSV is formatted in the blocks of one write of all of z
         nonlocal written
         _write_csv_rows(fh, z[written:stop])

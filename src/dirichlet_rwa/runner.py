@@ -3,9 +3,9 @@
 Each scenario produces a structured report: per-test records, an overall
 verdict, the seed, a hash of the originating config and the tool version.
 Rerunning the same config byte-reproduces every report except the timing
-block, on any number of CPUs: the sampled battery runs its energy test on
-the sampler's threads beside its other tests, but every record is the one a
-run of the tests one after another gives.
+block, on any number of CPUs: the sampled battery runs its tests on the
+sampler's threads, but every record is the one a run of the tests one after
+another gives.
 """
 from __future__ import annotations
 
@@ -75,15 +75,17 @@ def _statistical_suite(scenario, target: DirichletParams, seed: int, n_samples: 
     scenario, drawn by the one sampler from streams (seed, 1) and (seed, 2),
     and an energy test between the replicates.
 
-    The energy test runs beside the rest: on the sampler's pool, a task per
+    Every test runs on the sampler's pool.  The energy test is a task per
     range of energy blocks, each submitted once the second replicate's rows
-    of those blocks are final, behind the draws of the sampler's next block.
-    Meanwhile the calling thread finishes drawing and runs the moment and KS
-    tests.  All of these mostly release the GIL; scipy's distance loops
-    (k >= 3) and numpy's sorts and sums (k = 2) do, and only their Python
-    wrappers hold it.  The block statistics are those one call of
-    energy_two_sample computes, so the records and their order do not depend
-    on the CPU count."""
+    of those blocks are final, behind the draws of the sampler's next
+    blocks.  The moment and KS tests of both replicates are submitted once
+    the second replicate is drawn, behind the last energy task, and the
+    calling thread, which only sums the sampler's blocks, joins them in
+    record order.  All of these mostly release the GIL; scipy's distance
+    loops (k >= 3) and numpy's sorts and sums (k = 2) do, and only their
+    Python wrappers hold it.  Each record is the one a run of the tests one
+    after another gives, so the records and their order do not depend on
+    the CPU count."""
     rows, blocks = energy_layout(n_samples)
     with sampler_pool(scenario, n_samples) as pool:
         try:
@@ -100,16 +102,16 @@ def _statistical_suite(scenario, target: DirichletParams, seed: int, n_samples: 
 
             gamma = sample_rwa_gamma_path_batch(scenario, n_samples, RngStream(seed, 2), pool,
                                                 take_blocks)
-            tests = []
+            runs = ((moment_ztest, moment_indices(scenario.k, MAX_MOMENT_ORDER)),
+                    (ks_marginal, range(scenario.k)))
             # "gamma" labels the second replicate, as in reports of earlier versions.
-            for path, batch in (("direct", direct), ("gamma", gamma)):
-                for s in moment_indices(scenario.k, MAX_MOMENT_ORDER):
-                    tests.append({**moment_ztest(batch, target, s), "path": path})
-                for c in range(scenario.k):
-                    tests.append({**ks_marginal(batch, target, c), "path": path})
+            checks = [(path, pool.submit(test, batch, target, arg))
+                      for path, batch in (("direct", direct), ("gamma", gamma))
+                      for test, args in runs for arg in args]
+            tests = [{**task.result(), "path": path} for path, task in checks]
             rec = energy_two_sample(direct, gamma, (task.result() for task in energy))
         except BaseException:
-            pool.shutdown(wait=False, cancel_futures=True)  # leave no queued energy task
+            pool.shutdown(wait=False, cancel_futures=True)  # leave no queued task
             raise
     rec["path"] = "direct-vs-gamma"
     tests.append(rec)

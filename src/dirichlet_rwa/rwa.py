@@ -7,18 +7,19 @@ sums of the alpha matrix and the law of z is Dirichlet of the column sums.
 There is one sampler, sample_rwa_direct_batch: every Dirichlet vector in it,
 weights included, is a row that sample_dirichlet_batch draws from its
 substream's one generator, block by block, on the threads of sampler_pool,
-which draw the next block while the calling thread sums and hands on this one.
-The test battery draws its second replicate from the same sampler on another
+each substream going on to its next block as soon as its own last one is
+drawn, while the calling thread sums and hands on the blocks in turn.  The
+test battery draws its second replicate from the same sampler on another
 stream, so comparing the two replicates checks the sampler against itself,
 not against a second algorithm; it shares the sampler's pool with its energy
-test, which takes the second replicate's rows as they are drawn.
+test, which takes the second replicate's rows as they are drawn, and with
+its moment and KS tests.
 """
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -108,37 +109,48 @@ def sample_rwa_direct_batch(sc: WeightedAverageScenario, n_samples: int,
     """(n_samples, k) array of z draws: w ~ Dirichlet(w_alpha) on substream 0,
     x_j ~ Dirichlet(row j) on substream 1 + j, z = sum_j w_j x_j.
 
-    The substreams are drawn in blocks of SAMPLE_BLOCK_ROWS rows.  A block's
-    1 + n draws run on the threads of sampler_pool, one block ahead: once all
-    of block b's draws have returned, block b + 1's are submitted, and only
-    then does the calling thread sum block b into z and hand it to on_rows.
-    Each substream's generator serves one task at a time, in block order, so
-    its rows are those of one call over all n_samples.  The calling thread sums
-    each block into z one summand at a time for j = 0..n-1, so memory is z
-    plus two blocks per substream and the sums are bitwise those of einsum
-    over an (n_samples, n, k) tensor of all the x_j, whatever the CPU count.
+    The substreams are drawn in blocks of SAMPLE_BLOCK_ROWS rows, a task per
+    substream and block on the threads of sampler_pool.  A substream's task
+    for block b + 1 first waits for its own block b, which the pool, taking
+    tasks in the order they were queued, has always started, and then draws;
+    no task waits for another substream.  So each generator serves one draw
+    at a time, in block order, and its rows are those of one call over all
+    n_samples.  Blocks 0 and 1 are queued at once, and block b + 2 when the
+    calling thread takes block b, before it sums block b into z and hands it
+    to on_rows; memory is z plus at most three blocks per substream.  The
+    calling thread sums each block into z one summand at a time for
+    j = 0..n-1, so the sums are bitwise those of einsum over an
+    (n_samples, n, k) tensor of all the x_j, whatever the CPU count.
 
     ``pool``, if given, is an open sampler_pool of the caller, who may give
     it other tasks too; otherwise the function opens its own.  ``on_rows``,
     if given, is called on the calling thread as on_rows(z, stop) each time
-    rows 0..stop-1 of z are final, while the pool draws the next block."""
+    rows 0..stop-1 of z are final, while the pool draws the next blocks."""
     if pool is None:
         with sampler_pool(sc, n_samples) as pool:
             return sample_rwa_direct_batch(sc, n_samples, rng, pool, on_rows)
     z = np.zeros((n_samples, sc.k))
     params = [DirichletParams(sc.w_alpha)] + [DirichletParams(row) for row in sc.x_alphas]
     gens = [rng.child(i).generator() for i in range(1 + sc.n)]
-
-    def block(start):
-        rows = min(SAMPLE_BLOCK_ROWS, n_samples - start)
-        return pool.map(sample_dirichlet_batch, params, repeat(rows), gens)
-
     starts = range(0, n_samples, SAMPLE_BLOCK_ROWS)
-    ahead = block(0) if starts else None
-    for start in starts:
-        w, *xs = ahead
-        if start + SAMPLE_BLOCK_ROWS < n_samples:
-            ahead = block(start + SAMPLE_BLOCK_ROWS)
+    queued = []  # per block, its draws' futures, one per substream
+
+    def draw(i, rows, prev):
+        if prev is not None:
+            prev.result()  # substream i's previous block, which the pool started first
+        return sample_dirichlet_batch(params[i], rows, gens[i])
+
+    def queue(b):
+        if b < len(starts):
+            rows = min(SAMPLE_BLOCK_ROWS, n_samples - starts[b])
+            prevs = queued[-1] if b else [None] * len(gens)
+            queued.append([pool.submit(draw, i, rows, prev) for i, prev in enumerate(prevs)])
+
+    queue(0)
+    queue(1)
+    for b, start in enumerate(starts):
+        w, *xs = [task.result() for task in queued.pop(0)]
+        queue(b + 2)
         out = z[start:start + SAMPLE_BLOCK_ROWS]
         for j, x in enumerate(xs):
             x *= w[:, j, None]

@@ -48,10 +48,10 @@ def moment_ztest(values: np.ndarray, target: DirichletParams, s) -> dict:
     samples against the exact target Dirichlet moment, standard error from
     the sample variance.
 
-    The product is s_1 + ... + s_k multiplications, left to right: column 1
-    s_1 times, then column 2 s_2 times, and so on.  Each is correctly
-    rounded, so the record does not depend on which SIMD loop numpy picks
-    for the CPU, as its ``np.power`` loops do.
+    The product takes its factors left to right: column 1 s_1 times, then
+    column 2 s_2 times, and so on, starting from a copy of the first.  Each
+    multiplication is correctly rounded, so the record does not depend on
+    which SIMD loop numpy picks for the CPU, as its ``np.power`` loops do.
     """
     s = tuple(int(v) for v in s)
     if len(s) != values.shape[1]:
@@ -61,10 +61,10 @@ def moment_ztest(values: np.ndarray, target: DirichletParams, s) -> dict:
         emp = exact = 1.0
         se = z = 0.0
     else:
-        prod = np.ones(values.shape[0])
-        for j, e in enumerate(s):
-            for _ in range(e):
-                prod *= values[:, j]
+        factors = [j for j, e in enumerate(s) for _ in range(e)]
+        prod = values[:, factors[0]].copy()
+        for j in factors[1:]:
+            prod *= values[:, j]
         emp = float(prod.mean())
         var = float(prod.var(ddof=1))
         if var <= 0:

@@ -430,16 +430,19 @@ def raise_degenerate(*args):
     raise ValueError("degenerate batch")
 
 
-@pytest.mark.parametrize("where", ["energy block", "moment test"])
+@pytest.mark.parametrize("where", ["energy block", "moment test", "ks test"])
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_battery_error_exits_2_and_leaves_no_thread(tmp_path, capsys, monkeypatch, where, cpus):
-    # an energy block that raises on a pool thread, or a test on the calling
-    # thread that raises while energy blocks are queued
+    # an energy block, a moment z-test or a KS test that raises on a pool
+    # thread while the other tasks are queued: the run exits 2 with the
+    # message, and the queued tasks are cancelled or joined
     if where == "energy block":
         monkeypatch.setattr(runner, "energy_block_statistics", raise_degenerate)
         monkeypatch.setattr(stattest, "energy_block_statistics", raise_degenerate)
-    else:
+    elif where == "moment test":
         monkeypatch.setattr(runner, "moment_ztest", raise_degenerate)
+    else:
+        monkeypatch.setattr(runner, "ks_marginal", raise_degenerate)
     monkeypatch.setattr(rwa, "_cpus", lambda: cpus)
     threads = threading.active_count()
     cfg = small_config(tmp_path / "reports")
@@ -451,7 +454,7 @@ def test_battery_error_exits_2_and_leaves_no_thread(tmp_path, capsys, monkeypatc
     battery.join(timeout=60)
     assert not battery.is_alive() and codes == [2]
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err == "error: degenerate batch\n", err
     assert not (tmp_path / "reports").exists()
     assert threading.active_count() == threads
 

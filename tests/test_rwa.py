@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -185,7 +186,7 @@ def test_pipelined_draws_keep_each_substream_in_block_order(cpus, monkeypatch):
     monkeypatch.setattr(rwa, "sample_dirichlet_batch", logged_draw)
     monkeypatch.setattr(rwa, "ThreadPoolExecutor", LoggingPool)
     sc = theorem_scenario(EXPORT_ALPHAS)
-    n_samples, streams = 3 * B + 5, 1 + sc.n
+    n_samples, streams, blocks = 4 * B + 5, 1 + sc.n, 5
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads swap often, so an overlap would show
     try:
@@ -199,20 +200,63 @@ def test_pipelined_draws_keep_each_substream_in_block_order(cpus, monkeypatch):
     for gen in gens:
         # one task at a time, each block's rows in turn
         events = [(event[0], event[2]) for event in log if len(event) == 3 and event[1] is gen]
-        assert events == [(edge, rows) for rows in (B, B, B, 5) for edge in ("start", "end")]
-    starts = [i for i, event in enumerate(log) if event[0] == "start"]
-    ends = [i for i, event in enumerate(log) if event[0] == "end"]
+        assert events == [(edge, rows) for rows in (B, B, B, B, 5) for edge in ("start", "end")]
     rows_at = [i for i, event in enumerate(log) if event[0] == "rows"]
-    assert [log[i][1] for i in rows_at] == [B, 2 * B, 3 * B, n_samples]
-    for b in range(1, 4):
-        # block b's draws start after all of block b - 1's have returned
-        assert min(starts[b * streams:(b + 1) * streams]) > ends[b * streams - 1]
+    assert [log[i][1] for i in rows_at] == [B, 2 * B, 3 * B, 4 * B, n_samples]
     submits = [i for i, event in enumerate(log) if event[0] == "submit"]
-    # one block ahead on any number of CPUs: block b + 1 is submitted before
-    # block b goes to on_rows
-    assert len(submits) == 4 * streams
-    for b in range(3):
-        assert submits[(b + 2) * streams - 1] < rows_at[b]
+    assert len(submits) == blocks * streams
+    for b, at in enumerate(rows_at):
+        # block b + 2 is queued before block b goes to on_rows, on any
+        # number of CPUs, and no block after it
+        assert sum(i < at for i in submits) == min(b + 3, blocks) * streams
+    # a block is alive from its submission until on_rows has its rows: at
+    # any time at most three per substream, counted by the submissions and
+    # by each generator's draws
+    queued, started, handed = 0, dict.fromkeys(gens, 0), 0
+    for event in log:
+        queued += event[0] == "submit"
+        if event[0] == "start":
+            started[event[1]] += 1
+        handed += event[0] == "rows"
+        assert queued - streams * handed <= 3 * streams
+        assert max(started.values()) - handed <= 3
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_failed_draw_raises_and_leaves_no_thread(cpus, monkeypatch):
+    # A draw that raises on one substream's third block, while later blocks
+    # of every substream are queued behind it: the sampler raises that error,
+    # the draws queued behind it on that substream raise it too, and every
+    # pool thread ends.
+    sc = theorem_scenario(EXPORT_ALPHAS)
+    failing = DirichletParams(sc.x_alphas[2])  # row 2's summand, on substream 3
+    calls = []
+
+    def failing_draw(params, rows, gen):
+        if params == failing:
+            calls.append(rows)
+            if len(calls) == 3:
+                raise ValueError("draw failed")
+        return sample_dirichlet_batch(params, rows, gen)
+
+    monkeypatch.setattr(rwa, "_cpus", lambda: cpus)
+    monkeypatch.setattr(rwa, "sample_dirichlet_batch", failing_draw)
+    threads = threading.active_count()
+    errors = []
+
+    def sample():
+        try:
+            sample_rwa_direct_batch(sc, 6 * B, RngStream(4242, 1))
+        except ValueError as e:
+            errors.append(e)
+
+    sampler = threading.Thread(target=sample)
+    sampler.start()
+    sampler.join(timeout=60)
+    assert not sampler.is_alive()
+    assert [str(e) for e in errors] == ["draw failed"]
+    assert len(calls) == 3  # the blocks queued behind the third never draw
+    assert threading.active_count() == threads
 
 
 def test_one_block_is_drawn_on_one_thread(monkeypatch):
