@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import DirichletParams
-from .moments import DIRMULT_TRIALS_CAP, MomentIndex, _check_pairs, kerov_tsilevich_check
+from .moments import (DIRMULT_TRIALS_CAP, _MAX_PAIRS, MomentIndex, _check_pairs,
+                      kerov_tsilevich_check)
 from .rwa import WeightedAverageScenario, theorem_scenario, variant_scenario
 from .stieltjes import _check_grid
 
@@ -141,6 +142,12 @@ def _check_values(kind: str, p: dict) -> None:
     elif kind == "dirmult":
         if p["max_trials"] > DIRMULT_TRIALS_CAP:
             raise ValueError(f"max_trials exceeds the cap of {DIRMULT_TRIALS_CAP}")
+        max_k, max_trials = int(p["max_k"]), int(p["max_trials"])
+        support = math.comb(max_trials + max_k - 1, max_k - 1)  # the largest enumerated
+        if support > _MAX_PAIRS:
+            raise ValueError(f"max_k {max_k} at max_trials {max_trials} has a "
+                             f"Dirichlet-multinomial support of {support:,} count vectors, "
+                             f"more than the cap of {_MAX_PAIRS:,}")
         for e in _numbers(p["entries"], "entries"):
             DirichletParams((e, e))
     elif kind == "stieltjes":

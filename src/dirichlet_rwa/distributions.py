@@ -93,6 +93,15 @@ def sample_dirichlet_batch(p: DirichletParams, n: int, gen: np.random.Generator)
     return gen.dirichlet(p.as_array(), size=n)
 
 
+def _log_rising(x: np.ndarray, m: int) -> np.ndarray:
+    """The tables of _log_rising_table along new last two axes, one per row
+    of x: the entries of an alpha, then their sum."""
+    out = np.zeros(x.shape + (m + 1,))
+    np.cumsum(np.log((x[..., None] + np.arange(m)) / x[..., -1:, None]), axis=-1,
+              out=out[..., 1:])
+    return out
+
+
 @functools.lru_cache(maxsize=256)
 def _log_rising_table(alpha: tuple, m: int) -> np.ndarray:
     """Log rising factorials of alpha for h = 0..m, read-only: row j holds
@@ -102,9 +111,7 @@ def _log_rising_table(alpha: tuple, m: int) -> np.ndarray:
     so no large scale cancels (log-gamma differences lose eps * x * log(x),
     6e-3 relative at x = 1e12).  The entries do not depend on m; callers
     take m = max(S, DEFAULT_ORDER_CAP)."""
-    x = np.asarray(alpha + (sum(alpha),))
-    out = np.zeros((x.size, m + 1))
-    np.cumsum(np.log((x[:, None] + np.arange(m)) / x[-1]), axis=-1, out=out[:, 1:])
+    out = _log_rising(np.asarray(alpha + (sum(alpha),)), m)
     out.flags.writeable = False
     return out
 

@@ -15,28 +15,40 @@ computable core this module exists to check.
 One table per scenario and depth S holds the finished moment of every cell
 of the simplex |h| <= S: prod_i F_i(t) on the simplex, each coefficient
 times its prod_j s_j! / (A)_S.  The caller states the depth it will read,
-so a run builds one table per matrix, and every index of total order <= S
-reads its moment from it, bit for bit what a table of its own order would
-give.  Each factor is multiplied in by one bincount over the C(S + 2k, 2k)
-pairs of cells whose sum stays in the simplex; _check_pairs caps that number
-at _MAX_PAIRS, and the validator refuses a config above it.
+and every index of total order <= S reads its moment from that table, bit
+for bit what a table of its own order would give.  Each factor is
+multiplied in by one bincount over the C(S + 2k, 2k) pairs of cells whose
+sum stays in the simplex; _check_pairs caps that number at _MAX_PAIRS, and
+the validator refuses a config above it.
+
+tabulate_moments builds the tables of a grid of matrices a batch at a time,
+one bincount per factor over every matrix of the batch, and
+tabulate_dirmult the Dirichlet-multinomial sums of a grid of alphas, one
+log pmf array per batch.  A batch holds at most _BATCH_ELEMENTS elements
+and at least one item.  Both put their results in a bounded, thread-safe
+cache, from which the per-item rwa_moment_expansion and
+dirmult_normalization_check read; on a miss they build a batch of one.
+Every result has the bits it has when built alone.
 
 The closed forms, the moment of the claimed Dirichlet law and the
-Dirichlet-multinomial pmf, read the one cached table of log rising
-factorials behind distributions.dirichlet_mixed_moment, and share no code
-with the expansion.
+Dirichlet-multinomial pmf, read the log rising factorials behind
+distributions.dirichlet_mixed_moment, and share no code with the
+expansion.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import DEFAULT_ORDER_CAP, DirichletParams, _log_moment, _log_rising_table
+from .distributions import (DEFAULT_ORDER_CAP, DirichletParams, _log_moment, _log_rising,
+                            _log_rising_table)
 from .rwa import WeightedAverageScenario
 
 __all__ = [
@@ -48,6 +60,8 @@ __all__ = [
     "rwa_moment_closed_form",
     "dirmult_normalization_check",
     "kerov_tsilevich_check",
+    "tabulate_moments",
+    "tabulate_dirmult",
 ]
 
 # Trial cap for explicit enumeration of the Dirichlet-multinomial support.
@@ -93,8 +107,15 @@ def compositions(total: int, parts: int):
 
 
 # Cost cap of a moment table: the simplex of k = 10 at order 8 has 3,108,105
-# pairs and peaks near 250 MB; k = 12 at order 8 (10.5M pairs) reached 726 MB.
+# pairs, and a run of two such matrices peaks near 175 MB.  It also caps the
+# rows of a Dirichlet-multinomial support that the validator accepts.
 _MAX_PAIRS = 2 ** 22
+
+# Element budget of a batch: matrices x cell pairs of a batch of moment
+# tables, alphas x support rows x k of a batch of Dirichlet-multinomial sums.
+# A batch holds at least one item, so a moment table of more pairs is built
+# alone.  Larger budgets raised the exact route's peak RSS.
+_BATCH_ELEMENTS = 2 ** 12
 
 
 def _check_pairs(k: int, top: int) -> None:
@@ -112,7 +133,7 @@ class _Cells(NamedTuple):
 
     cells[j] is coordinate j of every cell and degree its total |h|.  The
     pairs (left, right) are grouped by left in ascending order, and target
-    is the index of the cell left + right.
+    is the index of the cell left + right; the three are int32.
     """
 
     cells: np.ndarray
@@ -133,11 +154,12 @@ def _simplex(k: int, top: int):
     """The simplex of cells |h| <= top in lexicographic order and a dict from
     each cell to its index.
 
-    There are C(top + 2k, 2k) pairs, the length-2k vectors of total <= top.
-    The pairs are built in O(pairs) memory: each left cell h takes as right
-    cells a prefix of the cells sorted by degree, those of degree
-    <= top - |h|.  The index of a pair's sum is its lexicographic rank,
-    summed one coordinate at a time from a table of cell counts.
+    There are C(top + 2k, 2k) pairs, the length-2k vectors of total <= top,
+    fewer than 2^31.  Each left cell h takes as right cells a prefix of the
+    cells sorted by degree, those of degree <= top - |h|.  The index of a
+    pair's sum is its lexicographic rank, summed one coordinate at a time
+    from a table of cell counts, a block of 2^16 pairs at a time, so that
+    only the three int32 pair arrays have the full length.
     """
     _check_pairs(k, top)
     # Lexicographic compositions of top into k + 1 parts, less the slack part.
@@ -146,27 +168,90 @@ def _simplex(k: int, top: int):
     by_degree = np.argsort(degree, kind="stable")
     upto = np.searchsorted(degree[by_degree], np.arange(top + 1), side="right")
     count = upto[top - degree]
-    left = np.repeat(np.arange(degree.size), count)
-    start = np.repeat(np.cumsum(count) - count, count)
-    right = by_degree[np.arange(left.size) - start]
+    first = np.cumsum(count) - count  # the first pair of each left cell
+    left = np.repeat(np.arange(degree.size, dtype=np.int32), count)
     # below[m, r, v]: cells of length m + 1 and total <= r whose first
-    # coordinate is below v, i.e. sum over u < v of C(r - u + m, m).
+    # coordinate is below v, i.e. sum over u < v of C(r - u + m, m); flat
+    # in (r, v).
     below = np.zeros((k, top + 1, top + 1), dtype=np.intp)
     for m in range(k):
         for r in range(top + 1):
             below[m, r, 1:r + 1] = np.cumsum([math.comb(r - u + m, m) for u in range(r)])
-    target = np.zeros_like(left)
-    budget = np.full_like(left, top)
-    for j in range(k):
-        h = cells[j, left] + cells[j, right]
-        target += below[k - 1 - j, budget, h]
-        budget -= h
+    below = below.reshape(k, -1)
+    right = np.empty_like(left)
+    target = np.empty_like(left)
+    size = 16 * _BATCH_ELEMENTS  # 0.5 MB int64 temporaries, few numpy calls
+    for start in range(0, left.size, size):
+        block = slice(start, start + size)
+        lcell = left[block]
+        rcell = by_degree[np.arange(start, start + lcell.size) - first[lcell]]
+        right[block] = rcell
+        rank = np.zeros(lcell.size, dtype=np.intp)
+        budget = np.full(lcell.size, top)
+        for j in range(k):
+            h = cells[j, lcell] + cells[j, rcell]
+            rank += below[k - 1 - j].take(budget * (top + 1) + h)
+            budget -= h
+        target[block] = rank
     index = {cell: i for i, cell in enumerate(map(tuple, cells.T.tolist()))}
     return _Cells(*_read_only(cells, degree, left, right, target)), index
 
 
-def _rising_ratios(top: np.ndarray, bottom, m: int, e: int = 0) -> np.ndarray:
-    """(top)_h / (bottom)_h * 2^(-e h) for h = 0..m along a new last axis."""
+class _Cache:
+    """A thread-safe map from keys to the values of batches, each put with
+    its cost, its share of its batch's elements.  It holds values of at most
+    `budget` in all, and always the newest one; the oldest go first, once a
+    whole batch is in.  A read is one dict lookup, which needs no lock."""
+
+    def __init__(self, budget: int):
+        self._budget = budget
+        self._size = 0
+        self._entries = collections.OrderedDict()  # key -> (value, cost)
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        """The value of key, or None."""
+        entry = self._entries.get(key)
+        return None if entry is None else entry[0]
+
+    def put(self, items, cost: int) -> None:
+        """Put the (key, value) pairs of a batch, each at the given cost."""
+        with self._lock:
+            for key, value in items:
+                old = self._entries.pop(key, None)
+                self._size += cost - (0 if old is None else old[1])
+                self._entries[key] = (value, cost)
+            while self._size > self._budget and len(self._entries) > 1:
+                self._size -= self._entries.popitem(last=False)[1][1]
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._size = 0
+
+
+# The finished moment tables, by (w_alpha, x_alphas, depth), at a cost of
+# their cell pairs, and the Dirichlet-multinomial sums, by (alpha, trials),
+# at a cost of their support entries: two batches each, one for each of two
+# `run --workers` threads.
+_tables = _Cache(2 * _BATCH_ELEMENTS)
+_sums = _Cache(2 * _BATCH_ELEMENTS)
+
+
+def _in_batches(items, cost, build):
+    """Yield the items in order, each once build(batch) has run on the batch
+    that holds it: a run of _BATCH_ELEMENTS // cost(first) items, at least
+    one, where first is the run's first item."""
+    items = iter(items)
+    for first in items:
+        batch = [first, *itertools.islice(items, max(_BATCH_ELEMENTS // cost(first) - 1, 0))]
+        build(batch)
+        yield from batch
+
+
+def _rising_ratios(top: np.ndarray, bottom, m: int, e=0) -> np.ndarray:
+    """(top)_h / (bottom)_h * 2^(-e h) for h = 0..m along a new last axis;
+    e is an int or an int array that broadcasts against top[..., None]."""
     r = np.arange(m)
     out = np.ones(top.shape + (m + 1,))
     out[..., 1:] = np.ldexp((top[..., None] + r) / (np.asarray(bottom)[..., None] + r), -e)
@@ -183,35 +268,41 @@ def _scale_exponent(x_alphas: tuple) -> int:
     return max(math.frexp(max(map(max, x_alphas)))[1], 0)
 
 
-def _product(w_alpha: tuple, x_alphas: tuple, cs: _Cells, top: int) -> np.ndarray:
+def _product(w: np.ndarray, x: np.ndarray, e: np.ndarray, cs: _Cells, top: int) -> np.ndarray:
     """Coefficients of prod_i F_i(t / 2^e) on the simplex cs of cells
-    |h| <= top; e is _scale_exponent(x_alphas).
+    |h| <= top, one row per matrix of a batch: w (matrices, n) holds the
+    weight concentrations, x (matrices, n, k) the rows of x and e the
+    _scale_exponent of each matrix.
 
-    Each factor is multiplied in by one bincount, which adds the products
-    poly[h] * f[c - h] into cell c in ascending order of h.  Every
-    coefficient is so the same sum in the same order whatever the depth, so
-    simplices of every depth give the same bits for a shared cell.
+    Each factor is multiplied in by one bincount over every matrix's pairs,
+    each matrix's targets offset to its own row of cells, which adds the
+    products poly[h] * f[c - h] into cell c in ascending order of h.  Every
+    coefficient is so the same sum in the same order whatever the depth and
+    whatever else is in the batch, so a cell has the same bits in a table
+    of any depth, built alone or in a batch.
     """
-    a = np.asarray(w_alpha)
-    x = np.asarray(x_alphas)
+    matrices, size = len(w), cs.degree.size
     # F_i over the cells: (a_i)_{|h|}/(b_i)_{|h|} * prod_j (alpha_ij)_{h_j}/h_j! 2^(-e h_j)
-    per_row = _rising_ratios(a, x.sum(axis=1), top)
-    per_cell = _rising_ratios(x, 1.0, top, _scale_exponent(x_alphas))
-    coords = np.arange(x.shape[1])[:, None]
+    per_row = _rising_ratios(w, x.sum(axis=2), top)
+    per_cell = _rising_ratios(x, 1.0, top, e[:, None, None, None])
+    coords = np.arange(x.shape[2])[:, None]
+    target = (np.arange(matrices)[:, None] * size + cs.target).ravel()
     poly = None
-    for row, cell_row in zip(per_row, per_cell):
-        f = row[cs.degree] * np.prod(cell_row[coords, cs.cells], axis=0)
+    for i in range(x.shape[1]):
+        f = per_row[:, i, cs.degree] * np.prod(per_cell[:, i, coords, cs.cells], axis=1)
         if poly is None:
             poly = f
         else:
-            poly = np.bincount(cs.target, weights=poly[cs.left] * f[cs.right],
-                               minlength=f.size)
+            terms = poly[:, cs.left]
+            terms *= f[:, cs.right]
+            poly = np.bincount(target, weights=terms.ravel(),
+                               minlength=f.size).reshape(matrices, size)
     return poly
 
 
-def _finished(w_alpha: tuple, x_alphas: tuple, coeff: np.ndarray,
-              cells: np.ndarray) -> np.ndarray:
-    """The moments of the cells s (the columns of cells) from their
+def _finished(w: np.ndarray, e: np.ndarray, coeff: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """The moments of the cells s (the columns of cells) of each matrix of
+    a batch (the rows of coeff, of w and of e, as in _product) from their
     coefficients of prod_i F_i(t / 2^e): coeff * prod_j s_j! / (A)_S * 2^(eS).
 
     The factors q / ((A + r) / 2^e), r = 0..S-1 with q running through
@@ -219,24 +310,38 @@ def _finished(w_alpha: tuple, x_alphas: tuple, coeff: np.ndarray,
     2^1024 is not).  They are multiplied in ascending r from 1.0, as
     math.prod over them would, so a cell gets the same bits in a table of
     any depth."""
-    a_total = float(np.asarray(w_alpha).sum())
-    scale = 2.0 ** -_scale_exponent(x_alphas)
+    a_total = w.sum(axis=1)[:, None]
+    scale = np.ldexp(1.0, -e)[:, None]
     ends = np.cumsum(cells, axis=0)  # ends[j] = s_1 + ... + s_{j+1}
     out = np.ones(coeff.shape)
     for r in range(int(ends[-1].max(initial=0))):
         q = r + 1 - np.where(ends <= r, ends, 0).max(axis=0)
         live = ends[-1] > r
-        out[live] *= q[live] / ((a_total + r) * scale)
+        out[:, live] *= q[live] / ((a_total + r) * scale)
     return coeff * out
 
 
-@functools.lru_cache(maxsize=16)
-def _moment_table(w_alpha: tuple, x_alphas: tuple, top: int):
-    """A dict from each cell of the simplex |h| <= top to its index, and the
-    finished moments of the cells, read-only."""
-    cs, index = _simplex(len(x_alphas[0]), top)
-    moment = _finished(w_alpha, x_alphas, _product(w_alpha, x_alphas, cs, top), cs.cells)
-    return index, _read_only(moment)[0]
+def _tabulate(scenarios: list, top: int) -> np.ndarray:
+    """The finished moments of the simplex |h| <= top of each scenario, all
+    of one n and k, built as one batch and put in the shared cache; one
+    read-only row per scenario."""
+    cs, _ = _simplex(scenarios[0].k, top)
+    w = np.array([sc.w_alpha for sc in scenarios])
+    x = np.array([sc.x_alphas for sc in scenarios])
+    e = np.array([_scale_exponent(sc.x_alphas) for sc in scenarios])
+    moment, = _read_only(_finished(w, e, _product(w, x, e, cs, top), cs.cells))
+    _tables.put((((sc.w_alpha, sc.x_alphas, top), row) for sc, row in zip(scenarios, moment)),
+                cs.left.size)
+    return moment
+
+
+def tabulate_moments(scenarios, top: int):
+    """Yield the scenarios, all of one n and k, in order, each once its
+    moment table of depth top is cached: the tables are built in batches of
+    at most _BATCH_ELEMENTS cell pairs over all their matrices, so
+    rwa_moment_expansion(sc, s, top) then reads a batch's table."""
+    return _in_batches(scenarios, lambda sc: _simplex(sc.k, top)[0].left.size,
+                       lambda batch: _tabulate(batch, top))
 
 
 def rwa_moment_expansion(sc: WeightedAverageScenario, s: MomentIndex, top: int = 0) -> float:
@@ -244,17 +349,20 @@ def rwa_moment_expansion(sc: WeightedAverageScenario, s: MomentIndex, top: int =
     module docstring).
 
     The moment is read from the scenario's cached table of depth
-    max(top, s.total), so a caller that passes the highest order it will ask
-    builds one table per scenario.  Every term is positive, so nothing
-    cancels.  Only the weight concentrations and the rows of x enter; the
-    column sums never do, which keeps this oracle independent of
-    rwa_moment_closed_form and valid for scenarios whose weight
-    concentrations are not the row sums.
+    max(top, s.total), which tabulate_moments builds for a grid at a time and
+    a miss builds alone.  Every term is positive, so nothing cancels.  Only
+    the weight concentrations and the rows of x enter; the column sums never
+    do, which keeps this oracle independent of rwa_moment_closed_form and
+    valid for scenarios whose weight concentrations are not the row sums.
     """
-    if s.k != sc.k:
-        raise ValueError(f"moment index length {s.k} != scenario dimension {sc.k}")
-    index, moment = _moment_table(sc.w_alpha, sc.x_alphas, max(top, s.total))
-    return float(moment[index[s.s]])
+    k = sc.k
+    if s.k != k:
+        raise ValueError(f"moment index length {s.k} != scenario dimension {k}")
+    top = max(top, s.total)
+    moment = _tables.get((sc.w_alpha, sc.x_alphas, top))
+    if moment is None:
+        moment = _tabulate([sc], top)[0]
+    return float(moment[_simplex(k, top)[1][s.s]])
 
 
 def rwa_moment_closed_form(sc: WeightedAverageScenario, s: MomentIndex) -> float:
@@ -288,14 +396,15 @@ def _log_multinomial(n: int, c: np.ndarray) -> np.ndarray:
     return log_fact[n] - log_fact[c].sum(axis=1)
 
 
-def _log_pmf(p: DirMultParams, c: np.ndarray, log_multinomial: np.ndarray) -> np.ndarray:
-    """The log pmf of p at the rows of c from their log multinomial
-    coefficients: the log Dirichlet moment, read from the table of alpha,
-    added on."""
-    alpha = p.alpha.alpha
-    n = p.trials
-    logs = _log_rising_table(alpha, max(n, DEFAULT_ORDER_CAP))
-    return log_multinomial + logs[np.arange(len(alpha)), c].sum(axis=1) - logs[-1, n]
+def _log_pmf(logs: np.ndarray, n: int, c: np.ndarray, log_multinomial: np.ndarray) -> np.ndarray:
+    """The log pmf at n trials at the rows of c, one row per table of logs
+    (alphas, k + 1, > n), each an alpha's table of _log_rising_table, from
+    the rows' log multinomial coefficients: the log Dirichlet moment added
+    on."""
+    out = logs[:, np.arange(c.shape[1]), c].sum(axis=-1)
+    out += log_multinomial
+    out -= logs[:, -1, n, None]
+    return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -307,14 +416,36 @@ def _dirmult_support(trials: int, cells: int):
     return _read_only(support, _log_multinomial(trials, support))
 
 
+def _normalize(params: list) -> list:
+    """The pmf sums over the support of each of params, all of one trial
+    count and k, from one log pmf array, each a math.fsum and put in the
+    shared cache."""
+    n = params[0].trials
+    if n > DIRMULT_TRIALS_CAP:
+        raise ValueError(f"trials={n} exceeds the enumeration cap of {DIRMULT_TRIALS_CAP}")
+    support, log_multinomial = _dirmult_support(n, params[0].alpha.k)
+    alphas = [p.alpha.alpha for p in params]
+    logs = _log_rising(np.array([a + (sum(a),) for a in alphas]), max(n, DEFAULT_ORDER_CAP))
+    pmf = _log_pmf(logs, n, support, log_multinomial)
+    totals = [math.fsum(row) for row in np.exp(pmf, out=pmf).tolist()]
+    _sums.put((((a, n), total) for a, total in zip(alphas, totals)), support.size)
+    return totals
+
+
+def tabulate_dirmult(params):
+    """Yield params, all of one trial count and k, in order, each once its
+    normalization sum is cached: the sums are built in batches of at most
+    _BATCH_ELEMENTS support entries over all their alphas, so
+    dirmult_normalization_check then reads a batch's sum."""
+    return _in_batches(params, lambda p: math.comb(p.trials + p.alpha.k - 1, p.alpha.k - 1)
+                       * p.alpha.k, _normalize)
+
+
 def dirmult_normalization_check(p: DirMultParams) -> float:
-    """Sum of the pmf over the whole support; contract: 1 within 1e-10."""
-    if p.trials > DIRMULT_TRIALS_CAP:
-        raise ValueError(
-            f"trials={p.trials} exceeds the enumeration cap of {DIRMULT_TRIALS_CAP}"
-        )
-    support, log_multinomial = _dirmult_support(p.trials, p.alpha.k)
-    return math.fsum(np.exp(_log_pmf(p, support, log_multinomial)).tolist())
+    """Sum of the pmf over the whole support; contract: 1 within 1e-10.
+    Read from the cache that tabulate_dirmult fills; a miss sums p alone."""
+    total = _sums.get((p.alpha.alpha, p.trials))
+    return _normalize([p])[0] if total is None else total
 
 
 def kerov_tsilevich_check(alpha, t, order: int = 12):
@@ -342,7 +473,8 @@ def kerov_tsilevich_check(alpha, t, order: int = 12):
     series_terms = [1.0]
     for m in range(1, order + 1):
         support, log_multinomial = _dirmult_support(m, p.k)
-        pmf = np.exp(_log_pmf(DirMultParams(p, m), support, log_multinomial))
+        logs = _log_rising_table(p.alpha, max(m, DEFAULT_ORDER_CAP))[None]
+        pmf = np.exp(_log_pmf(logs, m, support, log_multinomial)[0])
         inner = math.fsum(pmf * np.prod(t ** support, axis=1))
         series_terms.append(math.exp(log_poch[m]) * inner)
     series = math.fsum(series_terms)

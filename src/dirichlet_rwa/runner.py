@@ -29,6 +29,8 @@ from .moments import (
     kerov_tsilevich_check,
     rwa_moment_closed_form,
     rwa_moment_expansion,
+    tabulate_dirmult,
+    tabulate_moments,
 )
 from .rwa import (
     sample_rwa_direct_batch,
@@ -179,6 +181,11 @@ def _worse(worst: float, err: float) -> float:
 
 
 def _run_moments(sc: ScenarioConfig):
+    """One moment-equality record per (n, k) size: the expansion against the
+    closed form at every index up to max_total_order, on each matrix of the
+    size's grid.  tabulate_moments builds the grid's tables a batch at a
+    time, and rwa_moment_expansion reads each moment from its matrix's
+    table."""
     p = sc.params
     n_random, max_total = int(p["n_random"]), int(p["max_total_order"])
     tests = []
@@ -186,8 +193,8 @@ def _run_moments(sc: ScenarioConfig):
         worst = 0.0
         checked = 0
         indices = [MomentIndex(s) for s in moment_indices(k, max_total)]
-        for mat in _spec_grid(n, k, p["entries"], n_random, sc.seed):
-            scenario = theorem_scenario(mat)
+        grid = map(theorem_scenario, _spec_grid(n, k, p["entries"], n_random, sc.seed))
+        for scenario in tabulate_moments(grid, max_total):
             for idx in indices:
                 a = rwa_moment_expansion(scenario, idx, max_total)
                 b = rwa_moment_closed_form(scenario, idx)
@@ -209,15 +216,19 @@ def _run_moments(sc: ScenarioConfig):
 
 
 def _run_dirmult(sc: ScenarioConfig):
+    """One record of the worst normalization error over every alpha of
+    entries of each length k and every trial count.  For each k and trial
+    count, tabulate_dirmult sums the pmf of the alphas a batch at a time,
+    and dirmult_normalization_check reads each alpha's sum."""
     max_trials, max_k = int(sc.params["max_trials"]), int(sc.params["max_k"])
     entries = [float(e) for e in sc.params["entries"]]
     worst = 0.0
     checked = 0
     for k in range(2, max_k + 1):
-        for alpha in itertools.product(entries, repeat=k):
-            p = DirichletParams(alpha)
-            for trials in range(max_trials + 1):
-                total = dirmult_normalization_check(DirMultParams(p, trials))
+        alphas = [DirichletParams(alpha) for alpha in itertools.product(entries, repeat=k)]
+        for trials in range(max_trials + 1):
+            for p in tabulate_dirmult(DirMultParams(alpha, trials) for alpha in alphas):
+                total = dirmult_normalization_check(p)
                 worst = _worse(worst, abs(total - 1.0))
                 checked += 1
     tests = [

@@ -66,7 +66,11 @@ def moment_ztest(values: np.ndarray, target: DirichletParams, s) -> dict:
         for j in factors[1:]:
             prod *= values[:, j]
         emp = float(prod.mean())
-        var = float(prod.var(ddof=1))
+        # np.var(ddof=1)'s steps on prod itself: its deviations, squared, summed
+        # and divided by n - 1, without a deviation array of its own.
+        prod -= emp
+        np.square(prod, out=prod)
+        var = float(prod.sum() / (values.shape[0] - 1))
         if var <= 0:
             raise ValueError("degenerate batch: zero sample variance")
         se = math.sqrt(var / values.shape[0])

@@ -31,6 +31,7 @@ BAD_VALUES = {
     "kt-default-t-length": {"kind": "kerov_tsilevich", "alphas": [[1, 2, 3]]},
     "moments-order-cap": {"kind": "moments", "max_total_order": 9},
     "dirmult-trials-cap": {"kind": "dirmult", "max_trials": 65},
+    "dirmult-support-cap": {"kind": "dirmult", "max_k": 12, "max_trials": 64},
     "stieltjes-order-1": {"kind": "stieltjes", "orders": [1]},
     "moments-one-row": {"kind": "moments", "sizes": [[1, 2]]},
     "moments-pair-cap": {"kind": "moments", "sizes": [[2, 11]], "max_total_order": 8},
@@ -56,6 +57,25 @@ def test_bad_value_exits_2_before_any_scenario_runs(tmp_path, capsys, bad):
     assert run(tmp_path, cfg) == 2
     assert capsys.readouterr().err.startswith("error: scenarios[1]: ")
     assert not (tmp_path / "reports").exists()
+
+
+def test_dirmult_support_cap_refused_without_enumerating(monkeypatch):
+    # C(75, 11) = 4.9e12 count vectors at max_k 12 and 64 trials, C(69, 5) =
+    # 1.1e7 at max_k 6; C(68, 4) = 814,385 at max_k 5 is within the cap
+    from dirichlet_rwa import moments
+
+    def no_enumeration(*args):
+        raise AssertionError("the validator enumerated a support")
+
+    monkeypatch.setattr(moments, "compositions", no_enumeration)
+    for max_k, support in ((12, "4,898,229,264,825"), (6, "11,238,513")):
+        sc = {"id": "d", "kind": "dirmult", "seed": 1, "max_k": max_k, "max_trials": 64}
+        with pytest.raises(ConfigError, match=rf"max_k {max_k} at max_trials 64 has a "
+                                              rf"Dirichlet-multinomial support of {support} "
+                                              r"count vectors, more than the cap of 4,194,304"):
+            parse_config(config("r", sc))
+    parse_config(config("r", {"id": "d", "kind": "dirmult", "seed": 1, "max_k": 5,
+                               "max_trials": 64.0}))
 
 
 @pytest.mark.parametrize(

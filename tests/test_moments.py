@@ -220,11 +220,11 @@ def _three_readings(sc, indices):
     order from one table as deep as the deepest index, and from the table
     of its own order, on cleared caches, each list in the order of indices."""
     top = max(idx.total for idx in indices)
-    moments._moment_table.cache_clear()
+    moments._tables.clear()
     ascending = [rwa_moment_expansion(sc, idx, top) for idx in indices]
-    moments._moment_table.cache_clear()
+    moments._tables.clear()
     descending = [rwa_moment_expansion(sc, idx, top) for idx in reversed(indices)][::-1]
-    moments._moment_table.cache_clear()
+    moments._tables.clear()
     alone = [rwa_moment_expansion(sc, idx) for idx in indices]
     return ascending, descending, alone
 
@@ -252,29 +252,117 @@ def test_run_moments_builds_one_table_per_matrix(monkeypatch):
     from dirichlet_rwa import runner
     from dirichlet_rwa.config import ScenarioConfig
 
-    built = []
+    batches = []
     product = moments._product
 
-    def counting_product(w_alpha, x_alphas, cs, top):
-        built.append((w_alpha, x_alphas))
-        return product(w_alpha, x_alphas, cs, top)
+    def counting_product(w, x, e, cs, top):
+        batches.append([(tuple(wm), tuple(map(tuple, xm))) for wm, xm in zip(w.tolist(), x.tolist())])
+        return product(w, x, e, cs, top)
 
     monkeypatch.setattr(moments, "_product", counting_product)
-    moments._moment_table.cache_clear()
+    moments._tables.clear()
     sc = ScenarioConfig("m", "moments", 1, {"max_total_order": 5, "sizes": [[2, 2], [2, 3]],
                                             "entries": [0.5, 2.0]})
     tests, _ = runner._run_moments(sc)
     assert all(t["pass"] for t in tests)
-    # exhaustive grids: 2^4 matrices of 2 x 2, 2^6 of 2 x 3
+    # exhaustive grids: 2^4 matrices of 2 x 2, 2^6 of 2 x 3, each in exactly
+    # one batch of at most _BATCH_ELEMENTS cell pairs
+    built = [matrix for batch in batches for matrix in batch]
     assert len(built) == 2 ** 4 + 2 ** 6
     assert len(set(built)) == len(built)
+    want = []
+    for matrices, k in ((2 ** 4, 2), (2 ** 6, 3)):
+        size = moments._BATCH_ELEMENTS // math.comb(5 + 2 * k, 2 * k)
+        want += [min(size, matrices - start) for start in range(0, matrices, size)]
+    assert [len(batch) for batch in batches] == want
+
+
+def _one_table(sc, top):
+    """Reference: the finished moments of one matrix, by the one-matrix
+    product and finishing loop that the batched builder replaced."""
+    cs, _ = moments._simplex(sc.k, top)
+    e = moments._scale_exponent(sc.x_alphas)
+    a = np.asarray(sc.w_alpha)
+    x = np.asarray(sc.x_alphas)
+    per_row = moments._rising_ratios(a, x.sum(axis=1), top)
+    per_cell = moments._rising_ratios(x, 1.0, top, e)
+    coords = np.arange(sc.k)[:, None]
+    poly = None
+    for row, cell_row in zip(per_row, per_cell):
+        f = row[cs.degree] * np.prod(cell_row[coords, cs.cells], axis=0)
+        poly = f if poly is None else np.bincount(
+            cs.target, weights=poly[cs.left] * f[cs.right], minlength=f.size)
+    a_total = float(a.sum())
+    ends = np.cumsum(cs.cells, axis=0)
+    out = np.ones(poly.shape)
+    for r in range(int(ends[-1].max(initial=0))):
+        q = r + 1 - np.where(ends <= r, ends, 0).max(axis=0)
+        live = ends[-1] > r
+        out[live] *= q[live] / ((a_total + r) * 2.0 ** -e)
+    return poly * out
+
+
+# entries from 0.5 to 1e39, so that _scale_exponent differs inside a batch
+span_entry = st.sampled_from([0.5, 0.75, 3.0, 1e3, 1e12, 1e39]) | st.floats(0.5, 1e39)
+
+
+@st.composite
+def _grids(draw):
+    n, k = draw(st.integers(2, 12)), draw(st.integers(2, 4))
+    matrix = st.lists(st.lists(span_entry, min_size=k, max_size=k), min_size=n, max_size=n)
+    return draw(st.lists(matrix, min_size=1, max_size=12))
+
+
+@given(_grids(), st.integers(1, DEFAULT_ORDER_CAP))
+# 2 x 2 tables of order 8 go 8 to a batch of the element budget, and
+# entries of 1e3 to 1e36 give each matrix its own _scale_exponent
+@example([[[0.5 + i, 10.0 ** (3 * i + 3)], [3.0, 2.0]] for i in range(12)], DEFAULT_ORDER_CAP)
+@settings(max_examples=60, deadline=None)
+def test_batched_tables_equal_tables_one_matrix_at_a_time(matrices, top):
+    grid = [theorem_scenario(mat) for mat in matrices]
+    want = [_one_table(sc, top).tobytes() for sc in grid]
+    assert [table.tobytes() for table in moments._tabulate(grid, top)] == want
+    assert [moments._tabulate([sc], top)[0].tobytes() for sc in grid] == want
+    # in batches of the element budget, which a grid may cross
+    chunked = [moments._tables.get((sc.w_alpha, sc.x_alphas, top)).tobytes()
+               for sc in moments.tabulate_moments(grid, top)]
+    assert chunked == want
+
+
+def test_batches_across_a_boundary_read_the_tables_of_one_matrix(monkeypatch):
+    # 2 x 2 matrices at order 8 have C(12, 4) = 495 cell pairs, so this grid
+    # spans three batches, in each of which _scale_exponent differs
+    top = 8
+    per_batch = moments._BATCH_ELEMENTS // math.comb(top + 4, 4)
+    entries = [0.5, 3.0, 1e3, 1e12, 1e39]
+    grid = [theorem_scenario([[entries[i % 5], entries[i * 3 % 5]],
+                              [entries[i * 7 % 5], 1.0 + i]]) for i in range(2 * per_batch + 4)]
+    for start in range(0, len(grid), per_batch):
+        assert len({moments._scale_exponent(sc.x_alphas)
+                    for sc in grid[start:start + per_batch]}) > 1
+    sizes = []
+    tabulate = moments._tabulate
+
+    def counting_tabulate(batch, depth):
+        sizes.append(len(batch))
+        return tabulate(batch, depth)
+
+    monkeypatch.setattr(moments, "_tabulate", counting_tabulate)
+    moments._tables.clear()
+    indices = [MomentIndex(s) for total in range(1, top + 1) for s in compositions(total, 2)]
+    for sc in moments.tabulate_moments(iter(grid), top):
+        got = np.array([rwa_moment_expansion(sc, idx, top) for idx in indices])
+        cs, index = moments._simplex(2, top)
+        want = _one_table(sc, top)[[index[idx.s] for idx in indices]]
+        assert got.tobytes() == want.tobytes()
+    assert sizes == [per_batch, per_batch, 4]
 
 
 def test_cached_tables_are_read_only():
     sc = theorem_scenario([[1.0, 2.0, 0.5], [3.0, 0.25, 1.5]])
     rwa_moment_expansion(sc, MomentIndex((1, 2, 0)))
     cs, _ = moments._simplex(3, 3)
-    _, table = moments._moment_table(sc.w_alpha, sc.x_alphas, 3)
+    table = moments._tables.get((sc.w_alpha, sc.x_alphas, 3))
     support = moments._dirmult_support(3, 3)
     for arr in (*cs, table, *support):
         assert not arr.flags.writeable
@@ -282,13 +370,14 @@ def test_cached_tables_are_read_only():
             arr[0] = 0
 
 
-def test_tables_shared_by_threads():
-    # More scenarios than the caches hold and more threads than cores, with
+def test_tables_shared_by_threads(monkeypatch):
+    # More tables than the cache holds and more threads than cores, with
     # frequent thread switches: every thread must still read its own
     # scenario's moments.  Tasks read a scenario's indices in ascending,
     # descending or interleaved order, from one table of order 5 or from
-    # the tables of each index's own order, so threads build, read and
-    # evict the same tables at once.
+    # the tables of each index's own order, or tabulate a run of scenarios
+    # in one batch first, so threads build, read and evict the same tables
+    # at once.
     scenarios = [theorem_scenario([[0.25 * (i + 1), 1.0, 2.0], [3.5, 0.5, 0.125 * (i + 1)]])
                  for i in range(24)]
     indices = [MomentIndex(s) for total in range(1, 6) for s in compositions(total, 3)]
@@ -296,23 +385,27 @@ def test_tables_shared_by_threads():
     zigzag = [i for pair in zip(ascending, reversed(ascending)) for i in pair][:len(indices)]
     orders = [ascending, ascending[::-1], zigzag]
     tasks = [(sc, order, top) for top in (0, 5) for order in orders for sc in scenarios]
+    tasks += [(scenarios[i:i + 6], ascending, 5) for i in range(0, len(scenarios), 6)]
 
     def expand(task):
         sc, order, top = task
+        if isinstance(sc, list):
+            return [expand((each, order, top))[0] for each in moments.tabulate_moments(sc, top)]
         got = {i: rwa_moment_expansion(sc, indices[i], top) for i in order}
-        return [got[i] for i in range(len(indices))]
+        return [[got[i] for i in range(len(indices))]]
 
     want = [[_box_expansion(sc, idx.s) for idx in indices] for sc in scenarios]
-    moments._moment_table.cache_clear()
+    # room for 8 tables of order 5 (462 cell pairs each)
+    monkeypatch.setattr(moments, "_tables", moments._Cache(8 * 462))
     moments._simplex.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(expand, tasks, timeout=120))
+            got = [table for tables in pool.map(expand, tasks, timeout=120) for table in tables]
     finally:
         sys.setswitchinterval(interval)
-    assert got == want * len(orders) * 2
+    assert got == want * len(orders) * 2 + want
 
 
 def _exact_rising(x, m):
@@ -346,7 +439,9 @@ def support_pmf(p):
     """The support of p and its pmf there, by the path that
     dirmult_normalization_check and kerov_tsilevich_check read."""
     support, log_multinomial = moments._dirmult_support(p.trials, p.alpha.k)
-    return support.tolist(), np.exp(moments._log_pmf(p, support, log_multinomial))
+    logs = _log_rising_table(p.alpha.alpha, max(p.trials, DEFAULT_ORDER_CAP))[None]
+    log_pmf = moments._log_pmf(logs, p.trials, support, log_multinomial)[0]
+    return support.tolist(), np.exp(log_pmf)
 
 
 @pytest.mark.parametrize("e", [1e-3, 0.5, 1e4, 1e6, 1e12, 1e100])
@@ -471,6 +566,20 @@ def test_dirmult_normalization_bitwise_reference(k):
         for alpha in (np.full(k, 0.5), np.exp(rng.uniform(np.log(1e-3), np.log(1e4), k))):
             p = DirMultParams(DirichletParams(alpha), trials)
             assert dirmult_normalization_check(p) == _parent_normalization(p), (alpha, trials)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_dirmult_batch_of_many_equals_reference(k):
+    rng = np.random.default_rng(10 + k)
+    alphas = [np.full(k, 0.5), *np.exp(rng.uniform(np.log(1e-3), np.log(1e4), (7, k)))]
+    alphas = [DirichletParams(a) for a in alphas]
+    for trials in range(21):
+        params = [DirMultParams(a, trials) for a in alphas]
+        want = [_parent_normalization(p) for p in params]
+        assert moments._normalize(params) == want, trials
+        moments._sums.clear()
+        assert list(moments.tabulate_dirmult(iter(params))) == params
+        assert [dirmult_normalization_check(p) for p in params] == want, trials
 
 
 def test_dirmult_trials_cap():

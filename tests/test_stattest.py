@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,6 +341,21 @@ def test_moment_orders_0_to_3_equal_pow_product(s):
     values = batch((0.5, 1, 2, 3), 100_000, 115)
     target = DirichletParams((0.5, 1, 2, 3))
     assert moment_ztest(values, target, s) == multiplied_moment_ztest(values, target, s)
+
+
+def test_moment_ztest_holds_one_array_of_the_batch_length():
+    # the product is the only 1.6 MB array on 200k draws: the variance is
+    # taken on it in place, with no deviation array beside it
+    values = batch((1, 2, 3), 200_000, 116)
+    target = DirichletParams((1, 2, 3))
+    moment_ztest(values, target, (1, 1, 1))  # table and import caches
+    tracemalloc.start()
+    try:
+        moment_ztest(values, target, (1, 1, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * values.shape[0] * 8, peak
 
 
 def test_moment_and_ks_called_once_per_check(monkeypatch):
