@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import DirichletParams
-from .moments import (DIRMULT_TRIALS_CAP, _MAX_PAIRS, MomentIndex, _check_pairs,
+from .moments import (DIRMULT_TRIALS_CAP, MomentIndex, _check_pairs, _check_support,
                       kerov_tsilevich_check)
 from .rwa import WeightedAverageScenario, theorem_scenario, variant_scenario
 from .stieltjes import _check_grid
@@ -142,12 +142,7 @@ def _check_values(kind: str, p: dict) -> None:
     elif kind == "dirmult":
         if p["max_trials"] > DIRMULT_TRIALS_CAP:
             raise ValueError(f"max_trials exceeds the cap of {DIRMULT_TRIALS_CAP}")
-        max_k, max_trials = int(p["max_k"]), int(p["max_trials"])
-        support = math.comb(max_trials + max_k - 1, max_k - 1)  # the largest enumerated
-        if support > _MAX_PAIRS:
-            raise ValueError(f"max_k {max_k} at max_trials {max_trials} has a "
-                             f"Dirichlet-multinomial support of {support:,} count vectors, "
-                             f"more than the cap of {_MAX_PAIRS:,}")
+        _check_support(int(p["max_k"]), int(p["max_trials"]))  # the largest enumerated
         for e in _numbers(p["entries"], "entries"):
             DirichletParams((e, e))
     elif kind == "stieltjes":
@@ -157,6 +152,7 @@ def _check_values(kind: str, p: dict) -> None:
     else:
         t_values = _rows(p["t_values"], "t_values")
         for alpha in _rows(p["alphas"], "alphas"):
+            _check_support(len(alpha), 12)  # the runner's kerov_tsilevich_check order
             for t in t_values:
                 kerov_tsilevich_check(alpha, t, order=0)  # argument checks only
 

@@ -25,10 +25,10 @@ tabulate_moments builds the tables of a grid of matrices a batch at a time,
 one bincount per factor over every matrix of the batch, and
 tabulate_dirmult the Dirichlet-multinomial sums of a grid of alphas, one
 log pmf array per batch.  A batch holds at most _BATCH_ELEMENTS elements
-and at least one item.  Both put their results in a bounded, thread-safe
-cache, from which the per-item rwa_moment_expansion and
-dirmult_normalization_check read; on a miss they build a batch of one.
-Every result has the bits it has when built alone.
+and at least one item, and replaces its thread's last batch of its kind,
+which the per-item rwa_moment_expansion and dirmult_normalization_check
+read; on a miss they build a batch of one.  Every result has the bits it
+has when built alone.
 
 The closed forms, the moment of the claimed Dirichlet law and the
 Dirichlet-multinomial pmf, read the log rising factorials behind
@@ -37,7 +37,6 @@ expansion.
 """
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -108,13 +107,13 @@ def compositions(total: int, parts: int):
 
 # Cost cap of a moment table: the simplex of k = 10 at order 8 has 3,108,105
 # pairs, and a run of two such matrices peaks near 175 MB.  It also caps the
-# rows of a Dirichlet-multinomial support that the validator accepts.
+# count vectors of a Dirichlet-multinomial support (_check_support).
 _MAX_PAIRS = 2 ** 22
 
-# Element budget of a batch: matrices x cell pairs of a batch of moment
-# tables, alphas x support rows x k of a batch of Dirichlet-multinomial sums.
-# A batch holds at least one item, so a moment table of more pairs is built
-# alone.  Larger budgets raised the exact route's peak RSS.
+# Element budget of a batch, and so of each thread's last batch of each kind:
+# matrices x cell pairs of moment tables, alphas x support rows x k of
+# Dirichlet-multinomial sums.  A batch holds at least one item, so a moment
+# table of more pairs is built alone.  Larger budgets raised peak RSS.
 _BATCH_ELEMENTS = 2 ** 12
 
 
@@ -125,6 +124,15 @@ def _check_pairs(k: int, top: int) -> None:
     if pairs > _MAX_PAIRS:
         raise ValueError(f"a moment table of k = {k} at order {top} has {pairs:,} cell "
                          f"pairs, more than the cap of {_MAX_PAIRS:,}")
+
+
+def _check_support(k: int, trials: int) -> None:
+    """Raise ValueError if the support of trials in k cells has over _MAX_PAIRS rows."""
+    support = math.comb(trials + k - 1, k - 1)
+    if support > _MAX_PAIRS:
+        raise ValueError(f"alphas of {k} coordinates at {trials} trials have a "
+                         f"Dirichlet-multinomial support of {support:,} count vectors, "
+                         f"more than the cap of {_MAX_PAIRS:,}")
 
 
 class _Cells(NamedTuple):
@@ -197,45 +205,9 @@ def _simplex(k: int, top: int):
     return _Cells(*_read_only(cells, degree, left, right, target)), index
 
 
-class _Cache:
-    """A thread-safe map from keys to the values of batches, each put with
-    its cost, its share of its batch's elements.  It holds values of at most
-    `budget` in all, and always the newest one; the oldest go first, once a
-    whole batch is in.  A read is one dict lookup, which needs no lock."""
-
-    def __init__(self, budget: int):
-        self._budget = budget
-        self._size = 0
-        self._entries = collections.OrderedDict()  # key -> (value, cost)
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        """The value of key, or None."""
-        entry = self._entries.get(key)
-        return None if entry is None else entry[0]
-
-    def put(self, items, cost: int) -> None:
-        """Put the (key, value) pairs of a batch, each at the given cost."""
-        with self._lock:
-            for key, value in items:
-                old = self._entries.pop(key, None)
-                self._size += cost - (0 if old is None else old[1])
-                self._entries[key] = (value, cost)
-            while self._size > self._budget and len(self._entries) > 1:
-                self._size -= self._entries.popitem(last=False)[1][1]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._size = 0
-
-
-# The finished moment tables, by (w_alpha, x_alphas, depth), at a cost of
-# their cell pairs, and the Dirichlet-multinomial sums, by (alpha, trials),
-# at a cost of their support entries: two batches each, one for each of two
-# `run --workers` threads.
-_tables = _Cache(2 * _BATCH_ELEMENTS)
-_sums = _Cache(2 * _BATCH_ELEMENTS)
+# Each thread's last batches: finished moment tables by (w_alpha, x_alphas,
+# depth) in `tables`, Dirichlet-multinomial sums by (alpha, trials) in `sums`.
+_last = threading.local()
 
 
 def _in_batches(items, cost, build):
@@ -323,23 +295,22 @@ def _finished(w: np.ndarray, e: np.ndarray, coeff: np.ndarray, cells: np.ndarray
 
 def _tabulate(scenarios: list, top: int) -> np.ndarray:
     """The finished moments of the simplex |h| <= top of each scenario, all
-    of one n and k, built as one batch and put in the shared cache; one
+    of one n and k, built as one batch that becomes this thread's last; one
     read-only row per scenario."""
     cs, _ = _simplex(scenarios[0].k, top)
     w = np.array([sc.w_alpha for sc in scenarios])
     x = np.array([sc.x_alphas for sc in scenarios])
     e = np.array([_scale_exponent(sc.x_alphas) for sc in scenarios])
     moment, = _read_only(_finished(w, e, _product(w, x, e, cs, top), cs.cells))
-    _tables.put((((sc.w_alpha, sc.x_alphas, top), row) for sc, row in zip(scenarios, moment)),
-                cs.left.size)
+    _last.tables = {(sc.w_alpha, sc.x_alphas, top): row for sc, row in zip(scenarios, moment)}
     return moment
 
 
 def tabulate_moments(scenarios, top: int):
     """Yield the scenarios, all of one n and k, in order, each once its
-    moment table of depth top is cached: the tables are built in batches of
+    moment table of depth top is built: the tables are built in batches of
     at most _BATCH_ELEMENTS cell pairs over all their matrices, so
-    rwa_moment_expansion(sc, s, top) then reads a batch's table."""
+    rwa_moment_expansion(sc, s, top) then reads the thread's last batch."""
     return _in_batches(scenarios, lambda sc: _simplex(sc.k, top)[0].left.size,
                        lambda batch: _tabulate(batch, top))
 
@@ -348,18 +319,19 @@ def rwa_moment_expansion(sc: WeightedAverageScenario, s: MomentIndex, top: int =
     """E[prod_j z_j^{s_j}] as the coefficient [t^s] of prod_i F_i(t) (see the
     module docstring).
 
-    The moment is read from the scenario's cached table of depth
-    max(top, s.total), which tabulate_moments builds for a grid at a time and
-    a miss builds alone.  Every term is positive, so nothing cancels.  Only
-    the weight concentrations and the rows of x enter; the column sums never
-    do, which keeps this oracle independent of rwa_moment_closed_form and
-    valid for scenarios whose weight concentrations are not the row sums.
+    The moment is read from the scenario's table of depth max(top, s.total)
+    in this thread's last batch, which tabulate_moments builds for a grid at
+    a time and a miss builds alone.  Every term is positive, so nothing
+    cancels.  Only the weight concentrations and the rows of x enter; the
+    column sums never do, which keeps this oracle independent of
+    rwa_moment_closed_form and valid for scenarios whose weight
+    concentrations are not the row sums.
     """
     k = sc.k
     if s.k != k:
         raise ValueError(f"moment index length {s.k} != scenario dimension {k}")
     top = max(top, s.total)
-    moment = _tables.get((sc.w_alpha, sc.x_alphas, top))
+    moment = getattr(_last, "tables", {}).get((sc.w_alpha, sc.x_alphas, top))
     if moment is None:
         moment = _tabulate([sc], top)[0]
     return float(moment[_simplex(k, top)[1][s.s]])
@@ -412,14 +384,15 @@ def _dirmult_support(trials: int, cells: int):
     """All count vectors of the support, one per row, and their log
     multinomial coefficients, read-only.  They depend only on the trial and
     cell counts, so a grid of alphas shares them."""
+    _check_support(cells, trials)
     support = np.asarray(list(compositions(trials, cells)), dtype=np.intp)
     return _read_only(support, _log_multinomial(trials, support))
 
 
 def _normalize(params: list) -> list:
     """The pmf sums over the support of each of params, all of one trial
-    count and k, from one log pmf array, each a math.fsum and put in the
-    shared cache."""
+    count and k, from one log pmf array, each a math.fsum; the batch becomes
+    this thread's last."""
     n = params[0].trials
     if n > DIRMULT_TRIALS_CAP:
         raise ValueError(f"trials={n} exceeds the enumeration cap of {DIRMULT_TRIALS_CAP}")
@@ -428,23 +401,23 @@ def _normalize(params: list) -> list:
     logs = _log_rising(np.array([a + (sum(a),) for a in alphas]), max(n, DEFAULT_ORDER_CAP))
     pmf = _log_pmf(logs, n, support, log_multinomial)
     totals = [math.fsum(row) for row in np.exp(pmf, out=pmf).tolist()]
-    _sums.put((((a, n), total) for a, total in zip(alphas, totals)), support.size)
+    _last.sums = {(a, n): total for a, total in zip(alphas, totals)}
     return totals
 
 
 def tabulate_dirmult(params):
     """Yield params, all of one trial count and k, in order, each once its
-    normalization sum is cached: the sums are built in batches of at most
+    normalization sum is built: the sums are built in batches of at most
     _BATCH_ELEMENTS support entries over all their alphas, so
-    dirmult_normalization_check then reads a batch's sum."""
+    dirmult_normalization_check then reads the thread's last batch."""
     return _in_batches(params, lambda p: math.comb(p.trials + p.alpha.k - 1, p.alpha.k - 1)
                        * p.alpha.k, _normalize)
 
 
 def dirmult_normalization_check(p: DirMultParams) -> float:
     """Sum of the pmf over the whole support; contract: 1 within 1e-10.
-    Read from the cache that tabulate_dirmult fills; a miss sums p alone."""
-    total = _sums.get((p.alpha.alpha, p.trials))
+    Read from this thread's last batch; a miss sums p alone."""
+    total = getattr(_last, "sums", {}).get((p.alpha.alpha, p.trials))
     return _normalize([p])[0] if total is None else total
 
 

@@ -1,11 +1,14 @@
 import json
+import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dirichlet_rwa import moments
 from dirichlet_rwa.cli import main
 from dirichlet_rwa.config import ConfigError, ScenarioConfig, parse_config
 
@@ -59,20 +62,20 @@ def test_bad_value_exits_2_before_any_scenario_runs(tmp_path, capsys, bad):
     assert not (tmp_path / "reports").exists()
 
 
+def _no_enumeration(*args):
+    raise AssertionError("the validator enumerated a support")
+
+
 def test_dirmult_support_cap_refused_without_enumerating(monkeypatch):
     # C(75, 11) = 4.9e12 count vectors at max_k 12 and 64 trials, C(69, 5) =
     # 1.1e7 at max_k 6; C(68, 4) = 814,385 at max_k 5 is within the cap
-    from dirichlet_rwa import moments
-
-    def no_enumeration(*args):
-        raise AssertionError("the validator enumerated a support")
-
-    monkeypatch.setattr(moments, "compositions", no_enumeration)
+    monkeypatch.setattr(moments, "compositions", _no_enumeration)
     for max_k, support in ((12, "4,898,229,264,825"), (6, "11,238,513")):
         sc = {"id": "d", "kind": "dirmult", "seed": 1, "max_k": max_k, "max_trials": 64}
-        with pytest.raises(ConfigError, match=rf"max_k {max_k} at max_trials 64 has a "
-                                              rf"Dirichlet-multinomial support of {support} "
-                                              r"count vectors, more than the cap of 4,194,304"):
+        with pytest.raises(ConfigError, match=rf"alphas of {max_k} coordinates at 64 trials "
+                                              rf"have a Dirichlet-multinomial support of "
+                                              rf"{support} count vectors, more than the cap "
+                                              r"of 4,194,304"):
             parse_config(config("r", sc))
     parse_config(config("r", {"id": "d", "kind": "dirmult", "seed": 1, "max_k": 5,
                                "max_trials": 64.0}))
@@ -164,6 +167,45 @@ SCENARIOS = st.one_of(
     SIZE.flatmap(lambda k: _kind("kerov_tsilevich", {"alphas": _rows(k)},
                                  {"t_values": _rows(k, T)})),
 )
+
+
+@st.composite
+def _enumerating(draw):
+    """A dirmult or kerov_tsilevich scenario of up to 30 coordinates and up
+    to 64 trials, and the largest support that its run enumerates: at
+    max_k and max_trials, or at each alpha's length and order 12."""
+    k = draw(st.integers(2, 30))
+    if draw(st.booleans()):
+        trials = draw(st.integers(0, 64))
+        return ({"kind": "dirmult", "max_k": k, "max_trials": trials},
+                math.comb(trials + k - 1, k - 1))
+    alphas = st.lists(st.floats(0.1, 5.0), min_size=k, max_size=k)
+    t = st.lists(st.floats(-0.9, 0.9), min_size=k, max_size=k)
+    return ({"kind": "kerov_tsilevich", "alphas": draw(st.lists(alphas, min_size=1, max_size=3)),
+             "t_values": draw(st.lists(t, min_size=1, max_size=2))}, math.comb(12 + k - 1, k - 1))
+
+
+@given(_enumerating())
+# 20 coordinates have 141,120,525 count vectors at order 12, and 13 have
+# 2,704,156, within the cap
+@example(({"kind": "kerov_tsilevich", "alphas": [[1.0] * 20], "t_values": [[0.1] * 20]},
+          141_120_525))
+@example(({"kind": "kerov_tsilevich", "alphas": [[1.0] * 13], "t_values": [[0.1] * 13]},
+          2_704_156))
+@settings(max_examples=100, deadline=None)
+def test_enumerating_scenarios_refused_above_the_support_cap(scenario):
+    # A config is refused exactly when its largest support has more than
+    # 2^22 count vectors, and the validator enumerates none to decide it.
+    scenario, support = scenario
+    cfg = config("r", {"id": "e", "seed": 1, **scenario})
+    with mock.patch.object(moments, "compositions", _no_enumeration):
+        if support <= 2 ** 22:
+            parse_config(cfg)
+        else:
+            with pytest.raises(ConfigError, match=rf"^scenarios\[0\]: alphas of \d+ coordinates "
+                                                  rf"at \d+ trials have a Dirichlet-multinomial "
+                                                  rf"support of {support:,} count vectors"):
+                parse_config(cfg)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)

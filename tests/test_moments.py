@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -217,14 +218,14 @@ def test_simplex_pairs_and_targets(k, top):
 
 def _three_readings(sc, indices):
     """The expansion of every index read in ascending and in descending
-    order from one table as deep as the deepest index, and from the table
-    of its own order, on cleared caches, each list in the order of indices."""
+    order from one table as deep as the deepest index, each order from a
+    table built fresh by _tabulate, and from the table of its own order,
+    each list in the order of indices."""
     top = max(idx.total for idx in indices)
-    moments._tables.clear()
+    moments._tabulate([sc], top)
     ascending = [rwa_moment_expansion(sc, idx, top) for idx in indices]
-    moments._tables.clear()
+    moments._tabulate([sc], top)
     descending = [rwa_moment_expansion(sc, idx, top) for idx in reversed(indices)][::-1]
-    moments._tables.clear()
     alone = [rwa_moment_expansion(sc, idx) for idx in indices]
     return ascending, descending, alone
 
@@ -260,7 +261,6 @@ def test_run_moments_builds_one_table_per_matrix(monkeypatch):
         return product(w, x, e, cs, top)
 
     monkeypatch.setattr(moments, "_product", counting_product)
-    moments._tables.clear()
     sc = ScenarioConfig("m", "moments", 1, {"max_total_order": 5, "sizes": [[2, 2], [2, 3]],
                                             "entries": [0.5, 2.0]})
     tests, _ = runner._run_moments(sc)
@@ -323,8 +323,9 @@ def test_batched_tables_equal_tables_one_matrix_at_a_time(matrices, top):
     want = [_one_table(sc, top).tobytes() for sc in grid]
     assert [table.tobytes() for table in moments._tabulate(grid, top)] == want
     assert [moments._tabulate([sc], top)[0].tobytes() for sc in grid] == want
-    # in batches of the element budget, which a grid may cross
-    chunked = [moments._tables.get((sc.w_alpha, sc.x_alphas, top)).tobytes()
+    # in batches of the element budget, which a grid may cross, each table
+    # read from the thread's last batch as its scenario is yielded
+    chunked = [moments._last.tables[sc.w_alpha, sc.x_alphas, top].tobytes()
                for sc in moments.tabulate_moments(grid, top)]
     assert chunked == want
 
@@ -348,7 +349,6 @@ def test_batches_across_a_boundary_read_the_tables_of_one_matrix(monkeypatch):
         return tabulate(batch, depth)
 
     monkeypatch.setattr(moments, "_tabulate", counting_tabulate)
-    moments._tables.clear()
     indices = [MomentIndex(s) for total in range(1, top + 1) for s in compositions(total, 2)]
     for sc in moments.tabulate_moments(iter(grid), top):
         got = np.array([rwa_moment_expansion(sc, idx, top) for idx in indices])
@@ -362,7 +362,7 @@ def test_cached_tables_are_read_only():
     sc = theorem_scenario([[1.0, 2.0, 0.5], [3.0, 0.25, 1.5]])
     rwa_moment_expansion(sc, MomentIndex((1, 2, 0)))
     cs, _ = moments._simplex(3, 3)
-    table = moments._tables.get((sc.w_alpha, sc.x_alphas, 3))
+    table = moments._last.tables[sc.w_alpha, sc.x_alphas, 3]
     support = moments._dirmult_support(3, 3)
     for arr in (*cs, table, *support):
         assert not arr.flags.writeable
@@ -370,14 +370,14 @@ def test_cached_tables_are_read_only():
             arr[0] = 0
 
 
-def test_tables_shared_by_threads(monkeypatch):
-    # More tables than the cache holds and more threads than cores, with
-    # frequent thread switches: every thread must still read its own
-    # scenario's moments.  Tasks read a scenario's indices in ascending,
-    # descending or interleaved order, from one table of order 5 or from
-    # the tables of each index's own order, or tabulate a run of scenarios
-    # in one batch first, so threads build, read and evict the same tables
-    # at once.
+def test_tables_shared_by_threads():
+    # More threads than cores, with frequent thread switches, building the
+    # shared simplex of each order afresh: every thread must still read its
+    # own scenario's moments from its own last batch.  Tasks read a
+    # scenario's indices in ascending, descending or interleaved order, from
+    # one table of order 5 or from the tables of each index's own order, or
+    # tabulate a run of scenarios in one batch first, so threads build,
+    # read and replace tables of the same keys at once.
     scenarios = [theorem_scenario([[0.25 * (i + 1), 1.0, 2.0], [3.5, 0.5, 0.125 * (i + 1)]])
                  for i in range(24)]
     indices = [MomentIndex(s) for total in range(1, 6) for s in compositions(total, 3)]
@@ -395,8 +395,6 @@ def test_tables_shared_by_threads(monkeypatch):
         return [[got[i] for i in range(len(indices))]]
 
     want = [[_box_expansion(sc, idx.s) for idx in indices] for sc in scenarios]
-    # room for 8 tables of order 5 (462 cell pairs each)
-    monkeypatch.setattr(moments, "_tables", moments._Cache(8 * 462))
     moments._simplex.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -406,6 +404,43 @@ def test_tables_shared_by_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert got == want * len(orders) * 2 + want
+
+
+def test_each_thread_keeps_its_own_batch(monkeypatch):
+    # Three threads each tabulate a full batch of 2 x 2 matrices at order 8
+    # (495 cell pairs each) and wait until all three are built before any
+    # reads its moments.  Every thread's batch must still be there for it:
+    # each matrix goes through _product exactly once.
+    top = 8
+    per_batch = moments._BATCH_ELEMENTS // math.comb(top + 4, 4)
+    grids = [[theorem_scenario([[0.5 + t, 1.0 + i], [2.0, 0.25 * (i + 1)]])
+              for i in range(per_batch)] for t in range(3)]
+    indices = [MomentIndex(s) for total in range(1, top + 1) for s in compositions(total, 2)]
+    built = []
+    product = moments._product
+
+    def counting_product(w, x, e, cs, depth):
+        built.extend((tuple(wm), tuple(map(tuple, xm))) for wm, xm in zip(w.tolist(), x.tolist()))
+        return product(w, x, e, cs, depth)
+
+    monkeypatch.setattr(moments, "_product", counting_product)
+    barrier = threading.Barrier(len(grids), timeout=60)
+
+    def read(grid):
+        got = []
+        for i, sc in enumerate(moments.tabulate_moments(grid, top)):
+            if i == 0:  # the whole batch is built
+                barrier.wait()
+            got.append([rwa_moment_expansion(sc, idx, top) for idx in indices])
+        return got
+
+    with ThreadPoolExecutor(max_workers=len(grids)) as pool:
+        got = list(pool.map(read, grids, timeout=120))
+    assert sorted(built) == sorted({(sc.w_alpha, sc.x_alphas) for grid in grids for sc in grid})
+    cs, index = moments._simplex(2, top)
+    want = [[_one_table(sc, top)[[index[idx.s] for idx in indices]].tolist() for sc in grid]
+            for grid in grids]
+    assert got == want
 
 
 def _exact_rising(x, m):
@@ -569,22 +604,49 @@ def test_dirmult_normalization_bitwise_reference(k):
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
-def test_dirmult_batch_of_many_equals_reference(k):
+def test_dirmult_batch_of_many_equals_reference(k, monkeypatch):
     rng = np.random.default_rng(10 + k)
     alphas = [np.full(k, 0.5), *np.exp(rng.uniform(np.log(1e-3), np.log(1e4), (7, k)))]
     alphas = [DirichletParams(a) for a in alphas]
+    normalize = moments._normalize
+    summed = []
+
+    def counting_normalize(batch):
+        summed.extend(batch)
+        return normalize(batch)
+
+    monkeypatch.setattr(moments, "_normalize", counting_normalize)
     for trials in range(21):
         params = [DirMultParams(a, trials) for a in alphas]
         want = [_parent_normalization(p) for p in params]
-        assert moments._normalize(params) == want, trials
-        moments._sums.clear()
-        assert list(moments.tabulate_dirmult(iter(params))) == params
-        assert [dirmult_normalization_check(p) for p in params] == want, trials
+        assert normalize(params) == want, trials
+        # each sum read from the batch that tabulate_dirmult built for it:
+        # every alpha is summed once
+        summed.clear()
+        yielded, got = [], []
+        for p in moments.tabulate_dirmult(iter(params)):
+            yielded.append(p)
+            got.append(dirmult_normalization_check(p))
+        assert yielded == summed == params
+        assert got == want, trials
 
 
 def test_dirmult_trials_cap():
     with pytest.raises(ValueError, match="trials=1000 exceeds the enumeration cap of 64"):
         dirmult_normalization_check(DirMultParams(DirichletParams((1, 1)), 1000))
+
+
+def test_dirmult_support_cap_refused_before_enumerating(monkeypatch):
+    # 14 cells at 12 trials, the Kerov-Tsilevich order, have C(25, 13) =
+    # 5,200,300 count vectors, more than 2^22
+    def no_enumeration(*args):
+        raise AssertionError("a support above the cap was enumerated")
+
+    monkeypatch.setattr(moments, "compositions", no_enumeration)
+    with pytest.raises(ValueError, match="alphas of 14 coordinates at 12 trials have a "
+                                         "Dirichlet-multinomial support of 5,200,300 count "
+                                         "vectors, more than the cap of 4,194,304"):
+        dirmult_normalization_check(DirMultParams(DirichletParams([1.0] * 14), 12))
 
 
 @pytest.mark.parametrize("alpha", [(0.5, 0.5), (1.0, 2.0)])
