@@ -127,9 +127,8 @@ def _check_values(kind: str, p: dict) -> None:
     if kind == "theorem":
         sc = theorem_scenario(_rows(p["alphas"], "alphas"))
         if p["target_override"] is not None:
-            sc = WeightedAverageScenario(sc.w_alpha, sc.x_alphas,
-                                         _numbers(p["target_override"], "target_override"))
-        DirichletParams(sc.target_alpha)  # its grand total must be finite too
+            WeightedAverageScenario(sc.w_alpha, sc.x_alphas,
+                                    _numbers(p["target_override"], "target_override"))
     elif kind == "variant":
         variant_scenario(_numbers(p["alpha"], "alpha"))
     elif kind == "moments":
@@ -138,13 +137,13 @@ def _check_values(kind: str, p: dict) -> None:
         for n, k in _rows(p["sizes"], "sizes"):
             _check_pairs(int(k), top)  # the cost cap of a moment table
             for e in entries:
-                DirichletParams(theorem_scenario(np.full((n, k), e)).target_alpha)
+                theorem_scenario(np.full((n, k), e))
     elif kind == "dirmult":
         if p["max_trials"] > DIRMULT_TRIALS_CAP:
             raise ValueError(f"max_trials exceeds the cap of {DIRMULT_TRIALS_CAP}")
         _check_support(int(p["max_k"]), int(p["max_trials"]))  # the largest enumerated
         for e in _numbers(p["entries"], "entries"):
-            DirichletParams((e, e))
+            DirichletParams((e,) * int(p["max_k"]))  # the runner's longest alphas
     elif kind == "stieltjes":
         _check_grid(_numbers(p["grid"], "grid"))
         for n in _numbers(p["orders"], "orders"):
@@ -166,10 +165,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for key in _TOP_KEYS:
         if key not in raw:
             raise ConfigError(f"missing required key {key!r}")
-    if raw["format_version"] != FORMAT_VERSION:
+    if type(raw["format_version"]) is not int or raw["format_version"] != FORMAT_VERSION:
         raise ConfigError(
             f"unsupported format_version {raw['format_version']!r}; expected {FORMAT_VERSION}"
         )
+    if not isinstance(raw["output_dir"], str):
+        raise ConfigError(f"output_dir must be a string, got {raw['output_dir']!r}")
     if not isinstance(raw["scenarios"], list) or not raw["scenarios"]:
         raise ConfigError("scenarios must be a non-empty list")
 
@@ -182,7 +183,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         for key in ("id", "seed"):
             if key not in sc:
                 raise ConfigError(f"{where}: missing required key {key!r}")
-        if not isinstance(sc["seed"], int) or not (0 <= sc["seed"] < 2**64):
+        if type(sc["seed"]) is not int or not (0 <= sc["seed"] < 2**64):
             raise ConfigError(f"{where}: seed must be an unsigned 64-bit integer")
         if not isinstance(sc["id"], str) or not _ID.fullmatch(sc["id"]):
             raise ConfigError(f"{where}: id must match {_ID.pattern}, got {sc['id']!r}")
@@ -201,7 +202,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         format_version=FORMAT_VERSION,
-        output_dir=str(raw["output_dir"]),
+        output_dir=raw["output_dir"],
         scenarios=tuple(scenarios),
         config_hash=_canonical_hash(raw),
     )

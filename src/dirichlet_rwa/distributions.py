@@ -30,6 +30,17 @@ __all__ = [
 DEFAULT_ORDER_CAP = 8
 
 
+def _concentrations(values) -> tuple:
+    """values as a non-empty tuple of floats, each finite and > 0, with a finite sum."""
+    try:
+        alpha = tuple(map(float, values))
+    except TypeError as e:
+        raise ValueError(f"concentrations must be a vector of numbers, got {values!r}") from e
+    if not (alpha and all(0 < a < math.inf for a in alpha) and sum(alpha) < math.inf):
+        raise ValueError(f"concentrations must be finite and > 0 with a finite sum, got {alpha}")
+    return alpha
+
+
 @dataclass(frozen=True)
 class DirichletParams:
     """Concentration vector of a Dirichlet distribution, length >= 2."""
@@ -37,11 +48,9 @@ class DirichletParams:
     alpha: tuple
 
     def __init__(self, alpha):
-        alpha = tuple(float(a) for a in np.atleast_1d(np.asarray(alpha, dtype=float)))
+        alpha = _concentrations(alpha)
         if len(alpha) < 2:
             raise ValueError("Dirichlet needs at least 2 components (k=1 is degenerate)")
-        if not (all(0 < a < np.inf for a in alpha) and sum(alpha) < np.inf):
-            raise ValueError(f"concentrations must be finite and > 0 with a finite sum, got {alpha}")
         object.__setattr__(self, "alpha", alpha)
 
     @property

@@ -165,27 +165,24 @@ def _simplex(k: int, top: int):
     There are C(top + 2k, 2k) pairs, the length-2k vectors of total <= top,
     fewer than 2^31.  Each left cell h takes as right cells a prefix of the
     cells sorted by degree, those of degree <= top - |h|.  The index of a
-    pair's sum is its lexicographic rank, summed one coordinate at a time
-    from a table of cell counts, a block of 2^16 pairs at a time, so that
-    only the three int32 pair arrays have the full length.
+    pair's sum is found by a binary search of its key among the cells' keys, a
+    block of 2^16 pairs at a time, so that only the three int32 pair arrays
+    have the full length.
     """
     _check_pairs(k, top)
     # Lexicographic compositions of top into k + 1 parts, less the slack part.
     cells = np.asarray(list(compositions(top, k + 1)), dtype=np.intp)[:, :k].T
     degree = cells.sum(axis=0)
+    # Each cell as one byte string of big-endian two-byte coordinates, whose
+    # byte order is lexicographic order; under the pair cap no coordinate
+    # reaches 2^16 (k = 1 stops at order 2,894).
+    coords, key = np.ascontiguousarray(cells.T, dtype=">u2"), f"V{2 * k}"
+    keys = coords.view(key).ravel()
     by_degree = np.argsort(degree, kind="stable")
     upto = np.searchsorted(degree[by_degree], np.arange(top + 1), side="right")
     count = upto[top - degree]
     first = np.cumsum(count) - count  # the first pair of each left cell
     left = np.repeat(np.arange(degree.size, dtype=np.int32), count)
-    # below[m, r, v]: cells of length m + 1 and total <= r whose first
-    # coordinate is below v, i.e. sum over u < v of C(r - u + m, m); flat
-    # in (r, v).
-    below = np.zeros((k, top + 1, top + 1), dtype=np.intp)
-    for m in range(k):
-        for r in range(top + 1):
-            below[m, r, 1:r + 1] = np.cumsum([math.comb(r - u + m, m) for u in range(r)])
-    below = below.reshape(k, -1)
     right = np.empty_like(left)
     target = np.empty_like(left)
     size = 16 * _BATCH_ELEMENTS  # 0.5 MB int64 temporaries, few numpy calls
@@ -194,13 +191,8 @@ def _simplex(k: int, top: int):
         lcell = left[block]
         rcell = by_degree[np.arange(start, start + lcell.size) - first[lcell]]
         right[block] = rcell
-        rank = np.zeros(lcell.size, dtype=np.intp)
-        budget = np.full(lcell.size, top)
-        for j in range(k):
-            h = cells[j, lcell] + cells[j, rcell]
-            rank += below[k - 1 - j].take(budget * (top + 1) + h)
-            budget -= h
-        target[block] = rank
+        pair = (coords[lcell] + coords[rcell]).astype(">u2")
+        target[block] = np.searchsorted(keys, pair.view(key).ravel())
     index = {cell: i for i, cell in enumerate(map(tuple, cells.T.tolist()))}
     return _Cells(*_read_only(cells, degree, left, right, target)), index
 
@@ -230,7 +222,6 @@ def _rising_ratios(top: np.ndarray, bottom, m: int, e=0) -> np.ndarray:
     return np.cumprod(out, axis=-1, out=out)
 
 
-@functools.lru_cache(maxsize=64)
 def _scale_exponent(x_alphas: tuple) -> int:
     """e with 2^(e-1) <= the largest entry < 2^e if that is above 1, else 0.
     (alpha_ij)_h/h! would pass the largest double at entries of 1e39 and

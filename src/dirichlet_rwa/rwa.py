@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DirichletParams, RngStream, sample_dirichlet_batch
+from .distributions import DirichletParams, RngStream, _concentrations, sample_dirichlet_batch
 
 __all__ = [
     "WeightedAverageScenario",
@@ -44,18 +44,13 @@ class WeightedAverageScenario:
     target_alpha: tuple
 
     def __init__(self, w_alpha, x_alphas, target_alpha):
-        w = np.asarray(w_alpha, dtype=float)
-        x = np.asarray(x_alphas, dtype=float)
-        t = np.asarray(target_alpha, dtype=float)
-        if x.ndim != 2 or len(w) != x.shape[0]:
-            raise ValueError("x_alphas must be (n, k) with n matching w_alpha")
-        if not all(np.all((a > 0) & (a < np.inf)) for a in (w, x, t)):
-            raise ValueError("all concentration parameters must be finite and > 0")
-        if len(t) != x.shape[1]:
-            raise ValueError("target dimension must match k")
-        object.__setattr__(self, "w_alpha", tuple(w))
-        object.__setattr__(self, "x_alphas", tuple(tuple(r) for r in x))
-        object.__setattr__(self, "target_alpha", tuple(t))
+        x = tuple(map(_concentrations, x_alphas))
+        w, t = _concentrations(w_alpha), _concentrations(target_alpha)
+        if len(x) != len(w) or any(len(r) != len(t) for r in x):
+            raise ValueError("x_alphas must be (n, k), n = len(w_alpha), k = len(target_alpha)")
+        object.__setattr__(self, "w_alpha", w)
+        object.__setattr__(self, "x_alphas", x)
+        object.__setattr__(self, "target_alpha", t)
 
     @property
     def n(self) -> int:
@@ -71,16 +66,11 @@ def theorem_scenario(alphas) -> WeightedAverageScenario:
     row j parameterizes x_j, the weight concentrations are the row sums and
     the claimed law of z is Dirichlet of the column sums."""
     a = np.asarray(alphas, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("alphas must be a 2-d matrix")
-    n, k = a.shape
-    if n < 2 or k < 2:
-        raise ValueError(f"need n >= 2 and k >= 2, got shape {a.shape}")
-    if not np.all(a > 0):
-        raise ValueError("all matrix entries must be > 0")
-    with np.errstate(over="ignore"):  # WeightedAverageScenario rejects an infinite sum
+    if a.ndim != 2 or min(a.shape) < 2:
+        raise ValueError(f"alphas must be an n x k matrix, n, k >= 2, got shape {a.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):  # WeightedAverageScenario rejects these
         w_alpha, target_alpha = a.sum(axis=1), a.sum(axis=0)
-    return WeightedAverageScenario(w_alpha, a, target_alpha)
+    return WeightedAverageScenario(w_alpha.tolist(), a.tolist(), target_alpha.tolist())
 
 
 # Rows per block of the sampler.  Larger blocks cost fewer calls into numpy
@@ -170,7 +160,6 @@ def variant_scenario(alpha) -> WeightedAverageScenario:
     a = np.asarray(alpha, dtype=float)
     if a.ndim != 1 or len(a) < 2:
         raise ValueError("need at least two positive weight parameters")
-    if not np.all(a > 0):
-        raise ValueError("all alpha_j must be > 0")
-    return WeightedAverageScenario(a, np.stack([0.5 + a, 0.5 + a], axis=1),
-                                   (0.5 + a.sum(), 0.5 + a.sum()))
+    with np.errstate(over="ignore"):  # WeightedAverageScenario rejects an infinite sum
+        c = 0.5 + a.sum()
+    return WeightedAverageScenario(a.tolist(), [(0.5 + v, 0.5 + v) for v in a.tolist()], (c, c))

@@ -26,9 +26,7 @@ __all__ = [
 
 
 class QuadratureError(RuntimeError):
-    def __init__(self, msg, achieved):
-        super().__init__(f"{msg} (achieved tolerance {achieved:.3e})")
-        self.achieved = achieved
+    pass
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,7 @@ def _node_doubling(estimate, z: np.ndarray, what: str) -> np.ndarray:
             todo, val = todo[~done], val[~done]
         prev = val
         order *= 2
-    raise QuadratureError(f"{what} at z={z[todo].tolist()}", err)
+    raise QuadratureError(f"{what} at z={z[todo].tolist()} (achieved tolerance {err:.3e})")
 
 
 def power_semicircle_transform(p: PowerSemicircleParams, z):

@@ -49,6 +49,8 @@ BAD_VALUES = {
                                   "n_samples": 100},
     "kt-product-overflows": {"kind": "kerov_tsilevich", "alphas": [[1e308, 1]]},
     "kt-alpha-sum-overflows": {"kind": "kerov_tsilevich", "alphas": [[1e308, 1e308]]},
+    # 5e307 sums to infinity only in the runner's longest alphas, of max_k entries
+    "dirmult-sum-overflows-at-max-k": {"kind": "dirmult", "entries": [5e307], "max_k": 4},
 }
 
 
@@ -60,6 +62,21 @@ def test_bad_value_exits_2_before_any_scenario_runs(tmp_path, capsys, bad):
     assert run(tmp_path, cfg) == 2
     assert capsys.readouterr().err.startswith("error: scenarios[1]: ")
     assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize("key, value", [("format_version", True), ("format_version", 1.0),
+                                        ("output_dir", None), ("output_dir", 3),
+                                        ("seed", True), ("seed", 1.0)])
+def test_top_level_and_seed_types(tmp_path, monkeypatch, capsys, key, value):
+    # True == 1 == 1.0, and str(None) would name a report directory "None"
+    monkeypatch.chdir(tmp_path)
+    cfg = config("reports", {"id": "s", "kind": "stieltjes", "seed": 1})
+    (cfg["scenarios"][0] if key == "seed" else cfg)[key] = value
+    with pytest.raises(ConfigError, match=key):
+        parse_config(cfg)
+    assert run(tmp_path, cfg) == 2
+    assert key in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # no report directory
 
 
 def _no_enumeration(*args):

@@ -202,7 +202,10 @@ def test_k6_order8_table_and_the_pair_cap():
         moments._simplex(11, 8)
 
 
-@pytest.mark.parametrize("k, top", [(2, 8), (3, 5), (4, 3), (5, 8), (10, 2), (30, 1)])
+# k = 1 at order 300 has coordinates above 255, which need two bytes of a key.
+@pytest.mark.parametrize("k, top", [(2, 8), (3, 5), (4, 3), (5, 8), (10, 2), (30, 1), (1, 300)]
+                         + [(k, top) for k in range(1, 7) for top in range(6)
+                            if (k, top) not in ((3, 5), (4, 3))])
 def test_simplex_pairs_and_targets(k, top):
     cs, index = moments._simplex(k, top)
     cells = cs.cells.T

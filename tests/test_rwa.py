@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -50,6 +51,44 @@ def test_spec_validation():
         theorem_scenario([[1, -1], [1, 1]])
     with pytest.raises(ValueError):
         theorem_scenario([1, 2, 3])  # not a matrix
+
+
+# A zero, a negative, an infinite and a NaN entry, and finite entries whose
+# sum overflows: none is a concentration vector, whichever builder takes it.
+BAD_CONCENTRATIONS = {"zero": (0.0, 1.0), "negative": (-1.0, 1.0), "infinite": (math.inf, 1.0),
+                      "nan": (math.nan, 1.0), "sum-overflows": (1e308, 1e308)}
+CONCENTRATION_BUILDERS = {
+    "dirichlet": DirichletParams,
+    "weights": lambda v: WeightedAverageScenario(v, ((1, 1), (1, 1)), (2, 2)),
+    "row": lambda v: WeightedAverageScenario((2, 2), (v, (1, 1)), (2, 2)),
+    "target": lambda v: WeightedAverageScenario((2, 2), ((1, 1), (1, 1)), v),
+    "theorem": lambda v: theorem_scenario((v, v)),
+    "variant": variant_scenario,
+}
+
+
+@pytest.mark.parametrize("build", CONCENTRATION_BUILDERS.values(), ids=CONCENTRATION_BUILDERS)
+@pytest.mark.parametrize("alpha", BAD_CONCENTRATIONS.values(), ids=BAD_CONCENTRATIONS)
+def test_one_concentration_rule(build, alpha):
+    # a sum that overflows is refused without a numpy warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite and > 0 with a finite sum"):
+            build(alpha)
+
+
+@pytest.mark.parametrize("w_alpha, x_alphas, target_alpha", [
+    ((1, 1), (1, 1), (1, 1)),  # x_alphas not a matrix
+    ((1, 1), (((1, 1), (1, 1)), ((1, 1), (1, 1))), (1, 1)),  # nor this
+    ((1, 1, 1), ((1, 1), (1, 1)), (1, 1)),  # one weight too many
+    ((1, 1), ((1, 1), (1, 1, 1)), (1, 1)),  # ragged rows
+    ((1, 1), ((1, 1), (1, 1)), (1, 1, 1)),  # target of the wrong length
+    ((1, 1), (), (1, 1)),  # no rows
+    (1.0, ((1, 1),), (1, 1)),  # a number for the weights
+])
+def test_malformed_scenario_raises_value_error(w_alpha, x_alphas, target_alpha):
+    with pytest.raises(ValueError):
+        WeightedAverageScenario(w_alpha, x_alphas, target_alpha)
 
 
 def test_weight_params_examples():
