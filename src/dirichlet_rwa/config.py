@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import DirichletParams
-from .moments import (DIRMULT_TRIALS_CAP, MomentIndex, _check_pairs, _check_support,
-                      kerov_tsilevich_check)
+from .moments import (_MAX_PAIRS, DIRMULT_TRIALS_CAP, KT_ORDER, MomentIndex, _check_pairs,
+                      _check_support, kerov_tsilevich_check)
 from .rwa import WeightedAverageScenario, theorem_scenario, variant_scenario
 from .stieltjes import _check_grid
 
@@ -141,9 +141,17 @@ def _check_values(kind: str, p: dict) -> None:
     elif kind == "dirmult":
         if p["max_trials"] > DIRMULT_TRIALS_CAP:
             raise ValueError(f"max_trials exceeds the cap of {DIRMULT_TRIALS_CAP}")
-        _check_support(int(p["max_k"]), int(p["max_trials"]))  # the largest enumerated
-        for e in _numbers(p["entries"], "entries"):
-            DirichletParams((e,) * int(p["max_k"]))  # the runner's longest alphas
+        max_k, trials = int(p["max_k"]), int(p["max_trials"])
+        entries = _numbers(p["entries"], "entries")
+        total = 0  # |entries|^k alphas of each k, each C(trials + k, k) rows over 0..trials
+        for k in range(2, max_k + 1):
+            total += len(entries) ** k * math.comb(trials + k, k)
+            if total > _MAX_PAIRS:
+                raise ValueError(f"dirmult at max_k {max_k}, max_trials {trials} and entries "
+                                 f"{entries} enumerates {total:,} count vectors at k <= {k} "
+                                 f"alone, more than the cap of {_MAX_PAIRS:,}")
+        for e in entries:
+            DirichletParams((e,) * max_k)  # the runner's longest alphas
     elif kind == "stieltjes":
         _check_grid(_numbers(p["grid"], "grid"))
         for n in _numbers(p["orders"], "orders"):
@@ -151,7 +159,7 @@ def _check_values(kind: str, p: dict) -> None:
     else:
         t_values = _rows(p["t_values"], "t_values")
         for alpha in _rows(p["alphas"], "alphas"):
-            _check_support(len(alpha), 12)  # the runner's kerov_tsilevich_check order
+            _check_support(len(alpha), KT_ORDER)  # the runner's kerov_tsilevich_check order
             for t in t_values:
                 kerov_tsilevich_check(alpha, t, order=0)  # argument checks only
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,15 +31,28 @@ __all__ = [
 DEFAULT_ORDER_CAP = 8
 
 
-def _concentrations(values) -> tuple:
-    """values as a non-empty tuple of floats, each finite and > 0, with a finite sum."""
+def _concentrations(values, where: str = "") -> tuple:
+    """values as a non-empty tuple of floats, each finite and > 0, with a finite
+    sum; where, if given, names the vector at the start of a refusal."""
     try:
         alpha = tuple(map(float, values))
     except TypeError as e:
-        raise ValueError(f"concentrations must be a vector of numbers, got {values!r}") from e
+        raise ValueError(f"{where}concentrations must be a vector of numbers, "
+                         f"got {values!r}") from e
     if not (alpha and all(0 < a < math.inf for a in alpha) and sum(alpha) < math.inf):
-        raise ValueError(f"concentrations must be finite and > 0 with a finite sum, got {alpha}")
+        raise ValueError(f"{where}concentrations must be finite and > 0 with a finite sum, "
+                         f"got {alpha}")
     return alpha
+
+
+def _exponents(values) -> tuple:
+    """values as a tuple of ints: each entry a number equal to a non-negative
+    integer, as 2 and 2.0 are; a bool, a string or a fraction raises."""
+    s = tuple(values)
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and v >= 0
+               and (isinstance(v, numbers.Integral) or float(v).is_integer()) for v in s):
+        raise ValueError(f"exponents must be non-negative integers, got {values!r}")
+    return tuple(map(int, s))
 
 
 @dataclass(frozen=True)
@@ -136,9 +150,7 @@ def _log_moment(alpha: tuple, s: tuple) -> float:
 def dirichlet_mixed_moment(p: DirichletParams, s) -> float:
     """Exact E[prod_j X_j^{s_j}] = prod_j (alpha_j)_{s_j} / (A)_S for X ~
     Dirichlet(alpha), A = sum(alpha), S = sum(s), from the table of alpha."""
-    s = np.asarray(s, dtype=float)
-    if s.shape != (p.k,):
-        raise ValueError(f"exponent vector shape {s.shape} != alpha shape {(p.k,)}")
-    if np.any(s < 0) or np.any(s != np.floor(s)):
-        raise ValueError("exponents must be non-negative integers")
-    return math.exp(_log_moment(p.alpha, tuple(s.astype(int).tolist())))
+    s = _exponents(s)
+    if len(s) != p.k:
+        raise ValueError(f"exponent vector length {len(s)} != alpha length {p.k}")
+    return math.exp(_log_moment(p.alpha, s))

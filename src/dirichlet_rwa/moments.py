@@ -24,16 +24,16 @@ the validator refuses a config above it.
 tabulate_moments builds the tables of a grid of matrices a batch at a time,
 one bincount per factor over every matrix of the batch, and
 tabulate_dirmult the Dirichlet-multinomial sums of a grid of alphas, one
-log pmf array per batch.  A batch holds at most _BATCH_ELEMENTS elements
-and at least one item, and replaces its thread's last batch of its kind,
+_pmf pass per batch.  A batch holds at most _BATCH_ELEMENTS elements and
+at least one item, and replaces its thread's last batch of its kind,
 which the per-item rwa_moment_expansion and dirmult_normalization_check
 read; on a miss they build a batch of one.  Every result has the bits it
 has when built alone.
 
-The closed forms, the moment of the claimed Dirichlet law and the
-Dirichlet-multinomial pmf, read the log rising factorials behind
-distributions.dirichlet_mixed_moment, and share no code with the
-expansion.
+The closed forms, the moment of the claimed Dirichlet law and the one
+Dirichlet-multinomial pmf (_pmf, read by the sums and the Kerov-Tsilevich
+series), read the log rising factorials behind dirichlet_mixed_moment,
+and share no code with the expansion.
 """
 from __future__ import annotations
 
@@ -46,8 +46,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import (DEFAULT_ORDER_CAP, DirichletParams, _log_moment, _log_rising,
-                            _log_rising_table)
+from .distributions import (DEFAULT_ORDER_CAP, DirichletParams, _exponents, _log_moment,
+                            _log_rising, _log_rising_table)
 from .rwa import WeightedAverageScenario
 
 __all__ = [
@@ -63,8 +63,8 @@ __all__ = [
     "tabulate_dirmult",
 ]
 
-# Trial cap for explicit enumeration of the Dirichlet-multinomial support.
-DIRMULT_TRIALS_CAP = 64
+DIRMULT_TRIALS_CAP = 64  # trial cap of an explicit Dirichlet-multinomial enumeration
+KT_ORDER = 12  # truncation order of the Kerov-Tsilevich moment series
 
 
 @dataclass(frozen=True)
@@ -74,13 +74,9 @@ class MomentIndex:
     s: tuple
 
     def __init__(self, s):
-        s = tuple(int(v) for v in s)
-        if any(v < 0 for v in s):
-            raise ValueError("exponents must be non-negative")
+        s = _exponents(s)
         if sum(s) > DEFAULT_ORDER_CAP:
-            raise ValueError(
-                f"total order {sum(s)} exceeds the cap of {DEFAULT_ORDER_CAP}"
-            )
+            raise ValueError(f"total order {sum(s)} exceeds the cap of {DEFAULT_ORDER_CAP}")
         object.__setattr__(self, "s", s)
 
     @property
@@ -107,7 +103,7 @@ def compositions(total: int, parts: int):
 
 # Cost cap of a moment table: the simplex of k = 10 at order 8 has 3,108,105
 # pairs, and a run of two such matrices peaks near 175 MB.  It also caps the
-# count vectors of a Dirichlet-multinomial support (_check_support).
+# count vectors of a support (_check_support) and of a whole dirmult scenario.
 _MAX_PAIRS = 2 ** 22
 
 # Element budget of a batch, and so of each thread's last batch of each kind:
@@ -352,46 +348,38 @@ class DirMultParams:
             raise ValueError("trials must be >= 0")
 
 
-def _log_multinomial(n: int, c: np.ndarray) -> np.ndarray:
-    """log n!/prod_j c_j! per row of c (log h! = log (1)_h, the table of
-    alpha = (1,))."""
-    log_fact = _log_rising_table((1.0,), max(n, DEFAULT_ORDER_CAP))[0]
-    return log_fact[n] - log_fact[c].sum(axis=1)
-
-
-def _log_pmf(logs: np.ndarray, n: int, c: np.ndarray, log_multinomial: np.ndarray) -> np.ndarray:
-    """The log pmf at n trials at the rows of c, one row per table of logs
-    (alphas, k + 1, > n), each an alpha's table of _log_rising_table, from
-    the rows' log multinomial coefficients: the log Dirichlet moment added
-    on."""
-    out = logs[:, np.arange(c.shape[1]), c].sum(axis=-1)
-    out += log_multinomial
-    out -= logs[:, -1, n, None]
-    return out
-
-
 @functools.lru_cache(maxsize=64)
 def _dirmult_support(trials: int, cells: int):
     """All count vectors of the support, one per row, and their log
-    multinomial coefficients, read-only.  They depend only on the trial and
-    cell counts, so a grid of alphas shares them."""
+    multinomial coefficients (log h! = log (1)_h), read-only; they depend
+    only on the trial and cell counts, so a grid of alphas shares them."""
     _check_support(cells, trials)
     support = np.asarray(list(compositions(trials, cells)), dtype=np.intp)
-    return _read_only(support, _log_multinomial(trials, support))
+    log_fact = _log_rising_table((1.0,), max(trials, DEFAULT_ORDER_CAP))[0]
+    return _read_only(support, log_fact[trials] - log_fact[support].sum(axis=1))
+
+
+def _pmf(alphas: list, n: int):
+    """The support of n trials and the Dirichlet-multinomial pmf there of
+    each of alphas, all of one k, one row per alpha, from one stack of log
+    rising factorials."""
+    support, log_multinomial = _dirmult_support(n, len(alphas[0]))
+    logs = _log_rising(np.array([a + (sum(a),) for a in alphas]), max(n, DEFAULT_ORDER_CAP))
+    pmf = logs[:, np.arange(support.shape[1]), support].sum(axis=-1)
+    pmf += log_multinomial
+    pmf -= logs[:, -1, n, None]
+    return support, np.exp(pmf, out=pmf)
 
 
 def _normalize(params: list) -> list:
     """The pmf sums over the support of each of params, all of one trial
-    count and k, from one log pmf array, each a math.fsum; the batch becomes
+    count and k, from one _pmf pass, each a math.fsum; the batch becomes
     this thread's last."""
     n = params[0].trials
     if n > DIRMULT_TRIALS_CAP:
         raise ValueError(f"trials={n} exceeds the enumeration cap of {DIRMULT_TRIALS_CAP}")
-    support, log_multinomial = _dirmult_support(n, params[0].alpha.k)
     alphas = [p.alpha.alpha for p in params]
-    logs = _log_rising(np.array([a + (sum(a),) for a in alphas]), max(n, DEFAULT_ORDER_CAP))
-    pmf = _log_pmf(logs, n, support, log_multinomial)
-    totals = [math.fsum(row) for row in np.exp(pmf, out=pmf).tolist()]
+    totals = [math.fsum(row) for row in _pmf(alphas, n)[1].tolist()]
     _last.sums = {(a, n): total for a, total in zip(alphas, totals)}
     return totals
 
@@ -412,17 +400,17 @@ def dirmult_normalization_check(p: DirMultParams) -> float:
     return _normalize([p])[0] if total is None else total
 
 
-def kerov_tsilevich_check(alpha, t, order: int = 12):
+def kerov_tsilevich_check(alpha, t, order: int = KT_ORDER):
     """Moment-series check of E[(1 - t'x)^{-A}] = prod_i (1 - t_i)^{-alpha_i}
     for x ~ Dirichlet(alpha), A = sum(alpha).
 
     The left side is expanded as sum_m (A)_m/m! E[(t'x)^m], truncated at
     `order`.  By the multinomial theorem E[(t'x)^m] = sum_c P(c) prod_j
-    t_j^{c_j}, P the Dirichlet-multinomial pmf of m trials.  Returns
+    t_j^{c_j}, P the Dirichlet-multinomial pmf of m trials (_pmf).  Returns
     (series, product, tail_bound); |series - product| <= tail_bound + eps is
     the success criterion.  The tail bound is exact for the dominating series
     with |t'x| <= max|t_i|: it is the full geometric-type sum minus its own
-    truncation, computed in closed form.
+    truncation, computed in closed form (0.0 at t = 0).
     """
     p = DirichletParams(alpha)
     t = np.asarray(t, dtype=float)
@@ -436,10 +424,8 @@ def kerov_tsilevich_check(alpha, t, order: int = 12):
         (math.log(a_total + m - 1) - math.log(m) for m in range(1, order + 1)), initial=0.0))
     series_terms = [1.0]
     for m in range(1, order + 1):
-        support, log_multinomial = _dirmult_support(m, p.k)
-        logs = _log_rising_table(p.alpha, max(m, DEFAULT_ORDER_CAP))[None]
-        pmf = np.exp(_log_pmf(logs, m, support, log_multinomial)[0])
-        inner = math.fsum(pmf * np.prod(t ** support, axis=1))
+        support, pmf = _pmf([p.alpha], m)
+        inner = math.fsum(pmf[0] * np.prod(t ** support, axis=1))
         series_terms.append(math.exp(log_poch[m]) * inner)
     series = math.fsum(series_terms)
     # If this overflows, so does the larger (1 - tau)**-A below, which raises.
@@ -447,9 +433,5 @@ def kerov_tsilevich_check(alpha, t, order: int = 12):
         product = float(np.prod((1 - t) ** (-p.as_array())))
     # dominating tail: sum_{m>order} (A)_m/m! tau^m with tau = max|t_i|
     tau = float(np.max(np.abs(t)))
-    if tau == 0.0:
-        tail = 0.0
-    else:
-        dom_total = (1 - tau) ** (-a_total)
-        tail = dom_total - math.fsum(math.exp(lp) * tau**m for m, lp in enumerate(log_poch))
+    tail = (1 - tau) ** -a_total - math.fsum(math.exp(c) * tau**m for m, c in enumerate(log_poch))
     return series, product, abs(tail)

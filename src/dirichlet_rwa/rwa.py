@@ -44,8 +44,8 @@ class WeightedAverageScenario:
     target_alpha: tuple
 
     def __init__(self, w_alpha, x_alphas, target_alpha):
-        x = tuple(map(_concentrations, x_alphas))
-        w, t = _concentrations(w_alpha), _concentrations(target_alpha)
+        x = tuple(_concentrations(row, f"row {j} of x: ") for j, row in enumerate(x_alphas))
+        w, t = _concentrations(w_alpha, "weights: "), _concentrations(target_alpha, "target: ")
         if len(x) != len(w) or any(len(r) != len(t) for r in x):
             raise ValueError("x_alphas must be (n, k), n = len(w_alpha), k = len(target_alpha)")
         object.__setattr__(self, "w_alpha", w)

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .distributions import DirichletParams, dirichlet_mixed_moment
+from .distributions import DirichletParams, _exponents, dirichlet_mixed_moment
 
 __all__ = [
     "moment_ztest",
@@ -53,29 +53,26 @@ def moment_ztest(values: np.ndarray, target: DirichletParams, s) -> dict:
     multiplication is correctly rounded, so the record does not depend on
     which SIMD loop numpy picks for the CPU, as its ``np.power`` loops do.
     """
-    s = tuple(int(v) for v in s)
+    s = _exponents(s)
     if len(s) != values.shape[1]:
         raise ValueError("moment index length must match batch dimension")
     if sum(s) == 0:
-        # empty product: trivially 1 on both sides
-        emp = exact = 1.0
-        se = z = 0.0
-    else:
-        factors = [j for j, e in enumerate(s) for _ in range(e)]
-        prod = values[:, factors[0]].copy()
-        for j in factors[1:]:
-            prod *= values[:, j]
-        emp = float(prod.mean())
-        # np.var(ddof=1)'s steps on prod itself: its deviations, squared, summed
-        # and divided by n - 1, without a deviation array of its own.
-        prod -= emp
-        np.square(prod, out=prod)
-        var = float(prod.sum() / (values.shape[0] - 1))
-        if var <= 0:
-            raise ValueError("degenerate batch: zero sample variance")
-        se = math.sqrt(var / values.shape[0])
-        exact = dirichlet_mixed_moment(target, s)
-        z = (emp - exact) / se
+        raise ValueError("a moment of total order 0 is 1 on both sides and tests nothing")
+    factors = [j for j, e in enumerate(s) for _ in range(e)]
+    prod = values[:, factors[0]].copy()
+    for j in factors[1:]:
+        prod *= values[:, j]
+    emp = float(prod.mean())
+    # np.var(ddof=1)'s steps on prod itself: its deviations, squared, summed
+    # and divided by n - 1, without a deviation array of its own.
+    prod -= emp
+    np.square(prod, out=prod)
+    var = float(prod.sum() / (values.shape[0] - 1))
+    if var <= 0:
+        raise ValueError("degenerate batch: zero sample variance")
+    se = math.sqrt(var / values.shape[0])
+    exact = dirichlet_mixed_moment(target, s)
+    z = (emp - exact) / se
     return {"kind": "moment", "index": list(s), "empirical": emp, "exact": exact,
             "std_error": se, "z_score": z, "pass": abs(z) <= Z_THRESHOLD}
 
@@ -178,7 +175,7 @@ def energy_block_statistics(a: np.ndarray, b: np.ndarray, rows: int, first: int,
     return h
 
 
-def energy_two_sample(a: np.ndarray, b: np.ndarray, h=None) -> dict:
+def energy_two_sample(a: np.ndarray, b: np.ndarray, h) -> dict:
     """Block energy two-sample test over every draw of the (N, k) samples a
     and b (the B-test of Zaremba, Gretton & Blaschko 2013, with the distance
     kernel).
@@ -193,17 +190,16 @@ def energy_two_sample(a: np.ndarray, b: np.ndarray, h=None) -> dict:
     The one-sided z = mean(h) / (sd(h)/sqrt(blocks)) is judged against
     Student's t on blocks - 1 degrees of freedom.
 
-    ``h``, if given, yields arrays from energy_block_statistics that join, in
-    block order, into every block's statistic (the battery computes them on
-    other threads); otherwise they are computed here.  Either way the record
-    is the same.
+    ``h`` yields arrays from energy_block_statistics that join, in block
+    order, into every block's statistic (the battery computes them on other
+    threads).
     """
     from scipy.special import stdtr
 
     if a.shape[1] != b.shape[1]:
         raise ValueError("batches must have the same dimension")
     rows, blocks = energy_layout(min(a.shape[0], b.shape[0]))
-    h = energy_block_statistics(a, b, rows, 0, blocks) if h is None else np.concatenate(list(h))
+    h = np.concatenate(list(h))
     statistic = float(h.mean())
     se = float(h.std(ddof=1)) / math.sqrt(blocks)
     if se == 0:

@@ -20,9 +20,10 @@ from dirichlet_rwa.distributions import DirichletParams, RngStream
 from dirichlet_rwa.moments import rwa_moment_expansion
 from dirichlet_rwa.runner import MAX_MOMENT_ORDER, moment_indices, run_scenario, write_report
 from dirichlet_rwa.rwa import sample_rwa_direct_batch, theorem_scenario
-from dirichlet_rwa.stattest import energy_two_sample, ks_marginal, moment_ztest
+from dirichlet_rwa.stattest import ks_marginal, moment_ztest
 from test_distributions import SIMPLEX_SUM_TOL
 from test_rwa import B, einsum_sample_batch
+from test_stattest import energy_record
 
 
 def small_config(out_dir, **overrides):
@@ -373,8 +374,8 @@ def test_battery_replicates_come_from_distinct_streams():
     assert energy["kind"] == "energy"
     scenario = theorem_scenario(params["alphas"])
     direct, gamma = (sample_rwa_direct_batch(scenario, 2000, RngStream(3, i)) for i in (1, 2))
-    assert energy == {**energy_two_sample(direct, gamma), "path": "direct-vs-gamma"}
-    assert energy != {**energy_two_sample(direct, direct), "path": "direct-vs-gamma"}
+    assert energy == {**energy_record(direct, gamma), "path": "direct-vs-gamma"}
+    assert energy != {**energy_record(direct, direct), "path": "direct-vs-gamma"}
 
 
 def one_after_another(alphas, seed, n_samples):
@@ -389,7 +390,7 @@ def one_after_another(alphas, seed, n_samples):
         tests += [{**moment_ztest(batch, target, s), "path": path}
                   for s in moment_indices(scenario.k, MAX_MOMENT_ORDER)]
         tests += [{**ks_marginal(batch, target, c), "path": path} for c in range(scenario.k)]
-    return tests + [{**energy_two_sample(direct, gamma), "path": "direct-vs-gamma"}]
+    return tests + [{**energy_record(direct, gamma), "path": "direct-vs-gamma"}]
 
 
 # the fewest draws; one sampler block; three sampler blocks, the last partial,
@@ -702,6 +703,25 @@ def test_sample_non_finite_concentrations_exit_2(tmp_path, capsys, alphas):
                  "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("alphas, name", [("1e308,1e308;1,1", "row 0 of x"),
+                                          ("1,1;1e308,1e308", "row 1 of x"),
+                                          ("1e308,1;1e308,1", "weights")])
+def test_refused_concentration_vector_is_named(tmp_path, capsys, alphas, name):
+    # a row's sum overflows, or only the weights' sum (the row sums') does
+    out = tmp_path / "z.csv"
+    assert main(["sample", "--alphas", alphas, "--n-samples", "5", "--seed", "1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: {name}: concentrations must be finite and > 0 "
+                                       "with a finite sum, got (1e+308, 1e+308)\n")
+    # the column sums equal the weights' in total, so only an explicit target
+    # fails on its own
+    cfg = {"format_version": 1, "output_dir": str(tmp_path / "reports"),
+           "scenarios": [{"id": "t", "kind": "theorem", "seed": 1, "alphas": [[1, 2], [3, 4]],
+                          "n_samples": 100, "target_override": [1e308, 1e308]}]}
+    with pytest.raises(ConfigError, match=r"^scenarios\[0\]: target: concentrations must be "):
+        parse_config(cfg)
 
 
 # 10**15 draws ask numpy for petabytes, beyond the address space: the

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -83,19 +84,39 @@ def _no_enumeration(*args):
     raise AssertionError("the validator enumerated a support")
 
 
+def _dirmult_total(max_k, trials, entries=4):
+    """The count vectors that a dirmult run enumerates: entries^k alphas of
+    each k = 2..max_k, each over the supports of 0..trials trials."""
+    return sum(entries ** k * math.comb(t + k - 1, k - 1)
+               for k in range(2, max_k + 1) for t in range(trials + 1))
+
+
+def _dirmult_refusal(max_k, trials, entries=(0.5, 1.0, 2.0, 5.0)):
+    """The validator's message for a dirmult grid above the cap: the total
+    of k = 2..j, for the first j at which it passes 2^22."""
+    j = next(j for j in range(2, max_k + 1) if _dirmult_total(j, trials, len(entries)) > 2 ** 22)
+    return (rf"^scenarios\[0\]: dirmult at max_k {max_k}, max_trials {trials} and entries "
+            rf"{re.escape(str(list(entries)))} enumerates "
+            rf"{_dirmult_total(j, trials, len(entries)):,} count vectors at k <= {j} alone, "
+            r"more than the cap of 4,194,304$")
+
+
 def test_dirmult_support_cap_refused_without_enumerating(monkeypatch):
-    # C(75, 11) = 4.9e12 count vectors at max_k 12 and 64 trials, C(69, 5) =
-    # 1.1e7 at max_k 6; C(68, 4) = 814,385 at max_k 5 is within the cap
+    # The runner enumerates every alpha of each k at every trial count.  At
+    # max_k 5 and 64 trials that is 11,719,820,112 count vectors, though the
+    # largest support, C(68, 4) = 814,385, is within the cap; at max_k 12 and
+    # one trial, 16,777,216 alphas of k = 12 alone.  max_k 4 is within the
+    # cap up to 22 trials (3,978,816) and above it at 23 (4,664,000).
+    assert _dirmult_total(5, 64) == 11_719_820_112
+    assert (_dirmult_total(4, 22), _dirmult_total(4, 23)) == (3_978_816, 4_664_000)
     monkeypatch.setattr(moments, "compositions", _no_enumeration)
-    for max_k, support in ((12, "4,898,229,264,825"), (6, "11,238,513")):
-        sc = {"id": "d", "kind": "dirmult", "seed": 1, "max_k": max_k, "max_trials": 64}
-        with pytest.raises(ConfigError, match=rf"alphas of {max_k} coordinates at 64 trials "
-                                              rf"have a Dirichlet-multinomial support of "
-                                              rf"{support} count vectors, more than the cap "
-                                              r"of 4,194,304"):
+    for max_k, trials in ((5, 64), (12, 1), (12, 64), (6, 10), (4, 23)):
+        sc = {"id": "d", "kind": "dirmult", "seed": 1, "max_k": max_k, "max_trials": trials}
+        with pytest.raises(ConfigError, match=_dirmult_refusal(max_k, trials)):
             parse_config(config("r", sc))
-    parse_config(config("r", {"id": "d", "kind": "dirmult", "seed": 1, "max_k": 5,
-                               "max_trials": 64.0}))
+    for max_k, trials in ((4, 22.0), (4, 10), (2, 64)):
+        parse_config(config("r", {"id": "d", "kind": "dirmult", "seed": 1, "max_k": max_k,
+                                   "max_trials": trials}))
 
 
 @pytest.mark.parametrize(
@@ -189,39 +210,47 @@ SCENARIOS = st.one_of(
 @st.composite
 def _enumerating(draw):
     """A dirmult or kerov_tsilevich scenario of up to 30 coordinates and up
-    to 64 trials, and the largest support that its run enumerates: at
-    max_k and max_trials, or at each alpha's length and order 12."""
+    to 64 trials, the count vectors that decide whether it is refused, and
+    the refusal's message: every count vector of a dirmult run, or the
+    largest support of a kerov_tsilevich run, at each alpha's length and
+    order 12."""
     k = draw(st.integers(2, 30))
     if draw(st.booleans()):
         trials = draw(st.integers(0, 64))
-        return ({"kind": "dirmult", "max_k": k, "max_trials": trials},
-                math.comb(trials + k - 1, k - 1))
-    alphas = st.lists(st.floats(0.1, 5.0), min_size=k, max_size=k)
-    t = st.lists(st.floats(-0.9, 0.9), min_size=k, max_size=k)
-    return ({"kind": "kerov_tsilevich", "alphas": draw(st.lists(alphas, min_size=1, max_size=3)),
-             "t_values": draw(st.lists(t, min_size=1, max_size=2))}, math.comb(12 + k - 1, k - 1))
+        entries = [0.5 * (i + 1) for i in range(draw(st.integers(1, 4)))]
+        total = _dirmult_total(k, trials, len(entries))
+        refusal = _dirmult_refusal(k, trials, entries) if total > 2 ** 22 else None
+        return ({"kind": "dirmult", "max_k": k, "max_trials": trials, "entries": entries},
+                total, refusal)
+    return _kt_scenario(k, draw(st.lists(st.lists(st.floats(0.1, 5.0), min_size=k, max_size=k),
+                                         min_size=1, max_size=3)),
+                        draw(st.lists(st.lists(st.floats(-0.9, 0.9), min_size=k, max_size=k),
+                                      min_size=1, max_size=2)))
+
+
+def _kt_scenario(k, alphas, t_values):
+    support = math.comb(12 + k - 1, k - 1)
+    return ({"kind": "kerov_tsilevich", "alphas": alphas, "t_values": t_values}, support,
+            rf"^scenarios\[0\]: alphas of {k} coordinates at 12 trials have a "
+            rf"Dirichlet-multinomial support of {support:,} count vectors")
 
 
 @given(_enumerating())
 # 20 coordinates have 141,120,525 count vectors at order 12, and 13 have
 # 2,704,156, within the cap
-@example(({"kind": "kerov_tsilevich", "alphas": [[1.0] * 20], "t_values": [[0.1] * 20]},
-          141_120_525))
-@example(({"kind": "kerov_tsilevich", "alphas": [[1.0] * 13], "t_values": [[0.1] * 13]},
-          2_704_156))
+@example(_kt_scenario(20, [[1.0] * 20], [[0.1] * 20]))
+@example(_kt_scenario(13, [[1.0] * 13], [[0.1] * 13]))
 @settings(max_examples=100, deadline=None)
 def test_enumerating_scenarios_refused_above_the_support_cap(scenario):
-    # A config is refused exactly when its largest support has more than
-    # 2^22 count vectors, and the validator enumerates none to decide it.
-    scenario, support = scenario
+    # A config is refused exactly when its count vectors are more than 2^22,
+    # and the validator enumerates none to decide it.
+    scenario, count, refusal = scenario
     cfg = config("r", {"id": "e", "seed": 1, **scenario})
     with mock.patch.object(moments, "compositions", _no_enumeration):
-        if support <= 2 ** 22:
+        if count <= 2 ** 22:
             parse_config(cfg)
         else:
-            with pytest.raises(ConfigError, match=rf"^scenarios\[0\]: alphas of \d+ coordinates "
-                                                  rf"at \d+ trials have a Dirichlet-multinomial "
-                                                  rf"support of {support:,} count vectors"):
+            with pytest.raises(ConfigError, match=refusal):
                 parse_config(cfg)
 
 

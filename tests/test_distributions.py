@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from dirichlet_rwa.distributions import (
     dirichlet_mixed_moment,
     sample_dirichlet_batch,
 )
+from dirichlet_rwa.moments import MomentIndex
+from dirichlet_rwa.stattest import moment_ztest
 
 # Tolerance on |sum(coords) - 1| of a sampled row; 1e-12 covers 64-bit
 # accumulation error for dimensions up to ~64.
@@ -159,6 +162,34 @@ def test_normalized_gamma_consistency_and_rate_invariance():
 def test_zero_exponent_moment_is_one(alpha):
     p = DirichletParams(alpha)
     assert dirichlet_mixed_moment(p, [0] * p.k) == 1.0
+
+
+def _exponent_readers():
+    """The three readers of an exponent vector, each a function of s."""
+    p = DirichletParams((1.0, 2.0))
+    values = sample_dirichlet_batch(p, 100, RngStream(5, 0).generator())
+    return {"MomentIndex": lambda s: MomentIndex(s).s,
+            "dirichlet_mixed_moment": lambda s: dirichlet_mixed_moment(p, s),
+            "moment_ztest": lambda s: moment_ztest(values, p, s)}
+
+
+@pytest.mark.parametrize("reader", ["MomentIndex", "dirichlet_mixed_moment", "moment_ztest"])
+@pytest.mark.parametrize("s", [(1.5, 1), ("2", 1), (True, 0), (1, False), (Fraction(3, 2), 1),
+                               (np.float64(0.5), 1), (-1, 2), (-1.0, 2), (math.nan, 1),
+                               (math.inf, 1), (None, 1)], ids=repr)
+def test_one_exponent_rule(reader, s):
+    # every reader of an exponent vector refuses the same entries: a
+    # fraction, a bool, a string, a negative or non-finite number
+    with pytest.raises(ValueError, match=r"^exponents must be non-negative integers, got "):
+        _exponent_readers()[reader](s)
+
+
+@pytest.mark.parametrize("reader", ["MomentIndex", "dirichlet_mixed_moment", "moment_ztest"])
+def test_integral_exponents_taken(reader):
+    # a number equal to a non-negative integer is that integer to every reader
+    read = _exponent_readers()[reader]
+    for s in ((2.0, 1.0), (np.int64(2), np.float64(1.0)), (Fraction(2), 1), [2, 1]):
+        assert read(s) == read((2, 1))
 
 
 @given(st.lists(positive, min_size=2, max_size=5), st.integers(min_value=0, max_value=6))

@@ -474,12 +474,10 @@ def test_closed_form_matches_exact_moments(e):
 
 
 def support_pmf(p):
-    """The support of p and its pmf there, by the path that
+    """The support of p and its pmf there, from the one pmf builder that
     dirmult_normalization_check and kerov_tsilevich_check read."""
-    support, log_multinomial = moments._dirmult_support(p.trials, p.alpha.k)
-    logs = _log_rising_table(p.alpha.alpha, max(p.trials, DEFAULT_ORDER_CAP))[None]
-    log_pmf = moments._log_pmf(logs, p.trials, support, log_multinomial)[0]
-    return support.tolist(), np.exp(log_pmf)
+    support, pmf = moments._pmf([p.alpha.alpha], p.trials)
+    return support.tolist(), pmf[0]
 
 
 @pytest.mark.parametrize("e", [1e-3, 0.5, 1e4, 1e6, 1e12, 1e100])
@@ -667,6 +665,27 @@ def test_kerov_tsilevich_identity(alpha, t):
             want += math.prod(_exact_rising(Fraction(a), hj) * Fraction(tj) ** hj
                               / math.factorial(hj) for a, tj, hj in zip(alpha, t, h))
     assert abs(Fraction(series) - want) <= 1e-14 * abs(want)
+
+
+def test_one_pmf_builder_for_sums_and_series(monkeypatch):
+    # The normalization sums and the Kerov-Tsilevich series read one pmf
+    # builder: a batch of sums in one call, the series in one call per order.
+    # At t = 0 the series is its order-0 term and the tail bound exactly 0.0.
+    calls = []
+    pmf = moments._pmf
+
+    def counting_pmf(alphas, n):
+        calls.append((len(alphas), n))
+        return pmf(alphas, n)
+
+    monkeypatch.setattr(moments, "_pmf", counting_pmf)
+    params = [DirMultParams(DirichletParams(a), 5) for a in ((1, 2, 3), (0.5, 0.5, 4))]
+    assert all(abs(total - 1.0) <= 1e-12 for total in moments._normalize(params))
+    assert calls == [(2, 5)]
+    calls.clear()
+    for t in ((0.0, 0.0, 0.0), (0.0, -0.0, 0.0)):
+        assert kerov_tsilevich_check((1, 2, 3), t) == (1.0, 1.0, 0.0)
+    assert calls == [(1, m) for m in range(1, moments.KT_ORDER + 1)] * 2
 
 
 def test_kerov_tsilevich_quadrature_cross_check():

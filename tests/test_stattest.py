@@ -21,6 +21,13 @@ def batch(alpha, n, seed, stream=0):
     return sample_dirichlet_batch(DirichletParams(alpha), n, RngStream(seed, stream).generator())
 
 
+def energy_record(a, b):
+    """The energy test of a against b, every block's statistic from one
+    energy_block_statistics call on this thread."""
+    rows, blocks = energy_layout(min(len(a), len(b)))
+    return energy_two_sample(a, b, [stattest.energy_block_statistics(a, b, rows, 0, blocks)])
+
+
 def test_moment_ztest_null_passes():
     b = batch((1, 1), 10**5, 101)
     r = moment_ztest(b, DirichletParams((1, 1)), (1, 0))
@@ -33,10 +40,11 @@ def test_moment_ztest_wrong_target_fails():
     assert not r["pass"] and abs(r["z_score"]) > 5
 
 
-def test_moment_ztest_zero_exponent_trivially_passes():
+def test_moment_ztest_refuses_total_order_zero():
+    # E[1] = 1 on both sides: a record of it would pass whatever the batch
     b = batch((1, 1), 100, 103)
-    r = moment_ztest(b, DirichletParams((1, 1)), (0, 0))
-    assert r["pass"] and r["z_score"] == 0.0
+    with pytest.raises(ValueError, match="total order 0"):
+        moment_ztest(b, DirichletParams((1, 1)), (0, 0))
 
 
 def test_moment_ztest_degenerate_batch():
@@ -87,7 +95,7 @@ def test_ks_threshold_scaling():
 def test_energy_same_law_passes():
     a = batch((2, 3, 5), 20_000, 108, stream=0)
     b = batch((2, 3, 5), 20_000, 108, stream=1)
-    r = energy_two_sample(a, b)
+    r = energy_record(a, b)
     assert r["pass"]
     assert 0 < r["p_value"] <= 1
     assert (r["block_rows"], r["blocks"]) == (ENERGY_BLOCK, 20_000 // ENERGY_BLOCK)
@@ -96,7 +104,7 @@ def test_energy_same_law_passes():
 def test_energy_different_law_fails():
     a = batch((1, 1, 1), 20_000, 109, stream=0)
     b = batch((3, 1, 1), 20_000, 109, stream=1)
-    r = energy_two_sample(a, b)
+    r = energy_record(a, b)
     assert not r["pass"]
 
 
@@ -104,7 +112,7 @@ def test_energy_identical_arrays_pass():
     # every block pairs a row with itself, so the cross mean is below the
     # within means and the statistic is negative
     a = batch((2, 2), 5_000, 110)
-    r = energy_two_sample(a, a)
+    r = energy_record(a, a)
     assert r["statistic"] < 0 and r["pass"]
 
 
@@ -112,14 +120,14 @@ def test_energy_dimension_mismatch():
     a = batch((1, 1), 100, 111)
     b = batch((1, 1, 1), 100, 112)
     with pytest.raises(ValueError):
-        energy_two_sample(a, b)
+        energy_record(a, b)
 
 
 def test_energy_needs_two_blocks_of_two_rows():
     a = batch((1, 1), 3, 113, stream=0)
     b = batch((1, 1), 100, 113, stream=1)
     with pytest.raises(ValueError, match="at least 4 rows"):
-        energy_two_sample(a, b)
+        energy_record(a, b)
 
 
 def test_energy_degenerate_blocks_raise():
@@ -129,7 +137,7 @@ def test_energy_degenerate_blocks_raise():
     b = a.copy()
     b[4] = (0.0, 1.0)  # past the last block
     with pytest.raises(ValueError, match="degenerate"):
-        energy_two_sample(a, b)
+        energy_record(a, b)
 
 
 def loop_block_statistics(a, b):
@@ -159,7 +167,7 @@ def test_energy_statistic_equals_explicit_loop(ma, mb):
     for alpha_a, alpha_b in (((1, 2, 3), (1.5, 2, 3)), ((1, 2), (1.5, 2))):
         a, b = rng.dirichlet(alpha_a, ma), rng.dirichlet(alpha_b, mb)
         h = loop_block_statistics(a, b)
-        r = energy_two_sample(a, b)
+        r = energy_record(a, b)
         assert r["blocks"] == len(h) and r["block_rows"] == min(ENERGY_BLOCK, min(ma, mb) // 2)
         assert r["statistic"] == pytest.approx(sum(h) / len(h), rel=1e-12)
         z = np.mean(h) / (np.std(h, ddof=1) / math.sqrt(len(h)))
@@ -193,8 +201,8 @@ def test_energy_null_false_alarms_and_z_spread(monkeypatch):
     # 100 blocks of 10 rows per pair keep 200 pairs cheap; each block's
     # statistic has mean 0 under the null at any block length
     monkeypatch.setattr(stattest, "ENERGY_BLOCK", 10)
-    records = [energy_two_sample(batch((2, 3, 5), 1000, seed, stream=0),
-                                 batch((2, 3, 5), 1000, seed, stream=1))
+    records = [energy_record(batch((2, 3, 5), 1000, seed, stream=0),
+                             batch((2, 3, 5), 1000, seed, stream=1))
                for seed in range(200)]
     assert {r["blocks"] for r in records} == {100}
     assert min(r["p_value"] for r in records) > ENERGY_LEVEL
@@ -205,7 +213,7 @@ def test_energy_detects_a_small_shift_at_full_size():
     # one concentration 4% high
     a = batch((5, 7, 9), 200_000, 120, stream=0)
     b = batch((5.2, 7, 9), 200_000, 120, stream=1)
-    r = energy_two_sample(a, b)
+    r = energy_record(a, b)
     assert r["blocks"] == 200_000 // ENERGY_BLOCK
     assert not r["pass"] and r["z"] > 0
 
@@ -235,18 +243,16 @@ def multiplied_moment_ztest(values, target, s):
     and so on; each step is one correctly rounded multiplication."""
     s = tuple(int(v) for v in s)
     if sum(s) == 0:
-        emp = exact = 1.0
-        se = z = 0.0
-    else:
-        factors = [j for j, e in enumerate(s) for _ in range(e)]
-        prod = np.array([math.prod(row) for row in values[:, factors].tolist()])
-        emp = float(prod.mean())
-        var = float(prod.var(ddof=1))
-        if var <= 0:
-            raise ValueError("degenerate batch: zero sample variance")
-        se = math.sqrt(var / values.shape[0])
-        exact = dirichlet_mixed_moment(target, s)
-        z = (emp - exact) / se
+        raise ValueError("a moment of total order 0 is 1 on both sides and tests nothing")
+    factors = [j for j, e in enumerate(s) for _ in range(e)]
+    prod = np.array([math.prod(row) for row in values[:, factors].tolist()])
+    emp = float(prod.mean())
+    var = float(prod.var(ddof=1))
+    if var <= 0:
+        raise ValueError("degenerate batch: zero sample variance")
+    se = math.sqrt(var / values.shape[0])
+    exact = dirichlet_mixed_moment(target, s)
+    z = (emp - exact) / se
     return {"kind": "moment", "index": list(s), "empirical": emp, "exact": exact,
             "std_error": se, "z_score": z, "pass": abs(z) <= Z_THRESHOLD}
 
