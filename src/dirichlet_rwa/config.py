@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import DirichletParams
-from .moments import (_MAX_PAIRS, DIRMULT_TRIALS_CAP, KT_ORDER, MomentIndex, _check_pairs,
-                      _check_support, kerov_tsilevich_check)
+from .moments import DIRMULT_TRIALS_CAP, KT_ORDER, MomentIndex, _check_work, kerov_tsilevich_check
 from .rwa import WeightedAverageScenario, theorem_scenario, variant_scenario
 from .stieltjes import _check_grid
 
@@ -114,13 +113,37 @@ def _count(v, key: str, low: int) -> None:
 # Least value of each integer key; 4 draws give the energy test two blocks of
 # two rows, fewer leave its standard error undefined, and smaller values of
 # the others would check nothing.
-_COUNT_MIN = {"n_samples": 4, "max_total_order": 1, "n_random": 1, "max_trials": 0,
-              "max_k": 2}
+_COUNT_MIN = {"n_samples": 4, "max_total_order": 1, "n_random": 1, "max_trials": 0, "max_k": 2}
+
+
+def _exhaustive_grid(n: int, k: int, entries) -> int:
+    """The len(entries)^(n k) matrices the runner checks if at most 256, else 0."""
+    size = len(entries) ** min(n * k, 9)  # 2^9 > 256 spares the full power
+    return size if size <= 256 else 0
+
+
+def _work(kind: str, p: dict) -> int:
+    """The elements the runner builds, counted as a batch's; raises once the
+    sum passes the cap, so a long max_k adds at most a few thousand terms."""
+    if kind == "moments":  # matrices x cell pairs of each size's tables
+        terms = ((_exhaustive_grid(n, k, p["entries"]) or int(p["n_random"]))
+                 * math.comb(int(p["max_total_order"]) + 2 * k, 2 * k) for n, k in p["sizes"])
+    elif kind == "dirmult":  # |entries|^k alphas x count vectors of 0..max_trials x k
+        terms = (len(p["entries"]) ** k * math.comb(int(p["max_trials"]) + k, k) * k
+                 for k in range(2, int(p["max_k"]) + 1))
+    else:  # each t of each alpha reads the supports of 1..KT_ORDER trials
+        terms = (len(p["t_values"]) * (math.comb(KT_ORDER + len(a), len(a)) - 1) * len(a)
+                 for a in p["alphas"])
+    what, total = f"this {kind} scenario ({', '.join(_SCENARIO_PARAMS[kind])})", 0
+    for term in terms:
+        total += term
+        _check_work(total, what)
+    return total
 
 
 def _check_values(kind: str, p: dict) -> None:
-    """Build what the runner builds from the parameters; a bad value raises
-    ValueError."""
+    """Build what the runner builds from the parameters, once _work allows
+    it; a bad value raises ValueError."""
     for key, low in _COUNT_MIN.items():
         if key in p:
             _count(p[key], key, low)
@@ -132,34 +155,27 @@ def _check_values(kind: str, p: dict) -> None:
     elif kind == "variant":
         variant_scenario(_numbers(p["alpha"], "alpha"))
     elif kind == "moments":
-        top = MomentIndex([p["max_total_order"]]).total  # the order cap
-        entries = _numbers(p["entries"], "entries")
-        for n, k in _rows(p["sizes"], "sizes"):
-            _check_pairs(int(k), top)  # the cost cap of a moment table
+        MomentIndex([p["max_total_order"]])  # the order cap
+        entries, sizes = _numbers(p["entries"], "entries"), _rows(p["sizes"], "sizes")
+        _work(kind, p)
+        for n, k in sizes:
             for e in entries:
                 theorem_scenario(np.full((n, k), e))
     elif kind == "dirmult":
         if p["max_trials"] > DIRMULT_TRIALS_CAP:
             raise ValueError(f"max_trials exceeds the cap of {DIRMULT_TRIALS_CAP}")
-        max_k, trials = int(p["max_k"]), int(p["max_trials"])
         entries = _numbers(p["entries"], "entries")
-        total = 0  # |entries|^k alphas of each k, each C(trials + k, k) rows over 0..trials
-        for k in range(2, max_k + 1):
-            total += len(entries) ** k * math.comb(trials + k, k)
-            if total > _MAX_PAIRS:
-                raise ValueError(f"dirmult at max_k {max_k}, max_trials {trials} and entries "
-                                 f"{entries} enumerates {total:,} count vectors at k <= {k} "
-                                 f"alone, more than the cap of {_MAX_PAIRS:,}")
+        _work(kind, p)
         for e in entries:
-            DirichletParams((e,) * max_k)  # the runner's longest alphas
+            DirichletParams((e,) * int(p["max_k"]))  # the runner's longest alphas
     elif kind == "stieltjes":
         _check_grid(_numbers(p["grid"], "grid"))
         for n in _numbers(p["orders"], "orders"):
             _count(n, "orders", 2)  # PowerSemicircleParams needs n >= 2
     else:
-        t_values = _rows(p["t_values"], "t_values")
-        for alpha in _rows(p["alphas"], "alphas"):
-            _check_support(len(alpha), KT_ORDER)  # the runner's kerov_tsilevich_check order
+        t_values, alphas = _rows(p["t_values"], "t_values"), _rows(p["alphas"], "alphas")
+        _work(kind, p)
+        for alpha in alphas:
             for t in t_values:
                 kerov_tsilevich_check(alpha, t, order=0)  # argument checks only
 

@@ -18,8 +18,7 @@ times its prod_j s_j! / (A)_S.  The caller states the depth it will read,
 and every index of total order <= S reads its moment from that table, bit
 for bit what a table of its own order would give.  Each factor is
 multiplied in by one bincount over the C(S + 2k, 2k) pairs of cells whose
-sum stays in the simplex; _check_pairs caps that number at _MAX_PAIRS, and
-the validator refuses a config above it.
+sum stays in the simplex, at most _MAX_ELEMENTS (_check_work).
 
 tabulate_moments builds the tables of a grid of matrices a batch at a time,
 one bincount per factor over every matrix of the batch, and
@@ -101,34 +100,20 @@ def compositions(total: int, parts: int):
         yield tuple([b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,))])
 
 
-# Cost cap of a moment table: the simplex of k = 10 at order 8 has 3,108,105
-# pairs, and a run of two such matrices peaks near 175 MB.  It also caps the
-# count vectors of a support (_check_support) and of a whole dirmult scenario.
-_MAX_PAIRS = 2 ** 22
-
 # Element budget of a batch, and so of each thread's last batch of each kind:
 # matrices x cell pairs of moment tables, alphas x support rows x k of
 # Dirichlet-multinomial sums.  A batch holds at least one item, so a moment
 # table of more pairs is built alone.  Larger budgets raised peak RSS.
 _BATCH_ELEMENTS = 2 ** 12
+# Cap of a scenario's elements, counted so, and of one moment table or support.
+_MAX_ELEMENTS = 2 ** 22
 
 
-def _check_pairs(k: int, top: int) -> None:
-    """Raise ValueError if the simplex of cells |h| <= top in k coordinates
-    has more than _MAX_PAIRS pairs of cells."""
-    pairs = math.comb(top + 2 * k, 2 * k)
-    if pairs > _MAX_PAIRS:
-        raise ValueError(f"a moment table of k = {k} at order {top} has {pairs:,} cell "
-                         f"pairs, more than the cap of {_MAX_PAIRS:,}")
-
-
-def _check_support(k: int, trials: int) -> None:
-    """Raise ValueError if the support of trials in k cells has over _MAX_PAIRS rows."""
-    support = math.comb(trials + k - 1, k - 1)
-    if support > _MAX_PAIRS:
-        raise ValueError(f"alphas of {k} coordinates at {trials} trials have a "
-                         f"Dirichlet-multinomial support of {support:,} count vectors, "
-                         f"more than the cap of {_MAX_PAIRS:,}")
+def _check_work(elements: int, what: str) -> None:
+    """Raise ValueError if what builds more than _MAX_ELEMENTS elements."""
+    if elements > _MAX_ELEMENTS:
+        raise ValueError(f"{what} builds at least {elements:,} elements, more than the cap "
+                         f"of {_MAX_ELEMENTS:,}")
 
 
 class _Cells(NamedTuple):
@@ -165,12 +150,12 @@ def _simplex(k: int, top: int):
     block of 2^16 pairs at a time, so that only the three int32 pair arrays
     have the full length.
     """
-    _check_pairs(k, top)
+    _check_work(math.comb(top + 2 * k, 2 * k), f"a moment table of k = {k} at order {top}")
     # Lexicographic compositions of top into k + 1 parts, less the slack part.
     cells = np.asarray(list(compositions(top, k + 1)), dtype=np.intp)[:, :k].T
     degree = cells.sum(axis=0)
     # Each cell as one byte string of big-endian two-byte coordinates, whose
-    # byte order is lexicographic order; under the pair cap no coordinate
+    # byte order is lexicographic order; under the work cap no coordinate
     # reaches 2^16 (k = 1 stops at order 2,894).
     coords, key = np.ascontiguousarray(cells.T, dtype=">u2"), f"V{2 * k}"
     keys = coords.view(key).ravel()
@@ -353,7 +338,8 @@ def _dirmult_support(trials: int, cells: int):
     """All count vectors of the support, one per row, and their log
     multinomial coefficients (log h! = log (1)_h), read-only; they depend
     only on the trial and cell counts, so a grid of alphas shares them."""
-    _check_support(cells, trials)
+    _check_work(math.comb(trials + cells - 1, cells - 1) * cells,
+                f"a Dirichlet-multinomial support of {trials} trials in {cells} cells")
     support = np.asarray(list(compositions(trials, cells)), dtype=np.intp)
     log_fact = _log_rising_table((1.0,), max(trials, DEFAULT_ORDER_CAP))[0]
     return _read_only(support, log_fact[trials] - log_fact[support].sum(axis=1))

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, ScenarioConfig
+from .config import ExperimentConfig, ScenarioConfig, _exhaustive_grid
 from .distributions import DirichletParams, RngStream, dirichlet_mixed_moment
 from .moments import (
     DirMultParams,
@@ -162,10 +162,10 @@ def _run_variant(sc: ScenarioConfig):
 
 def _spec_grid(n: int, k: int, entries, n_random: int, seed: int):
     """Deterministic fixture grid of n x k alpha matrices: exhaustive when
-    small, otherwise a seeded sample of entry combinations."""
+    small (_exhaustive_grid), otherwise a seeded sample of entry combinations."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     entries = [float(e) for e in entries]
-    if len(entries) ** (n * k) <= 256:
+    if _exhaustive_grid(n, k, entries):
         for combo in itertools.product(entries, repeat=n * k):
             yield np.asarray(combo).reshape(n, k)
     else:
@@ -190,8 +190,7 @@ def _run_moments(sc: ScenarioConfig):
     n_random, max_total = int(p["n_random"]), int(p["max_total_order"])
     tests = []
     for n, k in p["sizes"]:
-        worst = 0.0
-        checked = 0
+        worst, checked = 0.0, 0
         indices = [MomentIndex(s) for s in moment_indices(k, max_total)]
         grid = map(theorem_scenario, _spec_grid(n, k, p["entries"], n_random, sc.seed))
         for scenario in tabulate_moments(grid, max_total):
@@ -222,8 +221,7 @@ def _run_dirmult(sc: ScenarioConfig):
     and dirmult_normalization_check reads each alpha's sum."""
     max_trials, max_k = int(sc.params["max_trials"]), int(sc.params["max_k"])
     entries = [float(e) for e in sc.params["entries"]]
-    worst = 0.0
-    checked = 0
+    worst, checked = 0.0, 0
     for k in range(2, max_k + 1):
         alphas = [DirichletParams(alpha) for alpha in itertools.product(entries, repeat=k)]
         for trials in range(max_trials + 1):

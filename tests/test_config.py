@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from dirichlet_rwa import moments
 from dirichlet_rwa.cli import main
-from dirichlet_rwa.config import ConfigError, ScenarioConfig, parse_config
+from dirichlet_rwa.config import (ConfigError, ScenarioConfig, _exhaustive_grid, _work,
+                                  parse_config)
+from dirichlet_rwa.runner import run_scenario
 
 DIRMULT = {"id": "first", "kind": "dirmult", "seed": 1, "max_trials": 2, "max_k": 2}
 
@@ -82,41 +84,6 @@ def test_top_level_and_seed_types(tmp_path, monkeypatch, capsys, key, value):
 
 def _no_enumeration(*args):
     raise AssertionError("the validator enumerated a support")
-
-
-def _dirmult_total(max_k, trials, entries=4):
-    """The count vectors that a dirmult run enumerates: entries^k alphas of
-    each k = 2..max_k, each over the supports of 0..trials trials."""
-    return sum(entries ** k * math.comb(t + k - 1, k - 1)
-               for k in range(2, max_k + 1) for t in range(trials + 1))
-
-
-def _dirmult_refusal(max_k, trials, entries=(0.5, 1.0, 2.0, 5.0)):
-    """The validator's message for a dirmult grid above the cap: the total
-    of k = 2..j, for the first j at which it passes 2^22."""
-    j = next(j for j in range(2, max_k + 1) if _dirmult_total(j, trials, len(entries)) > 2 ** 22)
-    return (rf"^scenarios\[0\]: dirmult at max_k {max_k}, max_trials {trials} and entries "
-            rf"{re.escape(str(list(entries)))} enumerates "
-            rf"{_dirmult_total(j, trials, len(entries)):,} count vectors at k <= {j} alone, "
-            r"more than the cap of 4,194,304$")
-
-
-def test_dirmult_support_cap_refused_without_enumerating(monkeypatch):
-    # The runner enumerates every alpha of each k at every trial count.  At
-    # max_k 5 and 64 trials that is 11,719,820,112 count vectors, though the
-    # largest support, C(68, 4) = 814,385, is within the cap; at max_k 12 and
-    # one trial, 16,777,216 alphas of k = 12 alone.  max_k 4 is within the
-    # cap up to 22 trials (3,978,816) and above it at 23 (4,664,000).
-    assert _dirmult_total(5, 64) == 11_719_820_112
-    assert (_dirmult_total(4, 22), _dirmult_total(4, 23)) == (3_978_816, 4_664_000)
-    monkeypatch.setattr(moments, "compositions", _no_enumeration)
-    for max_k, trials in ((5, 64), (12, 1), (12, 64), (6, 10), (4, 23)):
-        sc = {"id": "d", "kind": "dirmult", "seed": 1, "max_k": max_k, "max_trials": trials}
-        with pytest.raises(ConfigError, match=_dirmult_refusal(max_k, trials)):
-            parse_config(config("r", sc))
-    for max_k, trials in ((4, 22.0), (4, 10), (2, 64)):
-        parse_config(config("r", {"id": "d", "kind": "dirmult", "seed": 1, "max_k": max_k,
-                                   "max_trials": trials}))
 
 
 @pytest.mark.parametrize(
@@ -207,51 +174,153 @@ SCENARIOS = st.one_of(
 )
 
 
+CAP = 2 ** 22
+
+
+def _elements(scenario) -> int:
+    """What the runner builds for an enumerating scenario, summed in full:
+    matrices x cell pairs of each size's moment tables, and alphas x count
+    vectors x coordinates of each Dirichlet-multinomial support of a
+    dirmult run (0..max_trials trials) or a Kerov-Tsilevich series (1..12
+    trials, once per t)."""
+    kind = scenario["kind"]
+    p = ScenarioConfig("e", kind, 1, {k: v for k, v in scenario.items() if k != "kind"}).params
+
+    def support(trials, k):
+        return math.comb(trials + k - 1, k - 1) * k
+
+    if kind == "moments":
+        matrices = [len(p["entries"]) ** (n * k) for n, k in p["sizes"]]
+        return sum((m if m <= 256 else p["n_random"])
+                   * math.comb(p["max_total_order"] + 2 * k, 2 * k)
+                   for m, (n, k) in zip(matrices, p["sizes"]))
+    if kind == "dirmult":
+        return sum(len(p["entries"]) ** k * support(t, k)
+                   for k in range(2, p["max_k"] + 1) for t in range(p["max_trials"] + 1))
+    return sum(len(p["t_values"]) * support(m, len(a)) for a in p["alphas"] for m in range(1, 13))
+
+
+def _case(scenario, elements=None):
+    return scenario, _elements(scenario) if elements is None else elements
+
+
+def _entries(draw):
+    return [0.5 * (i + 1) for i in range(draw(st.integers(1, 4)))]
+
+
 @st.composite
 def _enumerating(draw):
-    """A dirmult or kerov_tsilevich scenario of up to 30 coordinates and up
-    to 64 trials, the count vectors that decide whether it is refused, and
-    the refusal's message: every count vector of a dirmult run, or the
-    largest support of a kerov_tsilevich run, at each alpha's length and
-    order 12."""
+    """A moments, dirmult or kerov_tsilevich scenario of up to 30 coordinates,
+    64 trials and 10^9 random matrices, and its elements."""
     k = draw(st.integers(2, 30))
-    if draw(st.booleans()):
-        trials = draw(st.integers(0, 64))
-        entries = [0.5 * (i + 1) for i in range(draw(st.integers(1, 4)))]
-        total = _dirmult_total(k, trials, len(entries))
-        refusal = _dirmult_refusal(k, trials, entries) if total > 2 ** 22 else None
-        return ({"kind": "dirmult", "max_k": k, "max_trials": trials, "entries": entries},
-                total, refusal)
-    return _kt_scenario(k, draw(st.lists(st.lists(st.floats(0.1, 5.0), min_size=k, max_size=k),
-                                         min_size=1, max_size=3)),
-                        draw(st.lists(st.lists(st.floats(-0.9, 0.9), min_size=k, max_size=k),
-                                      min_size=1, max_size=2)))
+    kind = draw(st.sampled_from(["moments", "dirmult", "kerov_tsilevich"]))
+    if kind == "moments":
+        sizes = draw(st.lists(st.tuples(st.integers(2, 30), st.integers(2, 30)), min_size=1,
+                              max_size=2))
+        return _case({"kind": kind, "sizes": [list(s) for s in sizes], "entries": _entries(draw),
+                      "max_total_order": draw(st.integers(1, 8)),
+                      "n_random": draw(st.integers(1, 10 ** 9))})
+    if kind == "dirmult":
+        return _case({"kind": kind, "max_k": k, "max_trials": draw(st.integers(0, 64)),
+                      "entries": _entries(draw)})
+    return _case({"kind": kind,
+                  "alphas": draw(st.lists(st.lists(st.floats(0.1, 5.0), min_size=k, max_size=k),
+                                          min_size=1, max_size=3)),
+                  "t_values": draw(st.lists(st.lists(st.floats(-0.9, 0.9), min_size=k,
+                                                     max_size=k), min_size=1, max_size=2))})
 
 
-def _kt_scenario(k, alphas, t_values):
-    support = math.comb(12 + k - 1, k - 1)
-    return ({"kind": "kerov_tsilevich", "alphas": alphas, "t_values": t_values}, support,
-            rf"^scenarios\[0\]: alphas of {k} coordinates at 12 trials have a "
-            rf"Dirichlet-multinomial support of {support:,} count vectors")
+def _dirmult(max_k, max_trials, **keys):
+    return {"kind": "dirmult", "max_k": max_k, "max_trials": max_trials, **keys}
+
+
+def _kt(k, t_values=1):
+    return {"kind": "kerov_tsilevich", "alphas": [[1.0] * k], "t_values": [[0.1] * k] * t_values}
 
 
 @given(_enumerating())
-# 20 coordinates have 141,120,525 count vectors at order 12, and 13 have
-# 2,704,156, within the cap
-@example(_kt_scenario(20, [[1.0] * 20], [[0.1] * 20]))
-@example(_kt_scenario(13, [[1.0] * 13], [[0.1] * 13]))
+# One entry at 0 trials adds k elements at each k = 2..max_k: 4,194,305
+# passed a cap on count vectors, and the sum of 10^9 is refused at k = 2,896.
+@example(_case(_dirmult(4_194_305, 0, entries=[1.0]), 4_194_305 * 4_194_306 // 2 - 1))
+@example(_case(_dirmult(10 ** 9, 0, entries=[1.0]), 10 ** 9 * (10 ** 9 + 1) // 2 - 1))
+# The Kerov-Tsilevich series reads 1..12 trials: 13 coordinates build
+# 67,603,887 elements, though the order-12 support alone has 2,704,156 rows.
+@example(_case(_kt(13)))
+@example(_case(_kt(20)))
+@example(_case({"kind": "moments", "n_random": 10 ** 9}))
+# The edges: 4,130,048 and 5,152,224 elements, 4,037,600 and 4,284,000,
+# 2,645,361 and 6,466,450.
+@example(_case(_dirmult(4, 15)))
+@example(_case(_dirmult(4, 16)))
+@example(_case(_dirmult(3, 48)))
+@example(_case(_dirmult(3, 49)))
+@example(_case(_kt(9)))
+@example(_case(_kt(10)))
+# Accepted under the earlier per-kind caps, refused now.
+@example(_case(_dirmult(4, 22)))
+@example(_case({"kind": "moments", "sizes": [[2, 7]], "max_total_order": 8}))
+@example(_case(_kt(8, t_values=5)))
 @settings(max_examples=100, deadline=None)
-def test_enumerating_scenarios_refused_above_the_support_cap(scenario):
-    # A config is refused exactly when its count vectors are more than 2^22,
-    # and the validator enumerates none to decide it.
-    scenario, count, refusal = scenario
+def test_enumerating_scenarios_refused_exactly_above_the_work_cap(case):
+    # A config is refused exactly when the runner would build more than 2^22
+    # elements; the refusal names the kind's keys, and the validator
+    # enumerates nothing to decide it.
+    scenario, elements = case
+    kind = scenario["kind"]
     cfg = config("r", {"id": "e", "seed": 1, **scenario})
     with mock.patch.object(moments, "compositions", _no_enumeration):
-        if count <= 2 ** 22:
+        if elements <= CAP:
+            sc = parse_config(cfg).scenarios[0]
+            assert _work(kind, sc.params) == elements
+            return
+        with pytest.raises(ConfigError) as refusal:
             parse_config(cfg)
-        else:
-            with pytest.raises(ConfigError, match=refusal):
-                parse_config(cfg)
+    keys = ", ".join(ScenarioConfig("e", kind, 1, {k: v for k, v in scenario.items()
+                                                   if k != "kind"}).params)
+    counted = re.fullmatch(rf"scenarios\[0\]: this {kind} scenario \({keys}\) builds at least "
+                           r"([\d,]+) elements, more than the cap of 4,194,304",
+                           str(refusal.value))
+    assert counted, str(refusal.value)
+    # the sum stops once it passes the cap
+    assert CAP < int(counted[1].replace(",", "")) <= elements
+
+
+# One size of each grid: 3^4 = 81 matrices of 2 x 2, 3 seeded draws of 2 x 3.
+DRIFT = {
+    "moments": {"sizes": [[2, 2], [2, 3]], "entries": [0.5, 1.0, 2.0], "max_total_order": 3,
+                "n_random": 3},
+    "dirmult": {"max_k": 3, "max_trials": 3, "entries": [0.5, 2.0]},
+    "kerov_tsilevich": {"alphas": [[1.0, 2.0, 3.0], [0.5, 0.5, 4.0]],
+                        "t_values": [[0.1, 0.2, 0.3], [0.0, -0.5, 0.5]]},
+}
+
+
+@pytest.mark.parametrize("kind", DRIFT)
+def test_work_counts_what_the_runner_builds(monkeypatch, kind):
+    # Every moment table goes through _product, one row of cell pairs per
+    # matrix, and every Dirichlet-multinomial support through _pmf, one
+    # row of count vectors per alpha; their elements add up to _work.
+    built = []
+    product, pmf = moments._product, moments._pmf
+
+    def counting_product(w, x, e, cs, top):
+        built.append(len(w) * cs.left.size)
+        return product(w, x, e, cs, top)
+
+    def counting_pmf(alphas, n):
+        support, out = pmf(alphas, n)
+        built.append(len(alphas) * support.size)
+        return support, out
+
+    monkeypatch.setattr(moments, "_product", counting_product)
+    monkeypatch.setattr(moments, "_pmf", counting_pmf)
+    cfg = config("r", {"id": "d", "kind": kind, "seed": 5, **DRIFT[kind]})
+    sc = parse_config(cfg).scenarios[0]
+    if kind == "moments":
+        assert [bool(_exhaustive_grid(n, k, sc.params["entries"]))
+                for n, k in sc.params["sizes"]] == [True, False]
+    assert run_scenario(sc, "hash")["overall_pass"]
+    assert sum(built) == _work(kind, sc.params) == _elements({"kind": kind, **DRIFT[kind]})
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)

@@ -192,13 +192,15 @@ def test_k6_order8_table_and_the_pair_cap():
     # k = 6 at total 8 has C(8 + 12, 12) = 125,970 cell pairs, all in one
     # table, whose moments are those of each index's own box
     cs, _ = moments._simplex(6, 8)
-    assert len(cs.left) == math.comb(8 + 12, 12) <= moments._MAX_PAIRS
+    assert len(cs.left) == math.comb(8 + 12, 12) <= moments._MAX_ELEMENTS
     sc = theorem_scenario(np.linspace(0.25, 4.0, 18).reshape(3, 6))
     for s in [(8, 0, 0, 0, 0, 0), (1, 1, 1, 1, 2, 2), (0, 3, 0, 2, 0, 3), (2, 1, 0, 0, 4, 1)]:
         assert rwa_moment_expansion(sc, MomentIndex(s), 8) == _box_expansion(sc, s)
-    # the cap of 2^22 pairs admits k = 10 at order 8 and refuses k = 11
-    moments._check_pairs(10, 8)
-    with pytest.raises(ValueError, match="5,852,925 cell pairs, more than the cap of 4,194,304"):
+    # the cap of 2^22 elements admits one table of k = 10 at order 8
+    # (3,108,105 cell pairs) and refuses k = 11
+    moments._check_work(math.comb(8 + 20, 20), "k = 10")
+    with pytest.raises(ValueError, match="^a moment table of k = 11 at order 8 builds at least "
+                                         "5,852,925 elements, more than the cap of 4,194,304$"):
         moments._simplex(11, 8)
 
 
@@ -639,14 +641,14 @@ def test_dirmult_trials_cap():
 
 def test_dirmult_support_cap_refused_before_enumerating(monkeypatch):
     # 14 cells at 12 trials, the Kerov-Tsilevich order, have C(25, 13) =
-    # 5,200,300 count vectors, more than 2^22
+    # 5,200,300 count vectors of 14 coordinates, more than 2^22 elements
     def no_enumeration(*args):
         raise AssertionError("a support above the cap was enumerated")
 
     monkeypatch.setattr(moments, "compositions", no_enumeration)
-    with pytest.raises(ValueError, match="alphas of 14 coordinates at 12 trials have a "
-                                         "Dirichlet-multinomial support of 5,200,300 count "
-                                         "vectors, more than the cap of 4,194,304"):
+    with pytest.raises(ValueError, match="^a Dirichlet-multinomial support of 12 trials in 14 "
+                                         "cells builds at least 72,804,200 elements, more than "
+                                         "the cap of 4,194,304$"):
         dirmult_normalization_check(DirMultParams(DirichletParams([1.0] * 14), 12))
 
 
