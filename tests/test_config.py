@@ -238,34 +238,10 @@ def _kt(k, t_values=1):
     return {"kind": "kerov_tsilevich", "alphas": [[1.0] * k], "t_values": [[0.1] * k] * t_values}
 
 
-@given(_enumerating())
-# One entry at 0 trials adds k elements at each k = 2..max_k: 4,194,305
-# passed a cap on count vectors, and the sum of 10^9 is refused at k = 2,896.
-@example(_case(_dirmult(4_194_305, 0, entries=[1.0]), 4_194_305 * 4_194_306 // 2 - 1))
-@example(_case(_dirmult(10 ** 9, 0, entries=[1.0]), 10 ** 9 * (10 ** 9 + 1) // 2 - 1))
-# The Kerov-Tsilevich series reads 1..12 trials: 13 coordinates build
-# 67,603,887 elements, though the order-12 support alone has 2,704,156 rows.
-@example(_case(_kt(13)))
-@example(_case(_kt(20)))
-@example(_case({"kind": "moments", "n_random": 10 ** 9}))
-# The edges: 4,130,048 and 5,152,224 elements, 4,037,600 and 4,284,000,
-# 2,645,361 and 6,466,450.
-@example(_case(_dirmult(4, 15)))
-@example(_case(_dirmult(4, 16)))
-@example(_case(_dirmult(3, 48)))
-@example(_case(_dirmult(3, 49)))
-@example(_case(_kt(9)))
-@example(_case(_kt(10)))
-# Accepted under the earlier per-kind caps, refused now.
-@example(_case(_dirmult(4, 22)))
-@example(_case({"kind": "moments", "sizes": [[2, 7]], "max_total_order": 8}))
-@example(_case(_kt(8, t_values=5)))
-@settings(max_examples=100, deadline=None)
-def test_enumerating_scenarios_refused_exactly_above_the_work_cap(case):
-    # A config is refused exactly when the runner would build more than 2^22
-    # elements; the refusal names the kind's keys, and the validator
-    # enumerates nothing to decide it.
-    scenario, elements = case
+def _refused_exactly_above_the_cap(scenario, elements):
+    """A config is refused exactly when the runner would build more than 2^22
+    elements; the refusal names the kind's keys, and the validator
+    enumerates nothing to decide it."""
     kind = scenario["kind"]
     cfg = config("r", {"id": "e", "seed": 1, **scenario})
     with mock.patch.object(moments, "compositions", _no_enumeration):
@@ -283,6 +259,44 @@ def test_enumerating_scenarios_refused_exactly_above_the_work_cap(case):
     assert counted, str(refusal.value)
     # the sum stops once it passes the cap
     assert CAP < int(counted[1].replace(",", "")) <= elements
+
+
+def test_dirmult_support_cap_refused_without_enumerating():
+    # A dirmult run enumerates every alpha of each k at every trial count;
+    # its whole sum, not its largest support, is held to the cap.
+    for case in (
+        # One entry at 0 trials adds k elements at each k = 2..max_k: 4,194,305
+        # passed a cap on count vectors, and the sum of 10^9 is refused at k = 2,896.
+        _case(_dirmult(4_194_305, 0, entries=[1.0]), 4_194_305 * 4_194_306 // 2 - 1),
+        _case(_dirmult(10 ** 9, 0, entries=[1.0]), 10 ** 9 * (10 ** 9 + 1) // 2 - 1),
+        # The edges: 4,130,048 and 5,152,224 elements, 4,037,600 and 4,284,000.
+        _case(_dirmult(4, 15)),
+        _case(_dirmult(4, 16)),
+        _case(_dirmult(3, 48)),
+        _case(_dirmult(3, 49)),
+        # Accepted under the earlier cap on count vectors, refused now.
+        _case(_dirmult(4, 22)),
+    ):
+        _refused_exactly_above_the_cap(*case)
+
+
+@given(_enumerating())
+# The Kerov-Tsilevich series reads 1..12 trials: 13 coordinates build
+# 67,603,887 elements, though the order-12 support alone has 2,704,156 rows.
+@example(_case(_kt(13)))
+@example(_case(_kt(20)))
+@example(_case({"kind": "moments", "n_random": 10 ** 9}))
+# The edges: 2,645,361 and 6,466,450 elements.
+@example(_case(_kt(9)))
+@example(_case(_kt(10)))
+# Accepted under the earlier per-kind caps, refused now.
+@example(_case({"kind": "moments", "sizes": [[2, 7]], "max_total_order": 8}))
+@example(_case(_kt(8, t_values=5)))
+@settings(max_examples=100, deadline=None)
+def test_enumerating_scenarios_refused_above_the_support_cap(case):
+    # Over all three enumerating kinds, the cap is the one work budget of
+    # 2^22 elements: count vectors x coordinates, or matrices x cell pairs.
+    _refused_exactly_above_the_cap(*case)
 
 
 # One size of each grid: 3^4 = 81 matrices of 2 x 2, 3 seeded draws of 2 x 3.
