@@ -125,8 +125,8 @@ def _exhaustive_grid(n: int, k: int, entries) -> int:
 def _work(kind: str, p: dict) -> int:
     """The elements the runner builds, counted as a batch's; raises once the
     sum passes the cap, so a long max_k adds at most a few thousand terms."""
-    if kind == "moments":  # matrices x cell pairs of each size's tables
-        terms = ((_exhaustive_grid(n, k, p["entries"]) or int(p["n_random"]))
+    if kind == "moments":  # rows after the first x matrices x cell pairs of each size
+        terms = ((n - 1) * (_exhaustive_grid(n, k, p["entries"]) or int(p["n_random"]))
                  * math.comb(int(p["max_total_order"]) + 2 * k, 2 * k) for n, k in p["sizes"])
     elif kind == "dirmult":  # |entries|^k alphas x count vectors of 0..max_trials x k
         terms = (len(p["entries"]) ** k * math.comb(int(p["max_trials"]) + k, k) * k

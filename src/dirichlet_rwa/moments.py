@@ -29,10 +29,11 @@ which the per-item rwa_moment_expansion and dirmult_normalization_check
 read; on a miss they build a batch of one.  Every result has the bits it
 has when built alone.
 
-The closed forms, the moment of the claimed Dirichlet law and the one
-Dirichlet-multinomial pmf (_pmf, read by the sums and the Kerov-Tsilevich
-series), read the log rising factorials behind dirichlet_mixed_moment,
-and share no code with the expansion.
+The one Dirichlet-multinomial pmf (_pmf, read by the sums and the
+Kerov-Tsilevich series) is built from the expansion's _rising_ratios
+tables and scale rule.  The closed form, the moment of the claimed Dirichlet
+law, reads the log rising factorials behind dirichlet_mixed_moment and
+shares no code with the expansion.
 """
 from __future__ import annotations
 
@@ -45,8 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import (DEFAULT_ORDER_CAP, DirichletParams, _exponents, _log_moment,
-                            _log_rising, _log_rising_table)
+from .distributions import DEFAULT_ORDER_CAP, DirichletParams, _exponents, _log_moment
 from .rwa import WeightedAverageScenario
 
 __all__ = [
@@ -194,22 +194,25 @@ def _in_batches(items, cost, build):
         yield from batch
 
 
-def _rising_ratios(top: np.ndarray, bottom, m: int, e=0) -> np.ndarray:
-    """(top)_h / (bottom)_h * 2^(-e h) for h = 0..m along a new last axis;
-    e is an int or an int array that broadcasts against top[..., None]."""
+def _rising_ratios(top: np.ndarray, bottom, m: int, e=0, t=None) -> np.ndarray:
+    """(top)_h / (bottom)_h * (t / 2^e)^h for h = 0..m along a new last axis;
+    e (an int or an int array) and t (a float array, 1 if None) broadcast
+    against top[..., None], and t multiplies each step of the cumprod."""
     r = np.arange(m)
     out = np.ones(top.shape + (m + 1,))
     out[..., 1:] = np.ldexp((top[..., None] + r) / (np.asarray(bottom)[..., None] + r), -e)
+    if t is not None:
+        out[..., 1:] *= t
     return np.cumprod(out, axis=-1, out=out)
 
 
-def _scale_exponent(x_alphas: tuple) -> int:
-    """e with 2^(e-1) <= the largest entry < 2^e if that is above 1, else 0.
-    (alpha_ij)_h/h! would pass the largest double at entries of 1e39 and
-    order 8; the product tables are those of prod_i F_i(t / 2^e), in which it
-    is below 1.  A coefficient of total S is so 2^(-eS) times the unscaled
-    one, exactly: a power of two rounds nothing short of the subnormals."""
-    return max(math.frexp(max(map(max, x_alphas)))[1], 0)
+def _scale_exponent(largest: np.ndarray) -> np.ndarray:
+    """e with 2^(e-1) <= largest < 2^e where that is above 1, else 0, for
+    each entry of a batch.  (x)_h/h! would pass the largest double at x =
+    1e39 and h = 8; (x)_h/h! 2^(-eh) for x <= largest stays below 1, and a
+    product of entries over h summing to S is 2^(-eS) times the unscaled one,
+    exactly: a power of two rounds nothing short of the subnormals."""
+    return np.maximum(np.frexp(largest)[1], 0)
 
 
 def _product(w: np.ndarray, x: np.ndarray, e: np.ndarray, cs: _Cells, top: int) -> np.ndarray:
@@ -272,7 +275,7 @@ def _tabulate(scenarios: list, top: int) -> np.ndarray:
     cs, _ = _simplex(scenarios[0].k, top)
     w = np.array([sc.w_alpha for sc in scenarios])
     x = np.array([sc.x_alphas for sc in scenarios])
-    e = np.array([_scale_exponent(sc.x_alphas) for sc in scenarios])
+    e = _scale_exponent(x.max(axis=(1, 2)))
     moment, = _read_only(_finished(w, e, _product(w, x, e, cs, top), cs.cells))
     _last.tables = {(sc.w_alpha, sc.x_alphas, top): row for sc, row in zip(scenarios, moment)}
     return moment
@@ -334,27 +337,31 @@ class DirMultParams:
 
 
 @functools.lru_cache(maxsize=64)
-def _dirmult_support(trials: int, cells: int):
-    """All count vectors of the support, one per row, and their log
-    multinomial coefficients (log h! = log (1)_h), read-only; they depend
+def _dirmult_support(trials: int, cells: int) -> np.ndarray:
+    """All count vectors of the support, one per row, read-only; they depend
     only on the trial and cell counts, so a grid of alphas shares them."""
     _check_work(math.comb(trials + cells - 1, cells - 1) * cells,
                 f"a Dirichlet-multinomial support of {trials} trials in {cells} cells")
-    support = np.asarray(list(compositions(trials, cells)), dtype=np.intp)
-    log_fact = _log_rising_table((1.0,), max(trials, DEFAULT_ORDER_CAP))[0]
-    return _read_only(support, log_fact[trials] - log_fact[support].sum(axis=1))
+    support, = _read_only(np.asarray(list(compositions(trials, cells)), dtype=np.intp))
+    return support
 
 
-def _pmf(alphas: list, n: int):
+def _pmf(alphas: list, n: int, t=None):
     """The support of n trials and the Dirichlet-multinomial pmf there of
-    each of alphas, all of one k, one row per alpha, from one stack of log
-    rising factorials."""
-    support, log_multinomial = _dirmult_support(n, len(alphas[0]))
-    logs = _log_rising(np.array([a + (sum(a),) for a in alphas]), max(n, DEFAULT_ORDER_CAP))
-    pmf = logs[:, np.arange(support.shape[1]), support].sum(axis=-1)
-    pmf += log_multinomial
-    pmf -= logs[:, -1, n, None]
-    return support, np.exp(pmf, out=pmf)
+    each of alphas, all of one k, one row per alpha, times prod_j t_j^{c_j}
+    if t is given.  The pmf prod_j (alpha_j)_{c_j}/c_j! / ((A)_n/n!) is read
+    from one _rising_ratios stack of each alpha's entries and their sum A,
+    scaled by 2^(-eh) with e the _scale_exponent of A, which cancels
+    exactly; t multiplies the alpha columns' steps, all below 1 in size."""
+    support = _dirmult_support(n, len(alphas[0]))
+    x = np.array([a + (sum(a),) for a in alphas])
+    steps = None if t is None else np.append(t, 1.0)[:, None]
+    table = _rising_ratios(x, 1.0, n, _scale_exponent(x[:, -1])[:, None, None], steps)
+    pmf = table[:, 0, support[:, 0]]
+    for j in range(1, support.shape[1]):  # j ascending: no reduction order of numpy's enters
+        pmf *= table[:, j, support[:, j]]
+    pmf /= table[:, -1, n, None]
+    return support, pmf
 
 
 def _normalize(params: list) -> list:
@@ -405,19 +412,15 @@ def kerov_tsilevich_check(alpha, t, order: int = KT_ORDER):
     if np.max(np.abs(t)) >= 1:
         raise ValueError("need |t_i| < 1 for convergence")
     a_total = p.total
-    # log (A)_m / m! for m = 0, ..., order, read by the series and its tail bound
-    log_poch = list(itertools.accumulate(
-        (math.log(a_total + m - 1) - math.log(m) for m in range(1, order + 1)), initial=0.0))
-    series_terms = [1.0]
-    for m in range(1, order + 1):
-        support, pmf = _pmf([p.alpha], m)
-        inner = math.fsum(pmf[0] * np.prod(t ** support, axis=1))
-        series_terms.append(math.exp(log_poch[m]) * inner)
-    series = math.fsum(series_terms)
-    # If this overflows, so does the larger (1 - tau)**-A below, which raises.
-    with np.errstate(over="ignore"):
-        product = float(np.prod((1 - t) ** (-p.as_array())))
+    # (A)_m / m! for m = 0, ..., order, read by the series and its tail bound
+    weights = _rising_ratios(np.asarray(a_total), 1.0, order).tolist()
+    if weights[-1] == math.inf:
+        raise OverflowError(f"(A)_{order}/{order}! overflows at A = {a_total}")
+    series = math.fsum([1.0] + [weights[m] * math.fsum(_pmf([p.alpha], m, t)[1][0].tolist())
+                                for m in range(1, order + 1)])
+    # If this product overflows, so does the larger (1 - tau)**-A below, which raises.
+    product = math.prod((1 - tj) ** -aj for tj, aj in zip(t.tolist(), p.alpha))
     # dominating tail: sum_{m>order} (A)_m/m! tau^m with tau = max|t_i|
     tau = float(np.max(np.abs(t)))
-    tail = (1 - tau) ** -a_total - math.fsum(math.exp(c) * tau**m for m, c in enumerate(log_poch))
+    tail = (1 - tau) ** -a_total - math.fsum(c * tau**m for m, c in enumerate(weights))
     return series, product, abs(tail)

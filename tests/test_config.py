@@ -179,7 +179,8 @@ CAP = 2 ** 22
 
 def _elements(scenario) -> int:
     """What the runner builds for an enumerating scenario, summed in full:
-    matrices x cell pairs of each size's moment tables, and alphas x count
+    the pair products of each size's moment tables (rows after the first x
+    matrices x cell pairs), and alphas x count
     vectors x coordinates of each Dirichlet-multinomial support of a
     dirmult run (0..max_trials trials) or a Kerov-Tsilevich series (1..12
     trials, once per t)."""
@@ -191,7 +192,7 @@ def _elements(scenario) -> int:
 
     if kind == "moments":
         matrices = [len(p["entries"]) ** (n * k) for n, k in p["sizes"]]
-        return sum((m if m <= 256 else p["n_random"])
+        return sum((n - 1) * (m if m <= 256 else p["n_random"])
                    * math.comb(p["max_total_order"] + 2 * k, 2 * k)
                    for m, (n, k) in zip(matrices, p["sizes"]))
     if kind == "dirmult":
@@ -292,6 +293,13 @@ def test_dirmult_support_cap_refused_without_enumerating():
 # Accepted under the earlier per-kind caps, refused now.
 @example(_case({"kind": "moments", "sizes": [[2, 7]], "max_total_order": 8}))
 @example(_case(_kt(8, t_values=5)))
+# Each row after the first forms every matrix's pair products once: 3 x 6 at
+# order 8 builds 7,558,200 elements, and at order 5 a 2-column size is
+# accepted up to 1,110 rows; 16,000 rows ran for 2.65 s at 3,780 pairs.
+@example(_case({"kind": "moments", "sizes": [[3, 6]], "max_total_order": 8}))
+@example(_case({"kind": "moments", "sizes": [[1110, 2]]}))
+@example(_case({"kind": "moments", "sizes": [[1111, 2]]}))
+@example(_case({"kind": "moments", "sizes": [[16000, 2]]}))
 @settings(max_examples=100, deadline=None)
 def test_enumerating_scenarios_refused_above_the_support_cap(case):
     # Over all three enumerating kinds, the cap is the one work budget of
@@ -299,9 +307,9 @@ def test_enumerating_scenarios_refused_above_the_support_cap(case):
     _refused_exactly_above_the_cap(*case)
 
 
-# One size of each grid: 3^4 = 81 matrices of 2 x 2, 3 seeded draws of 2 x 3.
+# One size of each grid: 3^4 = 81 matrices of 2 x 2, 3 seeded draws of 3 x 3.
 DRIFT = {
-    "moments": {"sizes": [[2, 2], [2, 3]], "entries": [0.5, 1.0, 2.0], "max_total_order": 3,
+    "moments": {"sizes": [[2, 2], [3, 3]], "entries": [0.5, 1.0, 2.0], "max_total_order": 3,
                 "n_random": 3},
     "dirmult": {"max_k": 3, "max_trials": 3, "entries": [0.5, 2.0]},
     "kerov_tsilevich": {"alphas": [[1.0, 2.0, 3.0], [0.5, 0.5, 4.0]],
@@ -311,18 +319,19 @@ DRIFT = {
 
 @pytest.mark.parametrize("kind", DRIFT)
 def test_work_counts_what_the_runner_builds(monkeypatch, kind):
-    # Every moment table goes through _product, one row of cell pairs per
-    # matrix, and every Dirichlet-multinomial support through _pmf, one
-    # row of count vectors per alpha; their elements add up to _work.
+    # Every moment table goes through _product, one array of cell-pair
+    # products per matrix and row after the first, and every
+    # Dirichlet-multinomial support through _pmf, one row of count vectors
+    # per alpha; their elements add up to _work.
     built = []
     product, pmf = moments._product, moments._pmf
 
     def counting_product(w, x, e, cs, top):
-        built.append(len(w) * cs.left.size)
+        built.append(len(w) * (x.shape[1] - 1) * cs.left.size)
         return product(w, x, e, cs, top)
 
-    def counting_pmf(alphas, n):
-        support, out = pmf(alphas, n)
+    def counting_pmf(alphas, n, t=None):
+        support, out = pmf(alphas, n, t)
         built.append(len(alphas) * support.size)
         return support, out
 
