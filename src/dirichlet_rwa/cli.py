@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -230,7 +229,8 @@ def _print_summary(report: dict) -> None:
     print(_verdict(report))
     for t in report["tests"]:
         if not t["pass"]:
-            print(f"  failed: {json.dumps(t, sort_keys=True)}")
+            print(f"  failed: {t['kind']} ({t['path']}): value {_fmt(t['value'])}"
+                  f" not {t['compare']} bound {_fmt(t['bound'])}")
     for note in report["notes"]:
         print(f"  note: {note}")
 

@@ -346,17 +346,22 @@ def _dirmult_support(trials: int, cells: int) -> np.ndarray:
     return support
 
 
-def _pmf(alphas: list, n: int, t=None):
-    """The support of n trials and the Dirichlet-multinomial pmf there of
-    each of alphas, all of one k, one row per alpha, times prod_j t_j^{c_j}
-    if t is given.  The pmf prod_j (alpha_j)_{c_j}/c_j! / ((A)_n/n!) is read
-    from one _rising_ratios stack of each alpha's entries and their sum A,
-    scaled by 2^(-eh) with e the _scale_exponent of A, which cancels
-    exactly; t multiplies the alpha columns' steps, all below 1 in size."""
-    support = _dirmult_support(n, len(alphas[0]))
+def _pmf_table(alphas: list, depth: int, t=None) -> np.ndarray:
+    """The _rising_ratios stack to depth of each of alphas (all of one k)
+    and its sum A, scaled by 2^(-eh), e the _scale_exponent of A; t, if given,
+    multiplies the alpha columns' steps, all below 1 in size.  A cumprod's
+    prefix does not depend on its length: a pmf of n <= depth trials read
+    from it has the bits of one from a table of depth n."""
     x = np.array([a + (sum(a),) for a in alphas])
     steps = None if t is None else np.append(t, 1.0)[:, None]
-    table = _rising_ratios(x, 1.0, n, _scale_exponent(x[:, -1])[:, None, None], steps)
+    return _rising_ratios(x, 1.0, depth, _scale_exponent(x[:, -1])[:, None, None], steps)
+
+
+def _pmf(table: np.ndarray, n: int):
+    """The support of n trials and, one row per alpha of a _pmf_table, the
+    pmf prod_j (alpha_j)_{c_j}/c_j! / ((A)_n/n!) there, in which 2^(-eh)
+    cancels exactly, times prod_j t_j^{c_j} if the table holds t."""
+    support = _dirmult_support(n, table.shape[1] - 1)
     pmf = table[:, 0, support[:, 0]]
     for j in range(1, support.shape[1]):  # j ascending: no reduction order of numpy's enters
         pmf *= table[:, j, support[:, j]]
@@ -372,7 +377,7 @@ def _normalize(params: list) -> list:
     if n > DIRMULT_TRIALS_CAP:
         raise ValueError(f"trials={n} exceeds the enumeration cap of {DIRMULT_TRIALS_CAP}")
     alphas = [p.alpha.alpha for p in params]
-    totals = [math.fsum(row) for row in _pmf(alphas, n)[1].tolist()]
+    totals = [math.fsum(row) for row in _pmf(_pmf_table(alphas, n), n)[1].tolist()]
     _last.sums = {(a, n): total for a, total in zip(alphas, totals)}
     return totals
 
@@ -399,7 +404,8 @@ def kerov_tsilevich_check(alpha, t, order: int = KT_ORDER):
 
     The left side is expanded as sum_m (A)_m/m! E[(t'x)^m], truncated at
     `order`.  By the multinomial theorem E[(t'x)^m] = sum_c P(c) prod_j
-    t_j^{c_j}, P the Dirichlet-multinomial pmf of m trials (_pmf).  Returns
+    t_j^{c_j}, P the Dirichlet-multinomial pmf of m trials, each read by
+    _pmf from one _pmf_table of depth `order`.  Returns
     (series, product, tail_bound); |series - product| <= tail_bound + eps is
     the success criterion.  The tail bound is exact for the dominating series
     with |t'x| <= max|t_i|: it is the full geometric-type sum minus its own
@@ -416,7 +422,8 @@ def kerov_tsilevich_check(alpha, t, order: int = KT_ORDER):
     weights = _rising_ratios(np.asarray(a_total), 1.0, order).tolist()
     if weights[-1] == math.inf:
         raise OverflowError(f"(A)_{order}/{order}! overflows at A = {a_total}")
-    series = math.fsum([1.0] + [weights[m] * math.fsum(_pmf([p.alpha], m, t)[1][0].tolist())
+    table = _pmf_table([p.alpha], order, t)
+    series = math.fsum([1.0] + [weights[m] * math.fsum(_pmf(table, m)[1][0].tolist())
                                 for m in range(1, order + 1)])
     # If this product overflows, so does the larger (1 - tau)**-A below, which raises.
     product = math.prod((1 - tj) ** -aj for tj, aj in zip(t.tolist(), p.alpha))

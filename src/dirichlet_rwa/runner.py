@@ -22,6 +22,7 @@ from . import __version__
 from .config import ExperimentConfig, ScenarioConfig, _exhaustive_grid
 from .distributions import DirichletParams, RngStream, dirichlet_mixed_moment
 from .moments import (
+    KT_ORDER,
     DirMultParams,
     MomentIndex,
     compositions,
@@ -39,6 +40,7 @@ from .rwa import (
     variant_scenario,
 )
 from .stattest import (
+    check_record,
     energy_block_statistics,
     energy_layout,
     energy_two_sample,
@@ -107,16 +109,14 @@ def _statistical_suite(scenario, target: DirichletParams, seed: int, n_samples: 
             runs = ((moment_ztest, moment_indices(scenario.k, MAX_MOMENT_ORDER)),
                     (ks_marginal, range(scenario.k)))
             # "gamma" labels the second replicate, as in reports of earlier versions.
-            checks = [(path, pool.submit(test, batch, target, arg))
+            checks = [pool.submit(test, batch, target, arg, path)
                       for path, batch in (("direct", direct), ("gamma", gamma))
                       for test, args in runs for arg in args]
-            tests = [{**task.result(), "path": path} for path, task in checks]
-            rec = energy_two_sample(direct, gamma, (task.result() for task in energy))
+            tests = [task.result() for task in checks]
+            tests.append(energy_two_sample(direct, gamma, (task.result() for task in energy)))
         except BaseException:
             pool.shutdown(wait=False, cancel_futures=True)  # leave no queued task
             raise
-    rec["path"] = "direct-vs-gamma"
-    tests.append(rec)
     return tests
 
 
@@ -127,11 +127,12 @@ def _run_theorem(sc: ScenarioConfig):
     return _statistical_suite(scenario, target, sc.seed, int(p["n_samples"])), []
 
 
-def resolve_variant_reading(alpha):
-    """The reading of the variant's scalar notation that the exact moment
-    oracle confirms: "symmetric" if variant_scenario(alpha) has every mixed
-    moment of the claimed target of total order <= MAX_MOMENT_ORDER, each
-    within MOMENTS_RTOL; None if any differs or cannot be computed."""
+def resolve_variant_reading(alpha) -> dict:
+    """The variant-resolution record of the variant's scalar notation: its
+    value counts the mixed moments of the claimed target of total order <=
+    MAX_MOMENT_ORDER that variant_scenario(alpha) misses by more than
+    MOMENTS_RTOL relative or cannot compute, and its reading, the reading the
+    exact moment oracle confirms, is "symmetric" if none, else None."""
     sc = variant_scenario(alpha)
     target = DirichletParams(sc.target_alpha)
 
@@ -140,23 +141,25 @@ def resolve_variant_reading(alpha):
         lhs = rwa_moment_expansion(sc, MomentIndex(s), MAX_MOMENT_ORDER)
         return abs(lhs - rhs) <= MOMENTS_RTOL * abs(rhs)
 
-    return "symmetric" if all(map(matches, moment_indices(2, MAX_MOMENT_ORDER))) else None
+    indices = moment_indices(2, MAX_MOMENT_ORDER)
+    misses = sum(not matches(s) for s in indices)
+    return check_record("variant-resolution", misses, "<=", 0, "expansion-vs-closed-form",
+                        len(indices), reading=None if misses else "symmetric")
 
 
 def _run_variant(sc: ScenarioConfig):
     alpha = sc.params["alpha"]
-    reading = resolve_variant_reading(alpha)
-    if reading is None:
+    record = resolve_variant_reading(alpha)
+    if not record["pass"]:
         note = (
             "variant scenario quarantined: the symmetric parameter reading does "
             "not match the claimed target under the exact moment oracle"
         )
-        return [{"kind": "variant-resolution", "reading": None, "pass": False}], [note]
+        return [record], [note]
     scenario = variant_scenario(alpha)
     target = DirichletParams(scenario.target_alpha)
-    notes = [f"variant parameter reading resolved by moment oracle: {reading}"]
-    tests = [{"kind": "variant-resolution", "reading": reading, "pass": True}]
-    tests += _statistical_suite(scenario, target, sc.seed, int(sc.params["n_samples"]))
+    notes = [f"variant parameter reading resolved by moment oracle: {record['reading']}"]
+    tests = [record] + _statistical_suite(scenario, target, sc.seed, int(sc.params["n_samples"]))
     return tests, notes
 
 
@@ -173,11 +176,10 @@ def _spec_grid(n: int, k: int, entries, n_random: int, seed: int):
             yield rng.choice(entries, size=(n, k))
 
 
-def _worse(worst: float, err: float) -> float:
-    """max(worst, err), except that a NaN err makes the result NaN and keeps
-    it so: the report check then refuses an error that could not be
-    computed, where max would skip it."""
-    return err if err > worst or math.isnan(err) else worst
+def _worst(errors: list) -> float:
+    """The largest of errors, 0.0 if none; a NaN error, one that could not
+    be computed, makes it NaN, which the record then refuses."""
+    return float(np.max(errors, initial=0.0))
 
 
 def _run_moments(sc: ScenarioConfig):
@@ -190,7 +192,7 @@ def _run_moments(sc: ScenarioConfig):
     n_random, max_total = int(p["n_random"]), int(p["max_total_order"])
     tests = []
     for n, k in p["sizes"]:
-        worst, checked = 0.0, 0
+        errors = []
         indices = [MomentIndex(s) for s in moment_indices(k, max_total)]
         grid = map(theorem_scenario, _spec_grid(n, k, p["entries"], n_random, sc.seed))
         for scenario in tabulate_moments(grid, max_total):
@@ -198,19 +200,9 @@ def _run_moments(sc: ScenarioConfig):
                 a = rwa_moment_expansion(scenario, idx, max_total)
                 b = rwa_moment_closed_form(scenario, idx)
                 # a closed form that underflowed to 0 gives no error to judge
-                worst = _worse(worst, abs(a - b) / abs(b) if b else math.nan)
-                checked += 1
-        tests.append(
-            {
-                "kind": "moment-equality",
-                "n": n,
-                "k": k,
-                "checked": checked,
-                "max_rel_error": worst,
-                "rtol": MOMENTS_RTOL,
-                "pass": worst < MOMENTS_RTOL,
-            }
-        )
+                errors.append(abs(a - b) / abs(b) if b else math.nan)
+        tests.append(check_record("moment-equality", _worst(errors), "<", MOMENTS_RTOL,
+                                  "expansion-vs-closed-form", len(errors), n=n, k=k))
     return tests, []
 
 
@@ -221,24 +213,14 @@ def _run_dirmult(sc: ScenarioConfig):
     and dirmult_normalization_check reads each alpha's sum."""
     max_trials, max_k = int(sc.params["max_trials"]), int(sc.params["max_k"])
     entries = [float(e) for e in sc.params["entries"]]
-    worst, checked = 0.0, 0
+    errors = []
     for k in range(2, max_k + 1):
         alphas = [DirichletParams(alpha) for alpha in itertools.product(entries, repeat=k)]
         for trials in range(max_trials + 1):
-            for p in tabulate_dirmult(DirMultParams(alpha, trials) for alpha in alphas):
-                total = dirmult_normalization_check(p)
-                worst = _worse(worst, abs(total - 1.0))
-                checked += 1
-    tests = [
-        {
-            "kind": "dirmult-normalization",
-            "checked": checked,
-            "max_abs_error": worst,
-            "tol": DIRMULT_TOL,
-            "pass": worst < DIRMULT_TOL,
-        }
-    ]
-    return tests, []
+            errors += [abs(dirmult_normalization_check(p) - 1.0)
+                       for p in tabulate_dirmult(DirMultParams(a, trials) for a in alphas)]
+    return [check_record("dirmult-normalization", _worst(errors), "<", DIRMULT_TOL, "pmf-sum",
+                         len(errors))], []
 
 
 _COEFFICIENT_NOTE = (
@@ -259,17 +241,9 @@ def _run_stieltjes(sc: ScenarioConfig):
         for form, check, points in (("transform", equation3_residual, grid),
                                     ("integral", equation1_check, far)):
             resid = check(n, points)
-            tests.append(
-                {
-                    "kind": "derivative-identity",
-                    "form": form,
-                    "n": n,
-                    "grid": points,
-                    "residuals": [float(v) for v in resid],
-                    "rtol": STIELTJES_RTOL,
-                    "pass": bool(np.max(resid) <= STIELTJES_RTOL),
-                }
-            )
+            tests.append(check_record("derivative-identity", float(np.max(resid)), "<=",
+                                      STIELTJES_RTOL, form, len(points), n=n, grid=points,
+                                      residuals=resid.tolist()))
     return tests, [_COEFFICIENT_NOTE]
 
 
@@ -278,19 +252,10 @@ def _run_kerov_tsilevich(sc: ScenarioConfig):
     for alpha in sc.params["alphas"]:
         for t in sc.params["t_values"]:
             series, product, tail = kerov_tsilevich_check(alpha, t)
-            resid = abs(series - product)
-            tests.append(
-                {
-                    "kind": "product-mgf-identity",
-                    "alpha": list(alpha),
-                    "t": list(t),
-                    "series": series,
-                    "product": product,
-                    "tail_bound": tail,
-                    "residual": resid,
-                    "pass": resid <= tail + KT_TOL,
-                }
-            )
+            tests.append(check_record("product-mgf-identity", abs(series - product), "<=",
+                                      tail + KT_TOL, "series-vs-product", KT_ORDER,
+                                      alpha=list(alpha), t=list(t), series=series,
+                                      product=product, tail_bound=tail))
     return tests, []
 
 
@@ -309,7 +274,7 @@ def run_scenario(sc: ScenarioConfig, config_hash: str) -> dict:
     tests, notes = _RUNNERS[sc.kind](sc)
     elapsed = time.perf_counter() - start
     return {
-        "format_version": 1,
+        "format_version": 2,
         "scenario_id": sc.id,
         "kind": sc.kind,
         "seed": sc.seed,

@@ -12,12 +12,14 @@ test sorts first coordinates, so scipy.spatial loads only for k >= 3.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 from .distributions import DirichletParams, _exponents, dirichlet_mixed_moment
 
 __all__ = [
+    "check_record",
     "moment_ztest",
     "ks_marginal",
     "ks_threshold",
@@ -42,11 +44,21 @@ ENERGY_BLOCK = 250
 KS_BLOCK = 64
 KS_MARGIN = 1e-12
 
+_COMPARE = {"<=": operator.le, "<": operator.lt, ">": operator.gt}  # each False at a NaN
 
-def moment_ztest(values: np.ndarray, target: DirichletParams, s) -> dict:
+
+def check_record(kind: str, value, compare: str, bound, path: str, size: int, **detail) -> dict:
+    """A report record: the judged value, the comparison and bound it must
+    meet, the path it came from, the count of items it was computed over and
+    the kind's own fields.  It passes iff value <compare> bound: a NaN fails."""
+    return {"kind": kind, "value": value, "compare": compare, "bound": bound, "path": path,
+            "size": size, **detail, "pass": bool(_COMPARE[compare](value, bound))}
+
+
+def moment_ztest(values: np.ndarray, target: DirichletParams, s, path: str = "direct") -> dict:
     """z-test of the empirical mixed moment prod_j z_j^{s_j} of the (N, k)
     samples against the exact target Dirichlet moment, standard error from
-    the sample variance.
+    the sample variance; the record's value is |z|.
 
     The product takes its factors left to right: column 1 s_1 times, then
     column 2 s_2 times, and so on, starting from a copy of the first.  Each
@@ -73,8 +85,8 @@ def moment_ztest(values: np.ndarray, target: DirichletParams, s) -> dict:
     se = math.sqrt(var / values.shape[0])
     exact = dirichlet_mixed_moment(target, s)
     z = (emp - exact) / se
-    return {"kind": "moment", "index": list(s), "empirical": emp, "exact": exact,
-            "std_error": se, "z_score": z, "pass": abs(z) <= Z_THRESHOLD}
+    return check_record("moment", abs(z), "<=", Z_THRESHOLD, path, values.shape[0],
+                        index=list(s), empirical=emp, exact=exact, std_error=se, z_score=z)
 
 
 def ks_threshold(n: int) -> float:
@@ -82,7 +94,8 @@ def ks_threshold(n: int) -> float:
     return math.sqrt(-0.5 * math.log(KS_LEVEL / 2.0)) / math.sqrt(n)
 
 
-def ks_marginal(values: np.ndarray, target: DirichletParams, coordinate: int) -> dict:
+def ks_marginal(values: np.ndarray, target: DirichletParams, coordinate: int,
+                path: str = "direct") -> dict:
     """One-sample KS statistic of one coordinate of the (N, k) samples against
     its Beta marginal Beta(alpha_c, sum(alpha) - alpha_c).
 
@@ -126,10 +139,8 @@ def ks_marginal(values: np.ndarray, target: DirichletParams, coordinate: int) ->
         after, before = steps(idx)
         cdf = betainc(a, b, x[idx])
         best = max(best, np.max(after - cdf), np.max(cdf - before))
-    stat = float(best)
-    thr = ks_threshold(n)
-    return {"kind": "ks", "coordinate": coordinate, "statistic": stat,
-            "threshold": thr, "pass": stat <= thr}
+    return check_record("ks", float(best), "<=", ks_threshold(n), path, n,
+                        coordinate=coordinate)
 
 
 def energy_layout(n: int) -> tuple:
@@ -175,7 +186,7 @@ def energy_block_statistics(a: np.ndarray, b: np.ndarray, rows: int, first: int,
     return h
 
 
-def energy_two_sample(a: np.ndarray, b: np.ndarray, h) -> dict:
+def energy_two_sample(a: np.ndarray, b: np.ndarray, h, path: str = "direct-vs-gamma") -> dict:
     """Block energy two-sample test over every draw of the (N, k) samples a
     and b (the B-test of Zaremba, Gretton & Blaschko 2013, with the distance
     kernel).
@@ -188,7 +199,8 @@ def energy_two_sample(a: np.ndarray, b: np.ndarray, h) -> dict:
     the distances are taken as sqrt(2)|x_1 - y_1| from sorted first
     coordinates, and only k >= 3 uses scipy.spatial (energy_block_statistics).
     The one-sided z = mean(h) / (sd(h)/sqrt(blocks)) is judged against
-    Student's t on blocks - 1 degrees of freedom.
+    Student's t on blocks - 1 degrees of freedom: the record's value is that
+    p-value and its size the block count.
 
     ``h`` yields arrays from energy_block_statistics that join, in block
     order, into every block's statistic (the battery computes them on other
@@ -205,6 +217,5 @@ def energy_two_sample(a: np.ndarray, b: np.ndarray, h) -> dict:
     if se == 0:
         raise ValueError("degenerate batches: every block has the same energy statistic")
     z = statistic / se
-    p_value = float(stdtr(blocks - 1, -z))
-    return {"kind": "energy", "statistic": statistic, "z": z, "p_value": p_value,
-            "block_rows": rows, "blocks": blocks, "pass": p_value > ENERGY_LEVEL}
+    return check_record("energy", float(stdtr(blocks - 1, -z)), ">", ENERGY_LEVEL, path, blocks,
+                        statistic=statistic, z=z, block_rows=rows)

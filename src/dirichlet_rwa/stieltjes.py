@@ -43,16 +43,33 @@ class PowerSemicircleParams:
 
 @functools.lru_cache(maxsize=8)
 def _gauss_legendre_nodes(order: int):
-    """Gauss-Legendre nodes mapped to [0,1] and their weights, computed once
-    per order on first use and shared read-only.  The node-doubling loop asks
-    for 16, 32, ..., 2048, so the table holds at most eight entries; a table
-    entry is stored only once complete, so concurrent callers never see one
-    half-built."""
+    """Gauss-Legendre nodes x mapped to [0,1], their weights, and sin(pi x)
+    and cos(pi x) by math.sin and math.cos, not numpy's SIMD loops; computed
+    once per order and shared read-only.  The node-doubling loop asks for 16,
+    32, ..., 2048, so the table holds at most eight entries; an entry is
+    stored only once complete, so concurrent callers never see one half-built."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
     x = 0.5 * (nodes + 1.0)
-    x.flags.writeable = False
-    weights.flags.writeable = False
-    return x, weights
+    angles = (np.pi * x).tolist()
+    table = (x, weights, np.array([math.sin(a) for a in angles]),
+             np.array([math.cos(a) for a in angles]))
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+def _power(x: np.ndarray, n: int) -> np.ndarray:
+    """x**n for an integer n >= 0 by squaring: the same correctly rounded
+    multiplications in the same order for every n, where numpy's power may
+    take a different SIMD loop on another CPU."""
+    out = np.ones_like(x)
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
 
 
 # Gauss-Legendre orders double from 16 to _GL_MAX_ORDER until two agree to
@@ -103,9 +120,9 @@ def power_semicircle_transform(p: PowerSemicircleParams, z):
     n, zs = p.n, _check_grid(z)
 
     def estimate(order, zc):
-        u, weights = _gauss_legendre_nodes(order)
+        u, weights = _gauss_legendre_nodes(order)[:2]
         r = np.sqrt(1.0 - u * u)
-        vals = 2.0 * u ** (n - 2) / (np.sqrt(zc - r) * np.sqrt(zc + r))
+        vals = 2.0 * _power(u, n - 2) / (np.sqrt(zc - r) * np.sqrt(zc + r))
         return 0.5 * np.sum(weights * vals, axis=1)
 
     out = (n - 1) / 2.0 * _node_doubling(estimate, zs, "quadrature did not converge on [0,1]")
@@ -123,10 +140,10 @@ def _inverse_moment(n: int, p: int, z: np.ndarray) -> np.ndarray:
     overflows where the mean is finite.
     """
     def estimate(order, zs):
-        x, weights = _gauss_legendre_nodes(order)
-        s, d = np.sin(np.pi * x), zs - np.cos(np.pi * x)
-        vals = (s / d) ** (p - 1) * s ** (n - p) / d
-        return np.sum(weights * vals, axis=1) / np.sum(weights * s ** (n - 1))
+        _, weights, s, cos = _gauss_legendre_nodes(order)
+        d = zs - cos
+        vals = _power(s / d, p - 1) * _power(s, n - p) / d
+        return np.sum(weights * vals, axis=1) / np.sum(weights * _power(s, n - 1))
 
     return _node_doubling(estimate, z, f"quadrature of E[(z - X)^-{p}] did not converge")
 
@@ -160,7 +177,7 @@ def equation3_terms(n: int, z_grid):
     PowerSemicircleParams(n)  # rejects n < 2
     z = _check_grid(z_grid)
     with np.errstate(over="ignore"):
-        rhs = _normal(z, (np.sqrt(z - 1.0) * np.sqrt(z + 1.0)) ** (-n),
+        rhs = _normal(z, 1.0 / _power(np.sqrt(z - 1.0) * np.sqrt(z + 1.0), n),
                       "the identity's right side")
     lhs = _inverse_moment(n, n, z)
     return lhs, rhs, _relative_residuals(lhs, rhs)

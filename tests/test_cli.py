@@ -18,7 +18,8 @@ from dirichlet_rwa.cli import main
 from dirichlet_rwa.config import ConfigError, ScenarioConfig, load_config, parse_config
 from dirichlet_rwa.distributions import DirichletParams, RngStream
 from dirichlet_rwa.moments import rwa_moment_expansion
-from dirichlet_rwa.runner import MAX_MOMENT_ORDER, moment_indices, run_scenario, write_report
+from dirichlet_rwa.runner import (MAX_MOMENT_ORDER, moment_indices, run_config, run_scenario,
+                                   write_report)
 from dirichlet_rwa.rwa import sample_rwa_direct_batch, theorem_scenario
 from dirichlet_rwa.stattest import ks_marginal, moment_ztest
 from test_distributions import SIMPLEX_SUM_TOL
@@ -297,6 +298,53 @@ def test_run_all_scenario_kinds(tmp_path):
     assert any("coefficient" in n for n in reports["stieltjes"]["notes"])
 
 
+RECORD_KINDS = {"moment", "ks", "energy", "variant-resolution", "moment-equality",
+                "dirmult-normalization", "derivative-identity", "product-mgf-identity"}
+COMPARISONS = {"<=": lambda v, b: v <= b, "<": lambda v, b: v < b, ">": lambda v, b: v > b}
+
+
+def test_every_record_passes_by_its_value_comparison_and_bound(tmp_path, monkeypatch):
+    # The acceptance config and the benchmark's two report workloads at seed
+    # 7 (sample-export writes a CSV, no report) cover every record kind.
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    configs = [load_config(root / "configs" / "acceptance.json")]
+    configs += [parse_config(workloads.generate(name, 7).config)
+                for name in ("theorem-battery", "exact-identities")]
+    kinds = set()
+    for i, cfg in enumerate(configs):
+        run_config(cfg, out_dir=tmp_path / str(i))
+        for path in (tmp_path / str(i)).glob("*.json"):
+            report = json.loads(path.read_text())
+            assert report["format_version"] == 2
+            for t in report["tests"]:
+                assert {"kind", "value", "compare", "bound", "path", "size"} <= t.keys(), t
+                assert t["pass"] is COMPARISONS[t["compare"]](t["value"], t["bound"]), t
+                kinds.add(t["kind"])
+    assert kinds == RECORD_KINDS
+
+
+def test_failed_lines_name_path_value_and_bound(tmp_path, capsys, monkeypatch):
+    # verify-theorem on the benchmark's planted alternative, whose claimed
+    # target moves one column sum: one line per failed record.  Only the
+    # energy record, which compares the two replicates, passes.
+    scenario = cli._scenario
+    monkeypatch.setattr(cli, "_scenario", lambda *args, **params: scenario(
+        *args, **params, target_override=[6, 7, 9]))
+    argv = ["verify-theorem", "--alphas", "1,2,3;4,5,6", "--n-samples", "100000",
+            "--seed", "7", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    failed = [t for t in json.loads((tmp_path / "verify-theorem.json").read_text())["tests"]
+              if not t["pass"]]
+    assert {t["path"] for t in failed} == {"direct", "gamma"}
+    lines = [line for line in capsys.readouterr().out.splitlines() if "failed:" in line]
+    assert lines == [f"  failed: {t['kind']} ({t['path']}): value {cli._fmt(t['value'])} "
+                     f"not {t['compare']} bound {cli._fmt(t['bound'])}" for t in failed]
+    assert lines[0].startswith("  failed: moment (direct): value ")
+    assert lines[0].endswith(" not <= bound 5")
+
+
 TINY_ALPHAS = "1e-3,1e-3;1e-3,1e-3"
 
 
@@ -361,7 +409,7 @@ def test_verify_theorem_runs_at_n_samples_minimum(tmp_path):
 
     report = json.loads(path.read_text(), parse_constant=non_finite)
     (energy,) = [t for t in report["tests"] if t["kind"] == "energy"]
-    assert (energy["block_rows"], energy["blocks"]) == (2, 2)
+    assert (energy["block_rows"], energy["size"]) == (2, 2)
 
 
 def test_battery_replicates_come_from_distinct_streams():
@@ -914,7 +962,7 @@ def test_exact_route_holds_at_large_entries(tmp_path, entry):
     cfg = large_entry_config(tmp_path / "reports", entry)
     assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
     moments = json.loads((tmp_path / "reports" / "moments.json").read_text())
-    assert max(t["max_rel_error"] for t in moments["tests"]) < 1e-13
+    assert max(t["value"] for t in moments["tests"]) < 1e-13
 
 
 def test_variant_at_large_alpha_passes(tmp_path, capsys):
@@ -926,8 +974,9 @@ def test_variant_at_large_alpha_passes(tmp_path, capsys):
     ])
     assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
     report = json.loads((tmp_path / "reports" / "variant.json").read_text())
-    assert report["tests"][0] == {"kind": "variant-resolution", "reading": "symmetric",
-                                  "pass": True}
+    assert report["tests"][0] == {"kind": "variant-resolution", "value": 0, "compare": "<=",
+                                  "bound": 0, "path": "expansion-vs-closed-form", "size": 9,
+                                  "reading": "symmetric", "pass": True}
 
 
 def test_variant_the_oracle_does_not_confirm_is_quarantined(tmp_path, monkeypatch):
@@ -940,7 +989,9 @@ def test_variant_the_oracle_does_not_confirm_is_quarantined(tmp_path, monkeypatc
     ])
     assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 1
     report = json.loads((tmp_path / "reports" / "variant.json").read_text())
-    assert report["tests"] == [{"kind": "variant-resolution", "reading": None, "pass": False}]
+    assert report["tests"] == [{"kind": "variant-resolution", "value": 9, "compare": "<=",
+                                "bound": 0, "path": "expansion-vs-closed-form", "size": 9,
+                                "reading": None, "pass": False}]
     assert report["notes"][0].startswith("variant scenario quarantined: ")
 
 
@@ -1003,7 +1054,7 @@ def test_moment_expansion_overflow_exits_2(tmp_path, capsys, monkeypatch):
         ])
         assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
         moments = json.loads((out / "moments.json").read_text())
-        assert moments["tests"][0]["max_rel_error"] < 1e-13
+        assert moments["tests"][0]["value"] < 1e-13
     capsys.readouterr()
 
     def exits_2(cfg):

@@ -330,9 +330,9 @@ def test_work_counts_what_the_runner_builds(monkeypatch, kind):
         built.append(len(w) * (x.shape[1] - 1) * cs.left.size)
         return product(w, x, e, cs, top)
 
-    def counting_pmf(alphas, n, t=None):
-        support, out = pmf(alphas, n, t)
-        built.append(len(alphas) * support.size)
+    def counting_pmf(table, n):
+        support, out = pmf(table, n)
+        built.append(len(table) * support.size)
         return support, out
 
     monkeypatch.setattr(moments, "_product", counting_product)

@@ -478,7 +478,7 @@ def test_closed_form_matches_exact_moments(e):
 def support_pmf(p):
     """The support of p and its pmf there, from the one pmf builder that
     dirmult_normalization_check and kerov_tsilevich_check read."""
-    support, pmf = moments._pmf([p.alpha.alpha], p.trials)
+    support, pmf = moments._pmf(moments._pmf_table([p.alpha.alpha], p.trials), p.trials)
     return support.tolist(), pmf[0]
 
 
@@ -714,9 +714,9 @@ def test_one_pmf_builder_for_sums_and_series(monkeypatch):
     calls = []
     pmf = moments._pmf
 
-    def counting_pmf(alphas, n, t=None):
-        calls.append((len(alphas), n))
-        return pmf(alphas, n, t)
+    def counting_pmf(table, n):
+        calls.append((len(table), n))
+        return pmf(table, n)
 
     monkeypatch.setattr(moments, "_pmf", counting_pmf)
     params = [DirMultParams(DirichletParams(a), 5) for a in ((1, 2, 3), (0.5, 0.5, 4))]
@@ -726,6 +726,25 @@ def test_one_pmf_builder_for_sums_and_series(monkeypatch):
     for t in ((0.0, 0.0, 0.0), (0.0, -0.0, 0.0)):
         assert kerov_tsilevich_check((1, 2, 3), t) == (1.0, 1.0, 0.0)
     assert calls == [(1, m) for m in range(1, moments.KT_ORDER + 1)] * 2
+
+
+@pytest.mark.parametrize("alpha, t", [((0.35, 4.6), (0.5, -0.5)),
+                                      ((1e-3, 2.0, 40.0), (0.9, -0.3, 0.1)),
+                                      ((1.0, 2.0, 3.0), (-0.99, 0.0, 0.7))])
+def test_kerov_tsilevich_pmfs_from_one_table_equal_a_table_per_order(alpha, t):
+    # a cumprod's prefix does not depend on its length, so the pmf of every
+    # order read from the one table of depth KT_ORDER has the bits of a table
+    # of that order, and so has the series
+    deep = moments._pmf_table([alpha], moments.KT_ORDER, np.asarray(t))
+    pmfs = [moments._pmf(moments._pmf_table([alpha], m, np.asarray(t)), m)[1]
+            for m in range(1, moments.KT_ORDER + 1)]
+    for m, want in enumerate(pmfs, start=1):
+        assert np.array_equal(moments._pmf(deep, m)[1], want)
+    weights = moments._rising_ratios(np.asarray(DirichletParams(alpha).total), 1.0,
+                                     moments.KT_ORDER).tolist()
+    series = math.fsum([1.0] + [w * math.fsum(pmf[0].tolist())
+                                for w, pmf in zip(weights[1:], pmfs)])
+    assert kerov_tsilevich_check(alpha, t)[0] == series
 
 
 def test_kerov_tsilevich_quadrature_cross_check():

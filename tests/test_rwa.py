@@ -383,18 +383,18 @@ def test_variant_scenario_plumbing():
 def test_variant_reading_resolution(monkeypatch):
     # the symmetric expansion of the scalar notation is the one that
     # reproduces the claimed target moments; n=3 case gives target 6.5 each
-    assert resolve_variant_reading((1.0, 2.0, 3.0)) == "symmetric"
+    assert resolve_variant_reading((1.0, 2.0, 3.0))["reading"] == "symmetric"
     sc = variant_scenario((1.0, 2.0, 3.0))
     assert sc.target_alpha == (6.5, 6.5)
-    assert resolve_variant_reading((0.7, 1.3)) == "symmetric"
+    assert resolve_variant_reading((0.7, 1.3))["reading"] == "symmetric"
     # the target moment must not cancel, nor the expansion overflow, at
     # large concentrations
     for scale in (1e6, 1e12, 1e200):
-        assert resolve_variant_reading((scale, 2 * scale)) == "symmetric"
+        assert resolve_variant_reading((scale, 2 * scale))["reading"] == "symmetric"
     # a NaN expansion must not read as a match
     monkeypatch.setattr("dirichlet_rwa.runner.rwa_moment_expansion",
                         lambda sc, s, top=0: float("nan"))
-    assert resolve_variant_reading((1.0, 2.0)) is None
+    assert resolve_variant_reading((1.0, 2.0))["reading"] is None
 
 
 def test_variant_asymmetric_reading_fails_oracle():

@@ -28,6 +28,16 @@ def energy_record(a, b):
     return energy_two_sample(a, b, [stattest.energy_block_statistics(a, b, rows, 0, blocks)])
 
 
+@pytest.mark.parametrize("compare, at_bound", [("<=", True), ("<", False), (">", False)])
+def test_record_passes_iff_value_meets_bound(compare, at_bound):
+    # a value at its bound passes only "<="; a NaN value fails every comparison
+    assert stattest.check_record("k", 1.0, compare, 1.0, "p", 1)["pass"] is at_bound
+    assert stattest.check_record("k", 2.0, compare, 1.0, "p", 1)["pass"] is (compare == ">")
+    assert stattest.check_record("k", 0.5, compare, 1.0, "p", 1)["pass"] is (compare != ">")
+    for bound in (-math.inf, 0.0, math.inf):
+        assert stattest.check_record("k", math.nan, compare, bound, "p", 1)["pass"] is False
+
+
 def test_moment_ztest_null_passes():
     b = batch((1, 1), 10**5, 101)
     r = moment_ztest(b, DirichletParams((1, 1)), (1, 0))
@@ -57,7 +67,7 @@ def test_ks_null_passes():
     b = batch((1, 1), 10**5, 104)
     r = ks_marginal(b, DirichletParams((1, 1)), 0)
     assert r["pass"]
-    assert r["statistic"] < 3 / math.sqrt(b.shape[0])
+    assert r["value"] < 3 / math.sqrt(b.shape[0])
 
 
 def test_ks_wrong_target_fails():
@@ -65,7 +75,7 @@ def test_ks_wrong_target_fails():
     r = ks_marginal(b, DirichletParams((2, 2)), 0)
     assert not r["pass"]
     # CDF sup-distance between Uniform and Beta(2,2) is ~0.096
-    assert r["statistic"] > 0.05
+    assert r["value"] > 0.05
 
 
 def test_ks_coordinate_out_of_range():
@@ -83,7 +93,7 @@ def test_ks_probability_integral_transform_invariance():
     r = ks_marginal(b, DirichletParams((2, 3)), 0)
     u = betainc(2.0, 3.0, b[:, 0])
     r2 = ks_marginal(np.stack([u, 1 - u], axis=1), DirichletParams((1, 1)), 0)
-    assert r["statistic"] == pytest.approx(r2["statistic"], abs=1e-12)
+    assert r["value"] == pytest.approx(r2["value"], abs=1e-12)
 
 
 def test_ks_threshold_scaling():
@@ -97,8 +107,8 @@ def test_energy_same_law_passes():
     b = batch((2, 3, 5), 20_000, 108, stream=1)
     r = energy_record(a, b)
     assert r["pass"]
-    assert 0 < r["p_value"] <= 1
-    assert (r["block_rows"], r["blocks"]) == (ENERGY_BLOCK, 20_000 // ENERGY_BLOCK)
+    assert 0 < r["value"] <= 1
+    assert (r["block_rows"], r["size"]) == (ENERGY_BLOCK, 20_000 // ENERGY_BLOCK)
 
 
 def test_energy_different_law_fails():
@@ -168,7 +178,7 @@ def test_energy_statistic_equals_explicit_loop(ma, mb):
         a, b = rng.dirichlet(alpha_a, ma), rng.dirichlet(alpha_b, mb)
         h = loop_block_statistics(a, b)
         r = energy_record(a, b)
-        assert r["blocks"] == len(h) and r["block_rows"] == min(ENERGY_BLOCK, min(ma, mb) // 2)
+        assert r["size"] == len(h) and r["block_rows"] == min(ENERGY_BLOCK, min(ma, mb) // 2)
         assert r["statistic"] == pytest.approx(sum(h) / len(h), rel=1e-12)
         z = np.mean(h) / (np.std(h, ddof=1) / math.sqrt(len(h)))
         assert r["z"] == pytest.approx(z, rel=1e-9)
@@ -204,8 +214,8 @@ def test_energy_null_false_alarms_and_z_spread(monkeypatch):
     records = [energy_record(batch((2, 3, 5), 1000, seed, stream=0),
                              batch((2, 3, 5), 1000, seed, stream=1))
                for seed in range(200)]
-    assert {r["blocks"] for r in records} == {100}
-    assert min(r["p_value"] for r in records) > ENERGY_LEVEL
+    assert {r["size"] for r in records} == {100}
+    assert min(r["value"] for r in records) > ENERGY_LEVEL
     assert 0.8 <= np.std([r["z"] for r in records], ddof=1) <= 1.2
 
 
@@ -214,7 +224,7 @@ def test_energy_detects_a_small_shift_at_full_size():
     a = batch((5, 7, 9), 200_000, 120, stream=0)
     b = batch((5.2, 7, 9), 200_000, 120, stream=1)
     r = energy_record(a, b)
-    assert r["blocks"] == 200_000 // ENERGY_BLOCK
+    assert r["size"] == 200_000 // ENERGY_BLOCK
     assert not r["pass"] and r["z"] > 0
 
 
@@ -233,8 +243,8 @@ def full_ks_marginal(values, target, coordinate):
     d_minus = np.max(cdf - (grid - 1.0 / n))
     stat = float(max(d_plus, d_minus))
     thr = ks_threshold(n)
-    return {"kind": "ks", "coordinate": coordinate, "statistic": stat,
-            "threshold": thr, "pass": stat <= thr}
+    return {"kind": "ks", "value": stat, "compare": "<=", "bound": thr, "path": "direct",
+            "size": n, "coordinate": coordinate, "pass": stat <= thr}
 
 
 def multiplied_moment_ztest(values, target, s):
@@ -253,8 +263,9 @@ def multiplied_moment_ztest(values, target, s):
     se = math.sqrt(var / values.shape[0])
     exact = dirichlet_mixed_moment(target, s)
     z = (emp - exact) / se
-    return {"kind": "moment", "index": list(s), "empirical": emp, "exact": exact,
-            "std_error": se, "z_score": z, "pass": abs(z) <= Z_THRESHOLD}
+    return {"kind": "moment", "value": abs(z), "compare": "<=", "bound": Z_THRESHOLD,
+            "path": "direct", "size": values.shape[0], "index": list(s), "empirical": emp,
+            "exact": exact, "std_error": se, "z_score": z, "pass": abs(z) <= Z_THRESHOLD}
 
 
 concentration = st.sampled_from([1e-3, 0.05, 0.5, 1.0, 2.0, 7.5, 40.0])

@@ -149,7 +149,10 @@ def _scalar_gauss_legendre_01(f, rtol=1e-12, max_order=2048):
 def _scalar_power_semicircle(n, z):
     def integrand(u):
         r = np.sqrt(1.0 - u * u)
-        return 2.0 * u ** (n - 2) / (np.sqrt(z - r) * np.sqrt(z + r))
+        # u^(n-2) multiplied left to right, at n <= 5 the product that
+        # squaring forms, one node at a time
+        power = np.array([math.prod([v] * (n - 2)) for v in u.tolist()])
+        return 2.0 * power / (np.sqrt(z - r) * np.sqrt(z + r))
 
     return (n - 1) / 2.0 * _scalar_gauss_legendre_01(integrand)
 
@@ -166,10 +169,13 @@ def test_broadcast_quadrature_matches_scalar_loop_bitwise(n):
 
 
 def test_gauss_legendre_nodes_cached_read_only():
-    x, weights = _gauss_legendre_nodes(64)
+    table = x, weights, sin, cos = _gauss_legendre_nodes(64)
     assert _gauss_legendre_nodes(64)[0] is x
-    assert not x.flags.writeable and not weights.flags.writeable
+    assert not any(a.flags.writeable for a in table)
     assert np.all((x > 0) & (x < 1)) and weights.sum() == pytest.approx(2.0, abs=1e-14)
+    angles = (np.pi * x).tolist()
+    assert sin.tolist() == [math.sin(a) for a in angles]
+    assert cos.tolist() == [math.cos(a) for a in angles]
 
 
 def test_node_table_shared_by_concurrent_threads():
@@ -247,10 +253,10 @@ def test_coefficient_n_minus_2_over_2_fails_the_integral_record(monkeypatch):
                         lambda p, z: transform(p, z) * (p.n - 2) / (p.n - 1))
     sc = ScenarioConfig("s", "stieltjes", 1, {"orders": [2, 3, 4, 7], "grid": [1.5, 2.0, 5.0]})
     records = [t for t in run_scenario(sc, "h")["tests"] if t["kind"] == "derivative-identity"]
-    assert [(t["n"], t["form"]) for t in records if t["pass"]] == [
+    assert [(t["n"], t["path"]) for t in records if t["pass"]] == [
         (n, "transform") for n in (2, 3, 4, 7)]
     for t in records:
-        if t["form"] == "integral":
+        if t["path"] == "integral":
             # the three grid points and the three far-field points
             assert t["grid"] == [1.5, 2.0, 5.0, 10.0, 1e3, 1e6]
             assert t["residuals"] == pytest.approx([1.0 / (t["n"] - 1)] * 6, rel=1e-12)
@@ -269,7 +275,7 @@ def test_far_field_transform_moved_by_1e_6_fails_the_integral_record(monkeypatch
     monkeypatch.setattr(stieltjes, "power_semicircle_transform",
                         lambda p, z: transform(p, z) * (1 + 1e-6 * (abs(z) >= 10)))
     tests = run_scenario(sc, "h")["tests"]
-    assert [(t["form"], t["pass"]) for t in tests] == [
+    assert [(t["path"], t["pass"]) for t in tests] == [
         (form, form == "transform") for n in (2, 3, 4) for form in ("transform", "integral")]
     for t in tests[1::2]:
         assert max(t["residuals"][-3:]) == pytest.approx(1e-6, rel=1e-6)
