@@ -80,7 +80,7 @@ _OTHER_FIELDS = np.array([_text_field(b"%.17g"), _text_field(b"1"), _text_field(
 # Dekker's exact product splits each factor into two halves of 26 bits with
 # Veltkamp's constant.
 _SPLIT = 2.0**27 + 1
-_POW10 = 10.0 ** np.arange(20, 16, -1)  # 10**(16 - X) for X = -4..-1; exact doubles
+_POW10 = np.array([1e20, 1e19, 1e18, 1e17])  # 10**(16 - X) for X = -4..-1; exact doubles
 _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
 # "0." + (3 - e) zeros + the leading digit, right-aligned in 8 bytes, at e * 10 + digit.

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import DirichletParams
-from .moments import DIRMULT_TRIALS_CAP, KT_ORDER, MomentIndex, _check_work, kerov_tsilevich_check
+from .moments import DIRMULT_TRIALS_CAP, KT_ORDER, MomentIndex, _check_work, _kt_terms
 from .rwa import WeightedAverageScenario, theorem_scenario, variant_scenario
 from .stieltjes import _check_grid
 
@@ -177,7 +177,7 @@ def _check_values(kind: str, p: dict) -> None:
         _work(kind, p)
         for alpha in alphas:
             for t in t_values:
-                kerov_tsilevich_check(alpha, t, order=0)  # argument checks only
+                _kt_terms(alpha, t, KT_ORDER)  # all but the series
 
 
 def parse_config(raw: dict) -> ExperimentConfig:

@@ -6,12 +6,11 @@ statistical test battery) is built on top of this module.  The sampler is
 numpy's Generator.dirichlet on a generator that the caller builds from an
 RngStream and may draw from over several calls: normalized gammas, or Beta
 stick-breaking when every concentration is below 0.1, so that tiny ones do
-not underflow.  Every exact Dirichlet moment of the package is read
-from one cached table of log rising factorials per alpha.
+not underflow.  Every exact Dirichlet moment of the package is one product
+of plain float ratios, _moment.
 """
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -23,12 +22,7 @@ __all__ = [
     "RngStream",
     "sample_dirichlet_batch",
     "dirichlet_mixed_moment",
-    "DEFAULT_ORDER_CAP",
 ]
-
-# Total-order cap on moment indices (moments.MomentIndex); a table of log
-# rising factorials is at least this deep.
-DEFAULT_ORDER_CAP = 8
 
 
 def _concentrations(values, where: str = "") -> tuple:
@@ -116,34 +110,26 @@ def sample_dirichlet_batch(p: DirichletParams, n: int, gen: np.random.Generator)
     return gen.dirichlet(p.as_array(), size=n)
 
 
-@functools.lru_cache(maxsize=256)
-def _log_rising_table(alpha: tuple, m: int) -> np.ndarray:
-    """Log rising factorials of alpha for h = 0..m, read-only: row j holds
-    log (alpha_j)_h - h log A, the last row log (A)_h - h log A, A =
-    sum(alpha); the h log A cancel in prod_j (alpha_j)_{s_j} / (A)_S.  An
-    entry sums log((x + r)/A) over r < h, terms the size of log(alpha_j/A),
-    so no large scale cancels (log-gamma differences lose eps * x * log(x),
-    6e-3 relative at x = 1e12).  The entries do not depend on m; callers
-    take m = max(S, DEFAULT_ORDER_CAP)."""
-    x = np.asarray(alpha + (sum(alpha),))
-    out = np.zeros((x.size, m + 1))
-    np.cumsum(np.log((x[:, None] + np.arange(m)) / x[-1]), axis=-1, out=out[:, 1:])
-    out.flags.writeable = False
+def _moment(alpha: tuple, s: tuple) -> float:
+    """E[prod_j X_j^{s_j}] = prod_j (alpha_j)_{s_j} / (A)_S for X ~
+    Dirichlet(alpha), A = sum(alpha), S = sum(s), for a tuple s of ints,
+    unchecked: the product of the S ratios (alpha_j + q) / (A + r), q < s_j,
+    where r = 0..S-1 runs through q = 0..s_1-1, then q = 0..s_2-1, and so on.
+    q <= r, so each ratio is at most 1 and nothing overflows; they are
+    multiplied in ascending r from 1.0.  No log is taken: a log-gamma
+    difference would cancel, keeping about two digits at entries of 1e12."""
+    a_total, out, r = sum(alpha), 1.0, 0
+    for a, sj in zip(alpha, s):
+        for q in range(sj):
+            out *= (a + q) / (a_total + r)
+            r += 1
     return out
-
-
-def _log_moment(alpha: tuple, s: tuple) -> float:
-    """log E[prod_j X_j^{s_j}], X ~ Dirichlet(alpha), for a tuple s of ints,
-    unchecked; Python floats off the table cost less than an indexed array."""
-    total = sum(s)
-    item = _log_rising_table(alpha, max(total, DEFAULT_ORDER_CAP)).item
-    return sum(map(item, range(len(s)), s)) - item(-1, total)
 
 
 def dirichlet_mixed_moment(p: DirichletParams, s) -> float:
     """Exact E[prod_j X_j^{s_j}] = prod_j (alpha_j)_{s_j} / (A)_S for X ~
-    Dirichlet(alpha), A = sum(alpha), S = sum(s), from the table of alpha."""
+    Dirichlet(alpha), A = sum(alpha), S = sum(s), by _moment."""
     s = _exponents(s)
     if len(s) != p.k:
         raise ValueError(f"exponent vector length {len(s)} != alpha length {p.k}")
-    return math.exp(_log_moment(p.alpha, s))
+    return _moment(p.alpha, s)

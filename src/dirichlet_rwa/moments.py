@@ -32,8 +32,9 @@ has when built alone.
 The one Dirichlet-multinomial pmf (_pmf, read by the sums and the
 Kerov-Tsilevich series) is built from the expansion's _rising_ratios
 tables and scale rule.  The closed form, the moment of the claimed Dirichlet
-law, reads the log rising factorials behind dirichlet_mixed_moment and
-shares no code with the expansion.
+law, is distributions._moment, a product of float ratios that shares no code
+with the expansion: a defect in a shared kernel could still satisfy
+Vandermonde's identity, and the equality would not see it.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import DEFAULT_ORDER_CAP, DirichletParams, _exponents, _log_moment
+from .distributions import DirichletParams, _exponents, _moment
 from .rwa import WeightedAverageScenario
 
 __all__ = [
@@ -62,6 +63,7 @@ __all__ = [
     "tabulate_dirmult",
 ]
 
+DEFAULT_ORDER_CAP = 8  # total-order cap of a MomentIndex
 DIRMULT_TRIALS_CAP = 64  # trial cap of an explicit Dirichlet-multinomial enumeration
 KT_ORDER = 12  # truncation order of the Kerov-Tsilevich moment series
 
@@ -317,10 +319,10 @@ def rwa_moment_closed_form(sc: WeightedAverageScenario, s: MomentIndex) -> float
     Dirichlet(c), c = sc.target_alpha, which theorem_scenario sets to the
     column sums of x_alphas: prod_j (c_j)_{s_j} / (C)_S with C = sum_j c_j.
     It is dirichlet_mixed_moment without the argument checks, which
-    MomentIndex has made, read from the same cached table."""
+    MomentIndex has made: the same _moment, so the same bits."""
     if s.k != sc.k:
         raise ValueError("moment index length does not match scenario dimension")
-    return math.exp(_log_moment(sc.target_alpha, s.s))
+    return _moment(sc.target_alpha, s.s)
 
 
 @dataclass(frozen=True)
@@ -398,6 +400,31 @@ def dirmult_normalization_check(p: DirMultParams) -> float:
     return _normalize([p])[0] if total is None else total
 
 
+def _kt_terms(alpha, t, order: int):
+    """kerov_tsilevich_check less its series: the checked alpha and t, the
+    weights (A)_m/m!, m = 0..order, the product and the tail bound; it raises
+    where the check raises and enumerates nothing (the validator's check)."""
+    p = DirichletParams(alpha)
+    t = np.asarray(t, dtype=float)
+    if t.shape != (p.k,):
+        raise ValueError("t must have one entry per coordinate")
+    if np.max(np.abs(t)) >= 1:
+        raise ValueError("need |t_i| < 1 for convergence")
+    a_total = p.total
+    # (A)_m / m! for m = 0, ..., order, read by the series and its tail bound;
+    # an overflow is raised here, not warned about by numpy
+    with np.errstate(over="ignore"):
+        weights = _rising_ratios(np.asarray(a_total), 1.0, order).tolist()
+    if weights[-1] == math.inf:
+        raise OverflowError(f"(A)_{order}/{order}! overflows at A = {a_total}")
+    # If this product overflows, so does the larger (1 - tau)**-A below, which raises.
+    product = math.prod((1 - tj) ** -aj for tj, aj in zip(t.tolist(), p.alpha))
+    # dominating tail: sum_{m>order} (A)_m/m! tau^m with tau = max|t_i|
+    tau = float(np.max(np.abs(t)))
+    tail = (1 - tau) ** -a_total - math.fsum(c * tau**m for m, c in enumerate(weights))
+    return p, t, weights, product, abs(tail)
+
+
 def kerov_tsilevich_check(alpha, t, order: int = KT_ORDER):
     """Moment-series check of E[(1 - t'x)^{-A}] = prod_i (1 - t_i)^{-alpha_i}
     for x ~ Dirichlet(alpha), A = sum(alpha).
@@ -411,23 +438,8 @@ def kerov_tsilevich_check(alpha, t, order: int = KT_ORDER):
     with |t'x| <= max|t_i|: it is the full geometric-type sum minus its own
     truncation, computed in closed form (0.0 at t = 0).
     """
-    p = DirichletParams(alpha)
-    t = np.asarray(t, dtype=float)
-    if t.shape != (p.k,):
-        raise ValueError("t must have one entry per coordinate")
-    if np.max(np.abs(t)) >= 1:
-        raise ValueError("need |t_i| < 1 for convergence")
-    a_total = p.total
-    # (A)_m / m! for m = 0, ..., order, read by the series and its tail bound
-    weights = _rising_ratios(np.asarray(a_total), 1.0, order).tolist()
-    if weights[-1] == math.inf:
-        raise OverflowError(f"(A)_{order}/{order}! overflows at A = {a_total}")
+    p, t, weights, product, tail = _kt_terms(alpha, t, order)
     table = _pmf_table([p.alpha], order, t)
     series = math.fsum([1.0] + [weights[m] * math.fsum(_pmf(table, m)[1][0].tolist())
                                 for m in range(1, order + 1)])
-    # If this product overflows, so does the larger (1 - tau)**-A below, which raises.
-    product = math.prod((1 - tj) ** -aj for tj, aj in zip(t.tolist(), p.alpha))
-    # dominating tail: sum_{m>order} (A)_m/m! tau^m with tau = max|t_i|
-    tau = float(np.max(np.abs(t)))
-    tail = (1 - tau) ** -a_total - math.fsum(c * tau**m for m, c in enumerate(weights))
-    return series, product, abs(tail)
+    return series, product, tail

@@ -90,7 +90,8 @@ def moment_ztest(values: np.ndarray, target: DirichletParams, s, path: str = "di
 
 
 def ks_threshold(n: int) -> float:
-    """Asymptotic one-sample KS critical value c(KS_LEVEL)/sqrt(n)."""
+    """One-sample KS critical value sqrt(-ln(KS_LEVEL/2)/2)/sqrt(n): the
+    DKW-Massart bound, of level at most KS_LEVEL at every n for a continuous null."""
     return math.sqrt(-0.5 * math.log(KS_LEVEL / 2.0)) / math.sqrt(n)
 
 

@@ -51,6 +51,9 @@ BAD_VALUES = {
     "theorem-row-sum-overflows": {"kind": "theorem", "alphas": [[1e308, 1e308], [1, 1]],
                                   "n_samples": 100},
     "kt-product-overflows": {"kind": "kerov_tsilevich", "alphas": [[1e308, 1]]},
+    # the product and the tail are 1.0; (A)_12/12! overflows only at the series' order
+    "kt-weights-overflow": {"kind": "kerov_tsilevich", "alphas": [[5e26, 5e26]],
+                            "t_values": [[1e-30, 1e-30]]},
     "kt-alpha-sum-overflows": {"kind": "kerov_tsilevich", "alphas": [[1e308, 1e308]]},
     # 5e307 sums to infinity only in the runner's longest alphas, of max_k entries
     "dirmult-sum-overflows-at-max-k": {"kind": "dirmult", "entries": [5e307], "max_k": 4},

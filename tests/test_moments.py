@@ -455,24 +455,29 @@ def _exact_rising(x, m):
     return out
 
 
-@pytest.mark.parametrize("e", [1e-3, 0.5, 1.0, 1e4, 1e6, 1e12, 1e50, 1e100])
+@pytest.mark.parametrize("e", [3e-7, 1e-3, 0.5, 1.0, 1e4, 1e6, 1e12, 1e50, 1e100])
 def test_closed_form_matches_exact_moments(e):
     # prod_j (c_j)_{s_j} / (C)_S in exact rationals, at entries where
     # gammaln(x + m) - gammaln(x) cancels.  dirichlet_mixed_moment is checked
     # up to total order 12, the Kerov-Tsilevich order, above the index cap.
+    # Each of its S ratios (c_j + q) / (C + r) takes at most k + 3 roundings
+    # (k - 1 in C, two additions, a division, a multiplication into the
+    # product), so the bound is (k + 3) S 2^-53 relative while the exact value
+    # is a normal double (here all are, 9.2e-19 the least);
+    # rwa_moment_closed_form gives the same bits.
     for mat in ([[e, 2 * e], [3 * e, e]], [[e, 0.5 * e, 3 * e], [2 * e, e, 0.25 * e]]):
         sc = theorem_scenario(mat)
         col = [sum(Fraction(row[j]) for row in mat) for j in range(sc.k)]
         target = DirichletParams(sc.target_alpha)
         for total in range(12 + 1):
+            bound = (sc.k + 3) * total * 2.0 ** -53
             for s in compositions(total, sc.k):
                 want = math.prod(_exact_rising(c, sj) for c, sj in zip(col, s))
                 want /= _exact_rising(sum(col), total)
-                got = [dirichlet_mixed_moment(target, s)]
+                got = dirichlet_mixed_moment(target, s)
                 if total <= DEFAULT_ORDER_CAP:
-                    got.append(rwa_moment_closed_form(sc, MomentIndex(s)))
-                for g in got:
-                    assert abs(Fraction(g) - want) <= 1e-12 * want, (s, g, float(want))
+                    assert rwa_moment_closed_form(sc, MomentIndex(s)) == got
+                assert abs(Fraction(got) - want) <= bound * want, (s, got, float(want))
 
 
 def support_pmf(p):
